@@ -41,7 +41,7 @@ KERNEL_SPAN = [
 
 def _report(cid: str, description: str, passed: bool, t0: float, budget: float | None,
             **details) -> dict:
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = bool(passed) and (budget is None or elapsed <= budget)
     return {
         "id": cid,
@@ -54,7 +54,7 @@ def _report(cid: str, description: str, passed: bool, t0: float, budget: float |
 
 
 def criterion_1() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     r1 = st.total_rank(st.SubalgebraSpec.A(1))
     r2 = st.total_rank(st.SubalgebraSpec.A(2))
     return _report("1", "subalgebra ranks: A_1 = 8, A_2 = 64",
@@ -62,7 +62,7 @@ def criterion_1() -> dict:
 
 
 def criterion_2() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     A2 = st.SubalgebraSpec.A(2)
     M = st.quotient_module(A2, [st.parse_element("Sq1"), st.parse_element("Sq2Sq3")])
     N = st.quotient_module(A2, [st.parse_element("Sq1"), st.parse_element("Sq2")])
@@ -113,7 +113,7 @@ def criterion_2() -> dict:
 
 
 def criterion_3() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = st.adem_reduce((2, 2)) == st.parse_element("Sq3Sq1")
     b = st.adem_reduce((1, 7)) == frozenset()
     lhs = st.steenrod_add(st.adem_reduce((4, 6)), st.adem_reduce((6, 4)))
@@ -123,7 +123,7 @@ def criterion_3() -> dict:
 
 
 def criterion_4(bound: int = 24) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for p in (2, 3):
         for kind, degs in (("polynomial", (2, 4, 8)), ("exterior", (1, 3, 7))):
@@ -146,7 +146,7 @@ def criterion_4(bound: int = 24) -> dict:
 
 
 def criterion_5() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     cases = [[("x", 1)], [("x", 1), ("y", 1)], [("x", 2), ("y", 3)],
              [("x", 1), ("y", 2), ("z", 3)]]
@@ -167,7 +167,7 @@ def criterion_5() -> dict:
 
 
 def criterion_6() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     U = AlgebraPresentation(
         2, [GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 0
     )
@@ -178,7 +178,7 @@ def criterion_6() -> dict:
 
 
 def criterion_7() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     P = AlgebraPresentation(2, [GeneratorSpec("x", 2, "polynomial")], 12)
     E = AlgebraPresentation(2, [GeneratorSpec("x", 1, "exterior")], 12)
     ok = bar_roundtrip_check(P, 3, 12) and bar_roundtrip_check(E, 3, 12)
@@ -199,7 +199,7 @@ def _expected_abutment(name: str, p: int, N: int, extra: list[tuple[int, str]],
 
 
 def criterion_8() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[tuple] = [
         ("hf", 2, 40, [(2, "polynomial")], None),
         ("hz", 2, 40, [(3, "exterior"), (4, "polynomial")], None),
@@ -233,7 +233,7 @@ def criterion_8() -> dict:
 
 
 def criterion_9() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     N = 62
     gens = [GeneratorSpec("z", 53, "exterior", filtration=1)] + expand_divided(
         "y", 18, 3, N, filtration=1
@@ -256,7 +256,7 @@ def criterion_9() -> dict:
 
 
 def criterion_10() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def coaction_set(res, gen):
         A = res.abutment
@@ -296,7 +296,7 @@ def criterion_10() -> dict:
 
 
 def criterion_11() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     certs = bk.nishida_certificates()
     return _report("11", "Nishida instance checks certify the image-of-J "
                    "Dyer-Lashof entries", all(c["ok"] for c in certs), t0, None,
@@ -304,7 +304,7 @@ def criterion_11() -> dict:
 
 
 def criterion_12() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     # initial terms through t - s <= 60
     m = ad.build_comodule("thh-ku-mod2", 60)
@@ -364,7 +364,7 @@ def criterion_12() -> dict:
 
 
 def criterion_13() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     # boundary squared on assorted complexes
     for p in (2, 3):

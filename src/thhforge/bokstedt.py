@@ -392,14 +392,6 @@ def page_homology(
         k: v for k, v in candidate.bigraded_series(bound).items() if v and k[1] <= bound
     }
     honest: dict[tuple[int, int], int] = {}
-    bases: dict[tuple[int, int], list] = {}
-
-    def basis_at(s: int, d: int) -> list:
-        key = (s, d)
-        if key not in bases:
-            bases[key] = A.bigraded_basis(s, d) if 0 <= d <= A.N and s >= 0 else []
-        return bases[key]
-
     ranks: dict[tuple[int, int], int] = {}
 
     def rank_of(s: int, d: int) -> int:
@@ -407,8 +399,8 @@ def page_homology(
         key = (s, d)
         if key in ranks:
             return ranks[key]
-        src = basis_at(s, d)
-        dst = basis_at(s - r, d - 1)
+        src = A.bigraded_basis(s, d)
+        dst = A.bigraded_basis(s - r, d - 1)
         if not src or not dst:
             ranks[key] = 0
             return 0
@@ -424,7 +416,7 @@ def page_homology(
     ok = True
     for d in range(bound + 1):
         for s in range(0, d + 1):
-            n = len(basis_at(s, d))
+            n = len(A.bigraded_basis(s, d))
             if n == 0:
                 continue
             h = n - rank_of(s, d) - rank_of(s + r, d + 1)

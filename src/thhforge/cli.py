@@ -20,6 +20,7 @@ import sys
 import time
 
 from . import __version__
+from . import fplin
 from . import adams as ad
 from . import bokstedt as bk
 from . import steenrod as st
@@ -35,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 DEFAULTS = {"p": 2, "maxdeg": 40, "format": "table", "cache_dir": None}
+FORMATS = ("table", "json", "csv")
 HARD_DEGREE_CAP = 128
 
 
@@ -64,6 +66,17 @@ def resolve(args, config: dict, key: str, default=None):
     if key in config:
         return config[key]
     return DEFAULTS.get(key, default)
+
+
+def bad_bounds(maxdeg: int, p: int | None = None) -> bool:
+    """Print a one-line refusal for a negative degree bound or a non-prime p."""
+    if maxdeg < 0:
+        print(f"error: --maxdeg must be nonnegative (got {maxdeg})", file=sys.stderr)
+        return True
+    if p is not None and not fplin.is_prime(p):
+        print(f"error: --p must be a prime (got {p})", file=sys.stderr)
+        return True
+    return False
 
 
 def cache_dir_of(args, config) -> str | None:
@@ -238,6 +251,8 @@ def load_presentation(path: str) -> tuple[AlgebraPresentation, CoactionTable | N
 def cmd_hh(args, config) -> int:
     p = resolve(args, config, "p")
     n = min(resolve(args, config, "maxdeg"), HARD_DEGREE_CAP)
+    if bad_bounds(n, p):
+        return EXIT_USAGE
     if args.spectrum:
         pres, _ = load_presentation(args.spectrum)
         qmax = args.qmax
@@ -267,6 +282,8 @@ def cmd_hh(args, config) -> int:
 def cmd_bokstedt(args, config) -> int:
     p = resolve(args, config, "p")
     n = min(resolve(args, config, "maxdeg"), HARD_DEGREE_CAP)
+    if bad_bounds(n, p):
+        return EXIT_USAGE
     res = bk.thh_homology(args.spectrum, p, n)
     emit(envelope("bokstedt run", {"spectrum": args.spectrum, "p": p, "maxdeg": n},
                   res.to_jsonable()), args, config)
@@ -275,6 +292,8 @@ def cmd_bokstedt(args, config) -> int:
 
 def cmd_adams(args, config) -> int:
     n = min(resolve(args, config, "maxdeg"), HARD_DEGREE_CAP)
+    if bad_bounds(n):
+        return EXIT_USAGE
     target = args.target
     einf, module, log = ad.run_ss(target, n)
     table = [
@@ -407,14 +426,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["table", "json", "csv", "svg"])
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--out", help="write the JSON envelope to a file")
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    config = read_config(args.config)
+    try:
+        config = read_config(args.config)
+    except ValueError as exc:
+        print(f"error: bad config value: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if config.get("format", "table") not in FORMATS:
+        print(f"error: format must be one of {', '.join(FORMATS)} "
+              f"(got {config['format']!r})", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "steenrod":
             return cmd_steenrod(args, config)

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "PrimeField",
+    "is_prime",
     "SparseVec",
     "SparseMat",
     "Span",
@@ -26,7 +27,7 @@ __all__ = [
 ]
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < 4:
@@ -48,7 +49,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"not a prime: {self.p}")
 
     def inv(self, a: int) -> int:

@@ -137,6 +137,9 @@ class AlgebraPresentation:
             if p != 2 and g.degree % 2 and g.max_exponent() not in (1,):
                 raise ValueError(f"odd-degree generator {g.name} must be exterior at odd p")
         self._basis_cache: dict[int, list[Monomial]] = {}
+        self._tail_cache: dict[tuple[int, int], list[Monomial]] = {}
+        self._filtration_cache: dict[int, dict[int, list[Monomial]]] = {}
+        self._reduced_zero: list[Monomial] | None = None
 
     # -- monomials -----------------------------------------------------
     def one(self) -> Monomial:
@@ -257,6 +260,9 @@ class AlgebraPresentation:
         return out
 
     # -- bases ----------------------------------------------------------
+    # One lazily built index serves all three basis views: degree ->
+    # sorted monomials, degree -> filtration -> monomials, and the reduced
+    # degree-0 list.  Returned lists are shared; callers must not mutate.
     def monomial_basis(self, degree: int) -> list[Monomial]:
         """All kind-respecting monomials of one internal degree, sorted."""
         if degree > self.N:
@@ -265,45 +271,60 @@ class AlgebraPresentation:
             return []
         if degree in self._basis_cache:
             return self._basis_cache[degree]
-        out: list[Monomial] = []
         if self.square_zero:
+            out = [((i, 1),) for i, g in enumerate(self.gens) if g.degree == degree]
             if degree == 0:
-                out = [()] + [((i, 1),) for i, g in enumerate(self.gens) if g.degree == 0]
-            else:
-                out = [((i, 1),) for i, g in enumerate(self.gens) if g.degree == degree]
+                out.insert(0, ())
         else:
+            out = self._tails(0, degree)
             idem = [i for i, g in enumerate(self.gens) if g.idempotent]
-            positive: list[Monomial] = []
-
-            def rec(idx: int, remaining: int, acc: list):
-                if remaining == 0:
-                    positive.append(tuple(acc))
-                    return
-                if idx >= len(self.gens):
-                    return
-                rec(idx + 1, remaining, acc)
-                g = self.gens[idx]
-                if g.degree <= 0:
-                    return
-                cap = g.max_exponent()
-                e = 1
-                while e * g.degree <= remaining and (cap is None or e <= cap):
-                    rec(idx + 1, remaining - e * g.degree, acc + [(idx, e)])
-                    e += 1
-
-            rec(0, degree, [])
-            for m in positive:
-                for mask in range(1 << len(idem)):
-                    extra = [(idem[k], 1) for k in range(len(idem)) if (mask >> k) & 1]
-                    out.append(tuple(sorted(list(m) + extra)))
-        out = sorted(set(out))
-        if degree > 0:
-            out = [m for m in out if m]
+            if idem:
+                with_idem = []
+                for m in out:
+                    for mask in range(1 << len(idem)):
+                        extra = [(idem[k], 1) for k in range(len(idem)) if (mask >> k) & 1]
+                        with_idem.append(tuple(sorted(list(m) + extra)))
+                out = sorted(set(with_idem))
         self._basis_cache[degree] = out
         return out
 
+    def _tails(self, idx: int, remaining: int) -> list[Monomial]:
+        """Monomials in the positive-degree generators idx.. of one degree.
+
+        Memoized on (idx, remaining), so every degree reuses the tails of
+        the others.  Taking g^1, g^2, ... before skipping g emits the list
+        in lexicographic order.
+        """
+        key = (idx, remaining)
+        if key in self._tail_cache:
+            return self._tail_cache[key]
+        if remaining == 0:
+            out: list[Monomial] = [()]
+        elif idx == len(self.gens):
+            out = []
+        else:
+            out = []
+            g = self.gens[idx]
+            if g.degree > 0:
+                cap = g.max_exponent()
+                e = 1
+                while e * g.degree <= remaining and (cap is None or e <= cap):
+                    head = ((idx, e),)
+                    out.extend(head + t for t in self._tails(idx + 1, remaining - e * g.degree))
+                    e += 1
+            out.extend(self._tails(idx + 1, remaining))
+        self._tail_cache[key] = out
+        return out
+
     def bigraded_basis(self, filtration: int, degree: int) -> list[Monomial]:
-        return [m for m in self.monomial_basis(degree) if self.filtration(m) == filtration]
+        """Monomials of one (filtration, internal degree), in basis order."""
+        buckets = self._filtration_cache.get(degree)
+        if buckets is None:
+            buckets = {}
+            for m in self.monomial_basis(degree):
+                buckets.setdefault(self.filtration(m), []).append(m)
+            self._filtration_cache[degree] = buckets
+        return buckets.get(filtration, [])
 
     def reduced_basis(self, degree: int) -> list[Monomial]:
         """Augmentation-reduced monomials: everything but the unit.
@@ -311,9 +332,11 @@ class AlgebraPresentation:
         Degree 0 is nonempty only for idempotent generators (u is a
         legitimate reduced slot in the Hochschild complex of F_p[u]).
         """
-        if degree < 0:
-            return []
-        return [m for m in self.monomial_basis(degree) if m]
+        if degree != 0:
+            return self.monomial_basis(degree)
+        if self._reduced_zero is None:
+            self._reduced_zero = self.monomial_basis(0)[1:]  # the unit sorts first
+        return self._reduced_zero
 
     def poincare_series(self, max_degree: int | None = None) -> list[int]:
         """dim_d for 0 <= d <= bound, by generating-function convolution."""

@@ -59,6 +59,7 @@ class HochschildComplex:
     def __init__(self, algebra: AlgebraPresentation):
         self.A = algebra
         self._basis: dict[tuple[int, int], list[Chain]] = {}
+        self._word_cache: dict[tuple[int, int], list[Chain]] = {}
 
     def chain_degree(self, c: Chain) -> int:
         return sum(self.A.degree(m) for m in c)
@@ -70,22 +71,33 @@ class HochschildComplex:
             return self._basis[key]
         if q < 0 or t < 0:
             return []
-        out: list[Chain] = []
-
-        def rec(slots_left: int, remaining: int, acc: list):
-            if slots_left == 0:
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            for d in range(remaining + 1):
-                for m in self.A.reduced_basis(d):
-                    rec(slots_left - 1, remaining - d, acc + [m])
-
-        for d0 in range(t + 1):
-            for m0 in self.A.monomial_basis(d0):
-                rec(q, t - d0, [m0])
+        out = [
+            (m0,) + w
+            for d0 in range(t + 1)
+            for m0 in self.A.monomial_basis(d0)
+            for w in self._reduced_words(q, t - d0)
+        ]
         out.sort()
         self._basis[key] = out
+        return out
+
+    def _reduced_words(self, slots: int, t: int) -> list[Chain]:
+        """Tuples of `slots` reduced monomials of total degree t, memoized."""
+        key = (slots, t)
+        if key in self._word_cache:
+            return self._word_cache[key]
+        if slots == 0:
+            out: list[Chain] = [()] if t == 0 else []
+        elif slots == 1:
+            out = [(m,) for m in self.A.reduced_basis(t)]
+        else:
+            out = [
+                w1 + w
+                for d in range(t + 1)
+                for w1 in self._reduced_words(1, d)
+                for w in self._reduced_words(slots - 1, t - d)
+            ]
+        self._word_cache[key] = out
         return out
 
     def boundary_chain(self, c: Chain) -> ChainElt:
@@ -138,7 +150,7 @@ class HochschildComplex:
         return {index[c]: v for c, v in elt.items()}
 
     def boundary_matrix(self, q: int, t: int) -> tuple[list[Chain], list[Chain], list[dict[int, int]]]:
-        """Basis of C_q,t, basis of C_{q-1},t, and的 columns of the boundary."""
+        """Basis of C_q,t, basis of C_{q-1},t, and the columns of the boundary."""
         src = self.basis(q, t)
         dst = self.basis(q - 1, t)
         idx = {c: i for i, c in enumerate(dst)}
@@ -579,21 +591,14 @@ def _bar_shuffle_sign(A, x, y, nu, mu) -> int:
 
 
 def _bar_basis(A: AlgebraPresentation, q: int, t: int) -> list[BarChain]:
-    res: list[BarChain] = []
-    for d0 in range(t + 1):
-        for m0 in A.monomial_basis(d0):
-
-            def rec(slots_left: int, remaining: int, acc: list):
-                if slots_left == 0:
-                    for mlast in A.monomial_basis(remaining):
-                        res.append((m0, *acc, mlast))
-                    return
-                for d in range(remaining + 1):
-                    for m in A.reduced_basis(d):
-                        rec(slots_left - 1, remaining - d, acc + [m])
-
-            rec(q, t - d0, [])
-    return sorted(set(res))
+    """Bar chains (m0, q reduced slots, mlast): Hochschild chains plus a last slot."""
+    cx = HochschildComplex(A)
+    return sorted(
+        c + (mlast,)
+        for d in range(t + 1)
+        for mlast in A.monomial_basis(d)
+        for c in cx.basis(q, t - d)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -191,3 +191,35 @@ def test_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
     st._basis_memo.clear()
     assert cli.main(["steenrod", "rank", "--subalgebra", "A1"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bokstedt", "run", "--spectrum", "hf", "--p", "3", "--maxdeg", "-1"],
+        ["hh", "compute", "--preset", "polynomial", "--maxdeg", "-3"],
+        ["adams", "run", "--target", "thh-ku-mod2", "--maxdeg", "-1"],
+        ["bokstedt", "run", "--spectrum", "ku", "--p", "4", "--maxdeg", "10"],
+        ["hh", "compute", "--preset", "polynomial", "--p", "1", "--maxdeg", "4"],
+    ],
+)
+def test_bad_degree_or_prime_exits_two(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["maxdeg = -2", "maxdeg = abc", "format = svg"])
+def test_bad_config_value_exits_two(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["--config", str(cfg), "bokstedt", "run", "--spectrum", "hf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_format_svg_is_refused():
+    proc = run_cli(["bokstedt", "run", "--spectrum", "hf", "--maxdeg", "8", "--format", "svg"])
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr

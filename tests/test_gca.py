@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from thhforge.gca import (
     AlgebraPresentation,
@@ -35,6 +37,51 @@ def test_monomial_basis_examples():
     assert A.monomial_basis(0) == [()]
     with pytest.raises(ValueError):
         A.monomial_basis(13)
+
+
+@hst.composite
+def presentations(draw):
+    """Mixed polynomial/exterior/truncated generators with random
+    filtrations, optionally idempotents and the square-zero relation."""
+    p = draw(hst.sampled_from([2, 3, 5]))
+    gens = []
+    for k in range(draw(hst.integers(1, 5))):
+        d = draw(hst.integers(1, 8))
+        kind = "exterior" if p != 2 and d % 2 else draw(
+            hst.sampled_from(["polynomial", "exterior", "truncated"])
+        )
+        height = draw(hst.integers(2, 4)) if kind == "truncated" else 0
+        gens.append(GeneratorSpec(f"x{k}", d, kind, height=height,
+                                  filtration=draw(hst.integers(0, 3))))
+    for k in range(draw(hst.integers(0, 2))):
+        gens.append(GeneratorSpec(f"u{k}", 0, "truncated", height=2, idempotent=True))
+    return AlgebraPresentation(p, gens, draw(hst.integers(0, 24)),
+                               square_zero=draw(hst.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations())
+def test_basis_index_against_series(A):
+    # the series are generating-function convolutions, independent of the
+    # enumerator they check
+    series = A.poincare_series()
+    bigraded = None if A.square_zero else A.bigraded_series()
+    for d in range(A.N + 1):
+        basis = A.monomial_basis(d)
+        assert len(basis) == series[d]
+        assert basis == sorted(set(basis))
+        assert A.reduced_basis(d) == [m for m in basis if m]
+        assert (() in basis) == (d == 0)
+        if bigraded is None:
+            continue
+        buckets = []
+        for s in range(3 * d + 1):
+            bucket = A.bigraded_basis(s, d)
+            assert len(bucket) == bigraded.get((s, d), 0)
+            assert bucket == sorted(set(bucket))
+            assert all(A.filtration(m) == s for m in bucket)
+            buckets.extend(bucket)
+        assert sorted(buckets) == basis
 
 
 def test_poincare_series_examples():

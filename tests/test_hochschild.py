@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from thhforge.gca import AlgebraPresentation, GeneratorSpec
 from thhforge import hochschild as hh
@@ -21,6 +23,31 @@ def idempotent_algebra():
     return AlgebraPresentation(
         2, [GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 0
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=hst.sampled_from([2, 3]),
+    degs=hst.lists(hst.integers(1, 5), min_size=1, max_size=3),
+    idempotent=hst.booleans(),
+)
+def test_chain_counts_match_series(p, degs, idempotent):
+    # C_{q,t} = A (x) Abar^{(x) q}: its dims are a convolution of Poincare series
+    gens = [E(f"x{k}", d) if d % 2 else P(f"x{k}", d) for k, d in enumerate(degs)]
+    if idempotent:
+        gens.append(GeneratorSpec("u", 0, "truncated", height=2, idempotent=True))
+    A = AlgebraPresentation(p, gens, 8)
+    cx = HochschildComplex(A)
+    series = A.poincare_series()
+    reduced = [series[0] - 1] + series[1:]
+    expected = series
+    for q in range(4):
+        for t in range(9):
+            chains = cx.basis(q, t)
+            assert len(chains) == expected[t]
+            assert chains == sorted(set(chains))
+            assert all(len(c) == q + 1 and cx.chain_degree(c) == t for c in chains)
+        expected = [sum(expected[i] * reduced[t - i] for i in range(t + 1)) for t in range(9)]
 
 
 def test_boundary_examples():
