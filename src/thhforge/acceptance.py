@@ -13,6 +13,7 @@ from typing import Callable
 
 from . import adams as ad
 from . import bokstedt as bk
+from . import fplin
 from . import steenrod as st
 from .catalog import spectrum
 from .gca import AlgebraPresentation, GeneratorSpec, expand_divided
@@ -391,11 +392,11 @@ def criterion_13() -> dict:
     for d in range(40):
         for m in A.monomial_basis(d):
             dm = bk.differential_on_monomial(page, m)
-            dd = {}
+            dd: dict = {}
             for mm, c in dm.items():
                 for mmm, cc in bk.differential_on_monomial(page, mm).items():
-                    dd[mmm] = (dd.get(mmm, 0) + c * cc) % 3
-            if any(dd.values()):
+                    fplin.add_term(dd, mmm, c * cc, 3)
+            if dd:
                 ok = False
     rng = random.Random(7)
     monos = [m for d in range(20) for m in A.monomial_basis(d)]
@@ -459,13 +460,9 @@ def _coassociative(m, p) -> bool:
     right: dict = {}
     for (a, b), c in st.milnor_coproduct(m, p).items():
         for (a1, a2), c2 in st.milnor_coproduct(a, p).items():
-            key = (a1, a2, b)
-            left[key] = (left.get(key, 0) + c * c2) % p
+            fplin.add_term(left, (a1, a2, b), c * c2, p)
         for (b1, b2), c2 in st.milnor_coproduct(b, p).items():
-            key = (a, b1, b2)
-            right[key] = (right.get(key, 0) + c * c2) % p
-    left = {k: v for k, v in left.items() if v}
-    right = {k: v for k, v in right.items() if v}
+            fplin.add_term(right, (a, b1, b2), c * c2, p)
     return left == right
 
 
@@ -474,15 +471,3 @@ CRITERIA: list[Callable[[], dict]] = [
     criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
     criterion_11, criterion_12, criterion_13,
 ]
-
-
-def run_all(jobs: int = 1, max_degree: int | None = None) -> list[dict]:
-    """Run every criterion, optionally concurrently; refuse tiny ranges."""
-    if max_degree is not None and max_degree < MIN_RANGE:
-        raise ValueError(f"verification needs a degree range of at least {MIN_RANGE}")
-    if jobs <= 1:
-        return [c() for c in CRITERIA]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(lambda c: c(), CRITERIA))

@@ -57,8 +57,8 @@ class ExteriorComodule:
             acc: dict[int, int] = {}
             for i, c in self.q.get(j, {}).items():
                 for i2, c2 in self.q.get(i, {}).items():
-                    acc[i2] = (acc.get(i2, 0) + c * c2) % 2
-            if any(acc.values()):
+                    fplin.add_term(acc, i2, c * c2, 2)
+            if acc:
                 return False
         return True
 
@@ -131,9 +131,7 @@ def ext_over_exterior(m: ExteriorComodule, smax: int, tmax: int) -> ExtPage:
         raise ValueError("the coaction operator must square to zero")
     n = len(m.basis)
     cols = [m.q.get(j, {}) for j in range(n)]
-    mat = fplin.SparseMat.from_rows(
-        [{j: cols[j][i] for j in range(n) if i in cols[j]} for i in range(n)], n, 2
-    )
+    mat = fplin.SparseMat.from_columns(cols, 2)
     kernel = [v.to_dict() for v in fplin.kernel_basis(mat)]
     img = fplin.Span(n, 2)
     for j in range(n):
@@ -189,16 +187,14 @@ def cobar_ext_dims(m: ExteriorComodule, smax: int, tmax: int) -> dict[tuple[int,
             # insertion terms at the s cobar slots: psi-bar(xi_2) = 0
             # contributes nothing; the module slot coacts through q
             for i, c in m.q.get(j, {}).items():
-                out[i] = (out.get(i, 0) + c) % 2
-            cols.append({i: c for i, c in out.items() if c})
+                fplin.add_term(out, i, c, 2)
+            cols.append(out)
         return cols
 
     dims: dict[tuple[int, int], int] = {}
     for s in range(smax + 1):
         cols = differential_cols(s)
-        mat = fplin.SparseMat.from_rows(
-            [{j: cols[j][i] for j in range(n) if i in cols[j]} for i in range(n)], n, 2
-        )
+        mat = fplin.SparseMat.from_columns(cols, 2)
         kernel = [v.to_dict() for v in fplin.kernel_basis(mat)]
         if s == 0:
             chosen = kernel

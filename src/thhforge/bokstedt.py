@@ -103,23 +103,16 @@ def _sigma_derivation(
     out: dict = {}
     srest = _sigma_derivation(target, rest, sigma_map)
     if srest:
-        head = {((i, e),): 1}
-        for mm, c in target.el_mul(head, srest).items():
-            out[mm] = (out.get(mm, 0) + c) % p
+        out = target.el_mul({((i, e),): 1}, srest)
     sg = sigma_map.get(i, {})
     if sg and (e % p):
         sge = target.el_mul({((i, e - 1),) if e > 1 else (): 1}, sg)
         sge = {mm: (c * e) % p for mm, c in sge.items()}
         rest_deg = sum(target.gens[j].degree * ee for j, ee in rest)
         sign = -1 if (p != 2 and rest_deg % 2) else 1
-        term = target.el_mul(sge, {rest: 1})
-        for mm, c in term.items():
-            v = (out.get(mm, 0) + sign * c) % p
-            if v:
-                out[mm] = v
-            else:
-                out.pop(mm, None)
-    return {mm: c for mm, c in out.items() if c}
+        for mm, c in target.el_mul(sge, {rest: 1}).items():
+            fplin.add_term(out, mm, sign * c, p)
+    return out
 
 
 def _page_coaction(
@@ -137,7 +130,6 @@ def _page_coaction(
         if g.filtration == 0 or g.sigma_of is None:
             continue
         if g.gamma_power > 1:
-            base_gen = H.gens[H.index[g.sigma_of]]
             if data.coaction.has_gen(g.sigma_of):
                 base_terms = data.coaction.entries[H.index[g.sigma_of]]
                 if len(base_terms) == 1:
@@ -226,6 +218,17 @@ def build_e2(
     return page
 
 
+def _budget_cut(counts: list[int], budget: int) -> int:
+    """The budget rule: the last degree whose running total of counts stays
+    within budget (0 when degree 0 alone exceeds it)."""
+    total = 0
+    for t, n in enumerate(counts):
+        total += n
+        if total > budget:
+            return max(t - 1, 0)
+    return len(counts) - 1
+
+
 def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int) -> int:
     """Largest t <= bound whose total chain count stays within budget."""
     series = H.poincare_series(bound)
@@ -236,13 +239,8 @@ def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int) -> int:
     words[0] = 1
     for t in range(1, bound + 1):
         words[t] = sum(reduced[s] * words[t - s] for s in range(1, t + 1))
-    total = 0
-    for t in range(bound + 1):
-        chains_t = sum(series[d0] * words[t - d0] for d0 in range(t + 1))
-        total += chains_t
-        if total > budget:
-            return max(t - 1, 0)
-    return bound
+    return _budget_cut([sum(series[d0] * words[t - d0] for d0 in range(t + 1))
+                        for t in range(bound + 1)], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +275,8 @@ def _d_target(page: SSPage, base_name: str) -> dict:
         elif mono:
             raise KeyError(f"Bockstein of a composite Q-value for {base_name}")
         for bmono, bc in beta.items():
-            sder = _sigma_derivation(A, bmono, smap)
-            for mm, v in sder.items():
-                w = (out.get(mm, 0) + c * bc * v) % A.p
-                if w:
-                    out[mm] = w
-                else:
-                    out.pop(mm, None)
+            for mm, v in _sigma_derivation(A, bmono, smap).items():
+                fplin.add_term(out, mm, c * bc * v, A.p)
     return out
 
 
@@ -340,11 +333,7 @@ def differential_on_monomial(page: SSPage, m: tuple) -> dict:
             term = A.el_mul(A.el_mul(lead, mid), {rest: 1})
             sign = -1 if (p != 2 and prefix_deg % 2) else 1
             for mm, c in term.items():
-                v = (out.get(mm, 0) + sign * c) % p
-                if v:
-                    out[mm] = v
-                else:
-                    out.pop(mm, None)
+                fplin.add_term(out, mm, sign * c, p)
         prefix = prefix + ((i, e),)
         prefix_deg += g.degree * e
     return out
@@ -445,12 +434,8 @@ def page_homology(
 
 
 def _verify_budget_bound(A: AlgebraPresentation, bound: int, budget: int) -> int:
-    total = 0
-    for d in range(bound + 1):
-        total += len(A.monomial_basis(d))
-        if total > budget:
-            return max(d - 1, 0)
-    return bound
+    """Largest d <= bound whose total monomial count stays within budget."""
+    return _budget_cut(A.poincare_series(bound) if bound >= 0 else [], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +458,8 @@ def simultaneous_primitives(page: SSPage, filtration: int, total_degree: int) ->
     basis = A.bigraded_basis(filtration, total_degree)
     if not basis:
         return 0
-    rows: dict[tuple, dict[int, int]] = {}
-    for j, m in enumerate(basis):
-        for key, v in page.hopf.psi_reduced(m).items():
-            rows.setdefault(("h",) + key, {})[j] = v % A.p
-        nu = dict(page.coaction.nu_monomial(m))
-        k1 = (milnor_one(), m)
-        nu[k1] = (nu.get(k1, 0) - 1) % A.p
-        for key, v in nu.items():
-            if v % A.p:
-                rows.setdefault(("c",) + key, {})[j] = v % A.p
-    mat = fplin.SparseMat.from_rows(list(rows.values()), len(basis), A.p)
-    return len(basis) - mat.rank()
+    constraints = [page.hopf.psi_reduced, page.coaction.nu_reduced]
+    return len(basis) - fplin.constraint_matrix(basis, constraints, A.p).rank()
 
 
 def obstruction_scan(page: SSPage, max_degree: int | None = None) -> list[dict]:
@@ -774,12 +749,7 @@ def nishida_certificates(max_degree: int = 16) -> list[dict]:
 
     def forced_zero(label: str, degree: int, constraints) -> dict:
         basis = H.monomial_basis(degree)
-        rows: dict[tuple, dict[int, int]] = {}
-        for j, m in enumerate(basis):
-            for tag, cmap in constraints:
-                for key, v in cmap(m).items():
-                    rows.setdefault((tag, key), {})[j] = v
-        mat = fplin.SparseMat.from_rows(list(rows.values()), len(basis), 2)
+        mat = fplin.constraint_matrix(basis, constraints, 2)
         return {
             "name": label,
             "candidates": len(basis),
@@ -794,7 +764,7 @@ def nishida_certificates(max_degree: int = 16) -> list[dict]:
     cert = forced_zero(
         "Q4(b) = 0 (Sq1_*, Sq4_*) jointly injective on H_7",
         7,
-        [("sq1", lambda m: action(1, {m: 1})), ("sq4", lambda m: action(4, {m: 1}))],
+        [lambda m: action(1, {m: 1}), lambda m: action(4, {m: 1})],
     )
     cert["ok"] = cert["ok"] and preconditions
     out.append(cert)
@@ -804,7 +774,7 @@ def nishida_certificates(max_degree: int = 16) -> list[dict]:
     cert = forced_zero(
         "Q5(xibar1^4) = 0 (Sq2_* injective on H_9)",
         9,
-        [("sq2", lambda m: action(2, {m: 1}))],
+        [lambda m: action(2, {m: 1})],
     )
     cert["ok"] = cert["ok"] and pre
     out.append(cert)
@@ -816,8 +786,8 @@ def nishida_certificates(max_degree: int = 16) -> list[dict]:
         "Q7(xibar2^2) = 0 (kappa, Sq2_*) jointly injective on H_13",
         13,
         [
-            ("kappa", lambda m: ({kappa(m): 1} if kappa(m) is not None else {})),
-            ("sq2", lambda m: action(2, {m: 1})),
+            lambda m: ({kappa(m): 1} if kappa(m) is not None else {}),
+            lambda m: action(2, {m: 1}),
         ],
     )
     cert["ok"] = cert["ok"] and pre

@@ -125,33 +125,9 @@ def _psi_coaction(value: MilnorMonomial, recognize, p: int) -> list[tuple[dict, 
     return out
 
 
-def _elt(p: int, *terms):
-    out: dict[MilnorMonomial, int] = {}
-    for m, c in terms:
-        c %= p
-        if c:
-            out[m] = (out.get(m, 0) + c) % p
-    return {m: c for m, c in out.items() if c}
-
-
 def _tau_plain(k: int, p: int) -> dict[MilnorMonomial, int]:
     """The unconjugated tau_k expanded in the conjugated alphabet."""
     return conjugate(MilnorMonomial((), (k,), False), p)
-
-
-def _mul_dual(a: dict, b: dict, p: int) -> dict:
-    out: dict[MilnorMonomial, int] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m, s = st.milnor_mul(m1, m2, p)
-            if m is None:
-                continue
-            v = (out.get(m, 0) + c1 * c2 * s) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
 
 
 def _neg(a: dict, p: int) -> dict:
@@ -354,7 +330,7 @@ def _ju_odd(p: int, max_degree: int) -> SpectrumData:
                 (one, mono("tautilde2")),
                 ({_taub(0): 1}, mono("xitilde2")),
                 ({_taub(1): 1}, mono(f"xitilde1^{p}")),
-                (_neg(_mul_dual(tau0, tau1, p), p), mono("b")),
+                (_neg(st.dual_mul(tau0, tau1, p), p), mono("b")),
                 ({_taub(2): 1}, ()),
             ],
         )

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import __version__
 from . import fplin
@@ -52,7 +51,7 @@ def read_config(path: str | None) -> dict:
                 continue
             key, val = (part.strip() for part in line.split("=", 1))
             val = val.strip("\"'")
-            if key in ("p", "maxdeg", "qmax", "jobs"):
+            if key in ("p", "maxdeg", "qmax"):
                 out[key] = int(val)
             else:
                 out[key] = val
@@ -254,7 +253,17 @@ def cmd_hh(args, config) -> int:
     if bad_bounds(n, p):
         return EXIT_USAGE
     if args.spectrum:
-        pres, _ = load_presentation(args.spectrum)
+        try:
+            pres, _ = load_presentation(args.spectrum)
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"error: bad presentation file {args.spectrum}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        asked = args.p if args.p is not None else config.get("p")
+        if asked is not None and asked != pres.p:
+            print(f"error: p = {asked} disagrees with the presentation file's p = {pres.p}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        p = pres.p
         qmax = args.qmax
         n = min(n, pres.N)
     elif args.preset:
@@ -324,30 +333,18 @@ def cmd_verify(args, config) -> int:
     if n is not None and n < MIN_RANGE:
         print(f"refusing to verify below degree {MIN_RANGE} (got {n})", file=sys.stderr)
         return EXIT_REFUSED
-    jobs = args.jobs or config.get("jobs", 1)
     reports = []
     failed = False
-    if jobs <= 1:
-        for crit in CRITERIA:
-            rep = crit()
-            reports.append(rep)
-            status = "PASS" if rep["passed"] else "FAIL"
-            print(f"[{status}] criterion {rep['id']:>2}  {rep['elapsed']:7.2f}s  "
-                  f"{rep['description']}")
-            failed |= not rep["passed"]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for rep in ex.map(lambda c: c(), CRITERIA):
-                reports.append(rep)
-                status = "PASS" if rep["passed"] else "FAIL"
-                print(f"[{status}] criterion {rep['id']:>2}  {rep['elapsed']:7.2f}s  "
-                      f"{rep['description']}")
-                failed |= not rep["passed"]
+    for crit in CRITERIA:
+        rep = crit()
+        reports.append(rep)
+        status = "PASS" if rep["passed"] else "FAIL"
+        print(f"[{status}] criterion {rep['id']:>2}  {rep['elapsed']:7.2f}s  "
+              f"{rep['description']}")
+        failed |= not rep["passed"]
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(envelope("verify", {"jobs": jobs},
+            json.dump(envelope("verify", {},
                                [{k: r[k] for k in ("id", "passed", "elapsed")}
                                 for r in reports]),
                       fh, sort_keys=True, indent=2)
@@ -419,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(ar)
 
     v = sub.add_parser("verify", help="run the acceptance suite")
-    v.add_argument("--jobs", type=int, default=None)
     v.add_argument("--maxdeg", type=int)
     v.add_argument("--report", help="write a JSON report here")
     return ap

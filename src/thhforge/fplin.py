@@ -5,12 +5,18 @@ row reduction over F_p.  Two storage lanes: bit-packed rows (Python
 ints) over F_2, and numpy integer rows at odd primes.  All public
 values are immutable after construction and all operations are pure, so
 concurrent read-only use is safe.
+
+The sparse-algebra kernel shared by the algebra layers lives here too:
+elements are dicts {monomial: nonzero scalar mod p}, accumulated with
+add_term, multiplied with mul from a monomial product (tensor_monomial_mul
+builds the Koszul-signed one for tensor products), raised to powers with
+power, and constraint maps over a basis are stacked by constraint_matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +30,11 @@ __all__ = [
     "kernel_basis",
     "quotient_basis",
     "solve_in_span",
+    "add_term",
+    "mul",
+    "tensor_monomial_mul",
+    "power",
+    "constraint_matrix",
 ]
 
 
@@ -115,6 +126,20 @@ class SparseMat:
                 if v % p:
                     ents.append((r, c, v % p))
         return SparseMat(len(rows), ncols, tuple(ents), p)
+
+    @staticmethod
+    def from_columns(columns: Sequence[Mapping[Hashable, int]], p: int = 2) -> "SparseMat":
+        """Matrix whose column j is columns[j], a map {row key: scalar}.
+
+        Row keys are any hashable tags; each distinct key is one row.  Row
+        order does not change the rank or the (RREF) kernel basis.
+        """
+        rows: dict = {}
+        for j, col in enumerate(columns):
+            for key, v in col.items():
+                if v % p:
+                    rows.setdefault(key, {})[j] = v % p
+        return SparseMat.from_rows(list(rows.values()), len(columns), p)
 
     @staticmethod
     def from_dense(rows: Sequence[Sequence[int]], p: int = 2) -> "SparseMat":
@@ -362,3 +387,90 @@ def solve_in_span(
     for r, col in enumerate(pivcols):
         coeffs[col] = int(a[r, k]) % p
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# sparse elements of graded F_p-algebras: dicts {monomial: nonzero scalar}
+
+MonomialMul = Callable[[Hashable, Hashable], tuple]  # (m1, m2) -> (m, scalar) or (None, 0)
+
+
+def add_term(out: dict, key, c: int, p: int) -> None:
+    """out[key] += c mod p, dropping a key that cancels to zero.
+
+    A dropped key that comes back is re-inserted at the end, so dict order
+    is the order in which keys last became nonzero.
+    """
+    v = (out.get(key, 0) + c) % p
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+def mul(x: Mapping, y: Mapping, monomial_mul: MonomialMul, p: int) -> dict:
+    """Product of two sparse elements, bilinear over a monomial product."""
+    out: dict = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m, s = monomial_mul(m1, m2)
+            if m is not None and s:
+                add_term(out, m, c1 * c2 * s, p)
+    return out
+
+
+def tensor_monomial_mul(slots: Sequence[tuple[MonomialMul, Callable]], p: int) -> MonomialMul:
+    """Monomial product on tuples (x_0, ..., x_k) in a tensor product of algebras.
+
+    slots holds one (monomial product, degree) pair per tensor factor.  The
+    slots multiply in order, stopping at the first that vanishes; the scalar
+    carries the Koszul sign (-1)^{sum_{j<i} |y_j||x_i|} of moving each y_j
+    past the x_i to its right, which is trivial at p = 2.
+    """
+    muls = [m for m, _ in slots]
+    degrees = [d for _, d in slots]
+
+    def product(x: tuple, y: tuple) -> tuple:
+        scalar = 1
+        if p != 2:
+            moved = 0  # parity of |y_0| + ... + |y_{i-1}|
+            for degree, a, b in zip(degrees, x, y):
+                if moved and degree(a) % 2:
+                    scalar = -scalar
+                moved ^= degree(b) % 2
+        out = []
+        for slot_mul, a, b in zip(muls, x, y):
+            m, s = slot_mul(a, b)
+            if m is None:
+                return None, 0
+            out.append(m)
+            scalar *= s
+        return tuple(out), scalar
+
+    return product
+
+
+def power(x, e: int, mul: Callable):
+    """x**e for e >= 1 by binary powering under the binary product mul."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
+
+def constraint_matrix(basis: Sequence, constraints: Sequence[Callable], p: int) -> SparseMat:
+    """Stack constraint maps into one matrix with a column per basis element.
+
+    Each constraint sends a basis element to a sparse vector {key: scalar};
+    row (k, key) holds coordinate key of constraint k.  The kernel is the
+    common null space of all constraints.
+    """
+    return SparseMat.from_columns(
+        [{(k, key): v for k, f in enumerate(constraints) for key, v in f(b).items()}
+         for b in basis],
+        p,
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from . import fplin
@@ -55,6 +56,15 @@ class GeneratorSpec:
     idempotent: bool = False
     sigma_of: str | None = None
     gamma_power: int = 0     # p^i for members of a divided tower, else 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("polynomial", "exterior", "truncated"):
+            raise ValueError(f"generator {self.name}: unknown kind {self.kind!r} "
+                             "(polynomial, exterior or truncated)")
+        if self.kind == "truncated" and self.height < 2:
+            raise ValueError(f"generator {self.name}: truncated needs a height >= 2")
+        if self.degree < 0:
+            raise ValueError(f"generator {self.name}: negative degree {self.degree}")
 
     def max_exponent(self) -> int | None:
         if self.idempotent:
@@ -214,50 +224,14 @@ class AlgebraPresentation:
         return tuple(out), sign % self.p
 
     # -- elements ------------------------------------------------------
-    def el(self, *terms: tuple[Monomial, int]) -> Element:
-        out: Element = {}
-        for m, c in terms:
-            c %= self.p
-            if c:
-                out[m] = (out.get(m, 0) + c) % self.p
-                if not out[m]:
-                    del out[m]
-        return out
-
     def el_add(self, a: Element, b: Element, coeff: int = 1) -> Element:
         out = dict(a)
         for m, c in b.items():
-            v = (out.get(m, 0) + coeff * c) % self.p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            fplin.add_term(out, m, coeff * c, self.p)
         return out
 
     def el_mul(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m, s = self.mul_monomials(m1, m2)
-                if m is None or s == 0:
-                    continue
-                v = (out.get(m, 0) + c1 * c2 * s) % self.p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return out
-
-    def el_pow(self, a: Element, e: int) -> Element:
-        out: Element = {(): 1}
-        power = dict(a)
-        while e:
-            if e & 1:
-                out = self.el_mul(out, power)
-            e >>= 1
-            if e:
-                power = self.el_mul(power, power)
-        return out
+        return fplin.mul(a, b, self.mul_monomials, self.p)
 
     # -- bases ----------------------------------------------------------
     # One lazily built index serves all three basis views: degree ->
@@ -445,6 +419,14 @@ class CoactionTable:
 
     def __init__(self, presentation: AlgebraPresentation, entries: Mapping[str, list] | None = None):
         self.A = presentation
+        p = presentation.p
+        # monomial product on A_* (x) H; the slot products are looked up at
+        # call time, so wrappers installed on milnor_mul/mul_monomials see them
+        self.mul_monomials = fplin.tensor_monomial_mul(
+            [(lambda a, b: milnor_mul(a, b, p), lambda a: a.degree(p)),
+             (lambda a, b: self.A.mul_monomials(a, b), presentation.degree)],
+            p,
+        )
         self.entries: dict[int, list[tuple[dict, Monomial]]] = {}
         for name, terms in (entries or {}).items():
             self.set_gen(name, terms)
@@ -463,33 +445,12 @@ class CoactionTable:
     def has_gen(self, name: str) -> bool:
         return self.A.index[name] in self.entries
 
-    def _tensor_mul(self, x: dict, y: dict) -> dict:
-        p = self.A.p
-        out: dict = {}
-        for (a1, m1), c1 in x.items():
-            for (a2, m2), c2 in y.items():
-                sign = 1
-                if p != 2 and (self.A.degree(m1) % 2) and (a2.degree(p) % 2):
-                    sign = -1
-                a, sa = milnor_mul(a1, a2, p)
-                if a is None:
-                    continue
-                m, sm = self.A.mul_monomials(m1, m2)
-                if m is None or sm == 0:
-                    continue
-                key = (a, m)
-                v = (out.get(key, 0) + c1 * c2 * sign * sa * sm) % p
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return out
-
     def nu_monomial(self, m: Monomial) -> dict:
         """Coaction on a basis monomial: dict[(MilnorMonomial, Monomial)] -> coeff."""
         if m in self._memo:
             return self._memo[m]
         p = self.A.p
+        tensor = partial(fplin.mul, monomial_mul=self.mul_monomials, p=p)
         acc = {(milnor_one(), ()): 1}
         for i, e in m:
             if i not in self.entries:
@@ -499,44 +460,22 @@ class CoactionTable:
             gen_nu: dict = {}
             for a_elt, mono in self.entries[i]:
                 for mm, cc in a_elt.items():
-                    key = (mm, mono)
-                    gen_nu[key] = (gen_nu.get(key, 0) + cc) % p
-            term = gen_nu
-            ee = e
-            powacc: dict | None = None
-            while ee:
-                if ee & 1:
-                    powacc = term if powacc is None else self._tensor_mul(powacc, term)
-                ee >>= 1
-                if ee:
-                    term = self._tensor_mul(term, term)
-            acc = self._tensor_mul(acc, powacc)
+                    fplin.add_term(gen_nu, (mm, mono), cc, p)
+            acc = tensor(acc, fplin.power(gen_nu, e, tensor))
         self._memo[m] = acc
         return acc
 
+    def nu_reduced(self, m: Monomial) -> dict:
+        """nu(m) - 1 (x) m: zero exactly on comodule primitives."""
+        out = dict(self.nu_monomial(m))
+        fplin.add_term(out, (milnor_one(), m), -1, self.A.p)
+        return out
+
     def nu(self, elt: Element) -> dict:
-        p = self.A.p
         out: dict = {}
         for m, c in elt.items():
             for key, v in self.nu_monomial(m).items():
-                w = (out.get(key, 0) + c * v) % p
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-        return out
-
-    def terms_for(self, elt: Element) -> list[tuple[dict, Element]]:
-        """Coaction regrouped as sum of (dual element) x (algebra element)."""
-        grouped: dict[MilnorMonomial, Element] = {}
-        for (a, m), c in self.nu(elt).items():
-            grouped.setdefault(a, {})
-            grouped[a][m] = (grouped[a].get(m, 0) + c) % self.A.p
-        out = []
-        for a, e in grouped.items():
-            e = {m: c for m, c in e.items() if c}
-            if e:
-                out.append(({a: 1}, e))
+                fplin.add_term(out, key, c * v, self.A.p)
         return out
 
     def steenrod_action(self, r: int, elt: Element) -> Element:
@@ -544,15 +483,13 @@ class CoactionTable:
         from .steenrod import dual_action
 
         terms = [({a: c}, m) for (a, m), c in self.nu(elt).items()]
-        acted = dual_action(terms, r, self.A.p)
-        out: Element = {}
-        for m, c in acted.items():
-            v = (out.get(m, 0) + c) % self.A.p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return out
+        return dual_action(terms, r, self.A.p)
+
+
+def _kernel(basis: Sequence[Monomial], constraint, p: int) -> list[Element]:
+    """Basis of the elements of span(basis) that the constraint map kills."""
+    mat = fplin.constraint_matrix(basis, [constraint], p)
+    return [{basis[j]: v for j, v in vec.entries} for vec in fplin.kernel_basis(mat)]
 
 
 def comodule_primitives(
@@ -563,22 +500,7 @@ def comodule_primitives(
 ) -> list[Element]:
     """Basis of {x : nu(x) = 1 (x) x} in one degree, via a kernel computation."""
     basis = list(monomials) if monomials is not None else a.monomial_basis(degree)
-    if not basis:
-        return []
-    pos = {m: j for j, m in enumerate(basis)}
-    rows: dict[tuple, dict[int, int]] = {}
-    for j, m in enumerate(basis):
-        nu = dict(c.nu_monomial(m))
-        key1 = (milnor_one(), m)
-        nu[key1] = (nu.get(key1, 0) - 1) % a.p
-        for key, v in nu.items():
-            if v % a.p:
-                rows.setdefault(key, {})[j] = v % a.p
-    mat = fplin.SparseMat.from_rows(list(rows.values()), len(basis), a.p)
-    out = []
-    for vec in fplin.kernel_basis(mat):
-        out.append({basis[j]: v for j, v in vec.to_dict().items()})
-    return out
+    return _kernel(basis, c.nu_reduced, a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +517,9 @@ class HopfData:
 
     def __init__(self, presentation: AlgebraPresentation):
         self.A = presentation
+        # monomial product on (base, u, v) triples, looked up at call time
+        slot = (lambda a, b: self.A.mul_monomials(a, b), presentation.degree)
+        self.mul_monomials = fplin.tensor_monomial_mul([slot] * 3, presentation.p)
         self.entries: dict[int, dict] = {}  # gen -> dict[(lam,u,v)] -> coeff
 
     def set_primitive(self, name: str) -> None:
@@ -611,12 +536,7 @@ class HopfData:
             right = self.A.gamma(base_name, k - a)
             for lm, lc in left.items():
                 for rm, rc in right.items():
-                    key = ((), lm, rm)
-                    v = (out.get(key, 0) + lc * rc) % self.A.p
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+                    fplin.add_term(out, ((), lm, rm), lc * rc, self.A.p)
         self.entries[i] = out
 
     def _split_base(self, m: Monomial) -> tuple[Monomial, Monomial]:
@@ -624,65 +544,22 @@ class HopfData:
         fiber = tuple((i, e) for i, e in m if self.A.gens[i].filtration != 0)
         return base, fiber
 
-    def _tensor_mul(self, x: dict, y: dict) -> dict:
-        p = self.A.p
-        out: dict = {}
-        for (l1, u1, v1), c1 in x.items():
-            for (l2, u2, v2), c2 in y.items():
-                sign = 1
-                if p != 2:
-                    # move l2 past u1 (x) v1, then u2 past v1
-                    d_l2 = self.A.degree(l2)
-                    if d_l2 % 2 and (self.A.degree(u1) + self.A.degree(v1)) % 2:
-                        sign = -sign
-                    if self.A.degree(v1) % 2 and self.A.degree(u2) % 2:
-                        sign = -sign
-                lam, s0 = self.A.mul_monomials(l1, l2)
-                if lam is None:
-                    continue
-                u, s1 = self.A.mul_monomials(u1, u2)
-                if u is None:
-                    continue
-                v, s2 = self.A.mul_monomials(v1, v2)
-                if v is None:
-                    continue
-                key = (lam, u, v)
-                c = (out.get(key, 0) + c1 * c2 * sign * s0 * s1 * s2) % p
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        return out
-
     def psi_monomial(self, m: Monomial) -> dict:
         base, fiber = self._split_base(m)
+        tensor = partial(fplin.mul, monomial_mul=self.mul_monomials, p=self.A.p)
         acc = {(base, (), ()): 1}
         for i, e in fiber:
             if i not in self.entries:
                 raise KeyError(f"no coproduct entry for generator {self.A.gens[i].name}")
-            term = self.entries[i]
-            powacc: dict | None = None
-            ee = e
-            while ee:
-                if ee & 1:
-                    powacc = term if powacc is None else self._tensor_mul(powacc, term)
-                ee >>= 1
-                if ee:
-                    term = self._tensor_mul(term, term)
-            acc = self._tensor_mul(acc, powacc)
+            acc = tensor(acc, fplin.power(self.entries[i], e, tensor))
         return acc
 
     def psi_reduced(self, m: Monomial) -> dict:
         """psi(m) - m (x) 1 - 1 (x) m in canonical coordinates."""
-        p = self.A.p
         out = dict(self.psi_monomial(m))
         base, fiber = self._split_base(m)
         for key in [(base, fiber, ()), (base, (), fiber)]:
-            v = (out.get(key, 0) - 1) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            fplin.add_term(out, key, -1, self.A.p)
         return out
 
 
@@ -699,12 +576,4 @@ def coalgebra_primitives(
     a = h.A
     basis = [m for m in (monomials if monomials is not None else a.monomial_basis(degree))
              if a.filtration(m) > 0]
-    if not basis:
-        return []
-    rows: dict[tuple, dict[int, int]] = {}
-    for j, m in enumerate(basis):
-        for key, v in h.psi_reduced(m).items():
-            if v % a.p:
-                rows.setdefault(key, {})[j] = v % a.p
-    mat = fplin.SparseMat.from_rows(list(rows.values()), len(basis), a.p)
-    return [{basis[j]: v for j, v in vec.to_dict().items()} for vec in fplin.kernel_basis(mat)]
+    return _kernel(basis, h.psi_reduced, a.p)

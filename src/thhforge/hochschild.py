@@ -108,42 +108,25 @@ class HochschildComplex:
             return {}
         p = A.p
         out: ChainElt = {}
-
-        def put(chain: Chain, coeff: int) -> None:
-            coeff %= p
-            if not coeff:
-                return
-            v = (out.get(chain, 0) + coeff) % p
-            if v:
-                out[chain] = v
-            else:
-                del out[chain]
-
         for i in range(q):
             prod, s = A.mul_monomials(c[i], c[i + 1])
             if prod is None or s == 0:
                 continue
             if i > 0 and not prod:
                 continue  # normalized: unit in a reduced slot
-            sign = (-1) ** i * s
-            put(c[:i] + (prod,) + c[i + 2 :], sign)
+            fplin.add_term(out, c[:i] + (prod,) + c[i + 2 :], (-1) ** i * s, p)
         # cyclic last face, with the Koszul sign for moving the last slot front
         eps = A.degree(c[q]) * sum(A.degree(m) for m in c[:q])
         prod, s = A.mul_monomials(c[q], c[0])
         if prod is not None and s:
-            put((prod,) + c[1:q], (-1) ** (q + eps) * s)
+            fplin.add_term(out, (prod,) + c[1:q], (-1) ** (q + eps) * s, p)
         return out
 
     def boundary(self, elt: ChainElt) -> ChainElt:
         out: ChainElt = {}
-        p = self.A.p
         for c, coeff in elt.items():
             for c2, v in self.boundary_chain(c).items():
-                w = (out.get(c2, 0) + coeff * v) % p
-                if w:
-                    out[c2] = w
-                else:
-                    del out[c2]
+                fplin.add_term(out, c2, coeff * v, self.A.p)
         return out
 
     def _vec(self, elt: ChainElt, index: Mapping[Chain, int]) -> dict[int, int]:
@@ -159,17 +142,11 @@ class HochschildComplex:
 
     def homology(self, q: int, t: int) -> list[HHClass]:
         """Homology classes at (q, t) with cycle representatives."""
-        src, dst, cols = self.boundary_matrix(q, t)
+        src, _, cols = self.boundary_matrix(q, t)
         n = len(src)
         if n == 0:
             return []
-        rows: dict[int, dict[int, int]] = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows.setdefault(i, {})[j] = v
-        mat = fplin.SparseMat.from_rows(
-            [rows.get(i, {}) for i in range(len(dst))], n, self.A.p
-        )
+        mat = fplin.SparseMat.from_columns(cols, self.A.p)
         kernel = [v.to_dict() for v in fplin.kernel_basis(mat)]
         # image of the next boundary
         above = self.basis(q + 1, t)
@@ -311,12 +288,7 @@ def shuffle_product(algebra: AlgebraPresentation, x: ChainElt, y: ChainElt) -> C
                         slots.append(b[ib])
                         ib += 1
                 sign = _shuffle_sign(A, a, b, pattern)
-                key = (m0,) + tuple(slots)
-                c = (out.get(key, 0) + coeff0 * sign) % p
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
+                fplin.add_term(out, (m0,) + tuple(slots), coeff0 * sign, p)
     return out
 
 
@@ -364,41 +336,22 @@ def _canonicalize_tensor(A: AlgebraPresentation, left: Chain, right: Chain, coef
 
 def chain_coproduct(algebra: AlgebraPresentation, elt: ChainElt) -> TensorElt:
     """psi(m0 (x) ... (x) mq) = sum_i (m0..mi) (x)_Lambda (1, m_{i+1}..mq)."""
-    p = algebra.p
     out: TensorElt = {}
     for c, v in elt.items():
-        q = len(c) - 1
-        for i in range(q + 1):
-            left = c[: i + 1]
-            right = ((),) + c[i + 1 :]
-            key = (left, right)
-            w = (out.get(key, 0) + v) % p
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+        for i in range(len(c)):
+            fplin.add_term(out, (c[: i + 1], ((),) + c[i + 1 :]), v, algebra.p)
     return out
 
 
 def tensor_boundary(A: AlgebraPresentation, elt: TensorElt) -> TensorElt:
     """Differential of C (x)_Lambda C with the homological Koszul sign."""
     cx = HochschildComplex(A)
-    p = A.p
     out: TensorElt = {}
 
     def put(left: Chain, right: Chain, coeff: int) -> None:
         canon = _canonicalize_tensor(A, left, right, coeff)
-        if canon is None:
-            return
-        (l, r), c = canon
-        c %= p
-        if not c:
-            return
-        v = (out.get((l, r), 0) + c) % p
-        if v:
-            out[(l, r)] = v
-        else:
-            del out[(l, r)]
+        if canon is not None:
+            fplin.add_term(out, *canon, A.p)
 
     for (left, right), v in elt.items():
         for l2, c2 in cx.boundary_chain(left).items():
@@ -451,12 +404,8 @@ def coproduct_on_class(
                 for c1, v1 in r1.element().items():
                     for c2, v2 in r2.element().items():
                         canon = _canonicalize_tensor(A, c1, c2, v1 * v2)
-                        if canon is None:
-                            continue
-                        (l, r), c = canon
-                        c %= p
-                        if c:
-                            te[(l, r)] = (te.get((l, r), 0) + c) % p
+                        if canon is not None:
+                            fplin.add_term(te, *canon, p)
                 candidates.append(vec(te))
                 labels.append((r1, r2))
         # boundaries inside the tensor complex at total bidegree +1
@@ -484,9 +433,8 @@ def coproduct_on_class(
                 "homology is not free over the base there"
             )
         for c, lab in zip(sol[: len(candidates)], labels):
-            if c:
-                out[lab] = (out.get(lab, 0) + c) % p
-    return {k: v for k, v in out.items() if v}
+            fplin.add_term(out, lab, c, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +512,7 @@ def bar_roundtrip_check(algebra: AlgebraPresentation, qmax: int, tmax: int) -> b
                         last, s2 = A.mul_monomials(xs[-1], eps)
                         if last is None or s2 == 0:
                             continue
-                        chain = xs[:-1] + (last,)
-                        w = (total.get(chain, 0) + v * sign * s * s2) % p
-                        if w:
-                            total[chain] = w
-                        else:
-                            total.pop(chain, None)
+                        fplin.add_term(total, xs[:-1] + (last,), v * sign * s * s2, p)
                 if total != {c: 1}:
                     return False
     return True
@@ -697,11 +640,7 @@ def hh_squarezero(
                 eps = degs[last] * sum(degs[i] for i in w[:-1])
                 sign = (-1) ** (q + 1 + eps)
                 row = {idx[w]: 1}
-                v = (row.get(idx[rotated], 0) - sign) % p
-                if v:
-                    row[idx[rotated]] = v
-                else:
-                    row.pop(idx[rotated], None)
+                fplin.add_term(row, idx[rotated], -sign, p)
                 rows.append(row)
             mat = fplin.SparseMat.from_rows(rows, len(basis), p)
             r = mat.rank()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fplin
@@ -33,6 +33,7 @@ __all__ = [
     "milnor_basis",
     "milnor_coproduct",
     "milnor_mul",
+    "dual_mul",
     "conjugate",
     "antipode",
     "pairing",
@@ -341,24 +342,28 @@ def _load_cached_basis(spec, degree, cache_dir) -> list[SteenrodElement] | None:
                 raise ValueError("bad cached element degree")
         return basis
     except Exception:
-        # corrupt cache files are derived data: drop and recompute
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+        # corrupt cache files are derived data: recompute, and let the
+        # atomic store replace the file (it is not removed here, since
+        # another process may be replacing it already)
         return None
 
 
 def _store_cached_basis(spec, degree, basis, cache_dir) -> None:
+    """Write the cache file atomically: a temporary file in the same
+    directory is renamed over the target, so readers never see a partial
+    file."""
     path = _cache_path(spec, degree, cache_dir)
     if path is None:
         return
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"  # unique per writer; open() honours the umask
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
+        with open(tmp, "x") as fh:
             json.dump({"degree": degree, "basis": [element_str(e) for e in basis]}, fh)
+        os.replace(tmp, path)
     except OSError:
-        pass
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def total_rank(spec: SubalgebraSpec, cache_dir=None) -> int:
@@ -437,8 +442,8 @@ class GradedModulePresentation:
         for j, c in coords.items():
             if c % 2:
                 for i, v in cols[j].items():
-                    out[i] = (out.get(i, 0) + v) % 2
-        return {i: v for i, v in out.items() if v}
+                    fplin.add_term(out, i, v, 2)
+        return out
 
     def verify_action_relation(self, left: Sequence[int], right: Sequence[int]) -> bool:
         """Check that two generator words act identically (Adem spot check)."""
@@ -570,8 +575,7 @@ def module_map_kernel(
             for j, c in (coords or {}).items():
                 if c % 2:
                     for i, v in cols[j].items():
-                        expect[i] = (expect.get(i, 0) + v) % 2
-            expect = {i: v for i, v in expect.items() if v}
+                        fplin.add_term(expect, i, v, 2)
             actual = target.reduce_ambient(steenrod_mul(e, f), d + df)
             if actual != expect:
                 raise ValueError(f"right multiplication is not well defined in degree {d}")
@@ -579,15 +583,9 @@ def module_map_kernel(
     kernel_elements: dict[int, list[SteenrodElement]] = {}
     kernel_vecs: dict[int, list[dict[int, int]]] = {}
     for d in source.degrees():
-        n = source.dim(d)
-        m = target.dim(d + df)
-        mat = fplin.SparseMat.from_rows(
-            [ {j: matrices[d][j].get(i, 0) for j in range(n) if matrices[d][j].get(i)} for i in range(m) ],
-            n,
-            2,
-        )
-        total_rank_map += mat.rank()
+        mat = fplin.SparseMat.from_columns(matrices[d], 2)
         kvecs = [v.to_dict() for v in fplin.kernel_basis(mat)]
+        total_rank_map += source.dim(d) - len(kvecs)
         if kvecs:
             elts = []
             for kv in kvecs:
@@ -741,19 +739,9 @@ def milnor_mul(a: MilnorMonomial, b: MilnorMonomial, p: int) -> tuple[MilnorMono
     return MilnorMonomial(xi, tuple(sorted(a.tau + b.tau)), a.conjugated), sign % p
 
 
-def _elt_mul(a: Mapping[MilnorMonomial, int], b: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMonomial, int]:
-    out: dict[MilnorMonomial, int] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m, s = milnor_mul(ma, mb, p)
-            if m is None:
-                continue
-            c = (out.get(m, 0) + ca * cb * s) % p
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
+def dual_mul(a: Mapping[MilnorMonomial, int], b: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMonomial, int]:
+    """Product of two dual-algebra elements in the same alphabet."""
+    return fplin.mul(a, b, lambda x, y: milnor_mul(x, y, p), p)
 
 
 def milnor_basis(p: int, degree: int, conjugated: bool = True) -> list[MilnorMonomial]:
@@ -802,27 +790,6 @@ def milnor_basis(p: int, degree: int, conjugated: bool = True) -> list[MilnorMon
 _TensorElt = dict  # dict[(MilnorMonomial, MilnorMonomial), int]
 
 
-def _tensor_mul(a: _TensorElt, b: _TensorElt, p: int) -> _TensorElt:
-    out: _TensorElt = {}
-    for (l1, r1), c1 in a.items():
-        for (l2, r2), c2 in b.items():
-            sign = 1
-            if p != 2 and (r1.degree(p) % 2) and (l2.degree(p) % 2):
-                sign = -1
-            l, sl = milnor_mul(l1, l2, p)
-            if l is None:
-                continue
-            r, sr = milnor_mul(r1, r2, p)
-            if r is None:
-                continue
-            c = (out.get((l, r), 0) + c1 * c2 * sign * sl * sr) % p
-            if c:
-                out[(l, r)] = c
-            else:
-                out.pop((l, r), None)
-    return out
-
-
 def _gen_coproduct(gen: MilnorMonomial, p: int) -> _TensorElt:
     """Coproduct of a single xi_k / tau_k generator (exponent 1)."""
     conj = gen.conjugated
@@ -836,17 +803,15 @@ def _gen_coproduct(gen: MilnorMonomial, p: int) -> _TensorElt:
             for i in range(0, k + 1):
                 j = k - i
                 right = one if j == 0 else _xi(j, p ** i, conj)
-                key = (_tau(i, conj), right)
-                out[key] = (out.get(key, 0) + 1) % p
+                fplin.add_term(out, (_tau(i, conj), right), 1, p)
         else:
             # psi(tau_k) = tau_k (x) 1 + sum xi_i^{p^j} (x) tau_j
             out[(_tau(k, conj), one)] = 1
             for j in range(0, k + 1):
                 i = k - j
                 left = one if i == 0 else _xi(i, p ** j, conj)
-                key = (left, _tau(j, conj))
-                out[key] = (out.get(key, 0) + 1) % p
-        return {k2: v for k2, v in out.items() if v}
+                fplin.add_term(out, (left, _tau(j, conj)), 1, p)
+        return out
     k = len(gen.xi)
     out = {}
     for i in range(0, k + 1):
@@ -859,30 +824,22 @@ def _gen_coproduct(gen: MilnorMonomial, p: int) -> _TensorElt:
             # psi(xi_k) = sum xi_i^{p^j} (x) xi_j
             left = one if i == 0 else _xi(i, p ** j, conj)
             right = one if j == 0 else _xi(j, 1, conj)
-        out[(left, right)] = (out.get((left, right), 0) + 1) % p
-    return {k2: v for k2, v in out.items() if v}
+        fplin.add_term(out, (left, right), 1, p)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _coproduct_cached(m: MilnorMonomial, p: int) -> tuple:
+    slot = (lambda a, b: milnor_mul(a, b, p), lambda a: a.degree(p))
+    tensor_mul = partial(fplin.mul, monomial_mul=fplin.tensor_monomial_mul([slot, slot], p), p=p)
     one = milnor_one(m.conjugated)
     acc: _TensorElt = {(one, one): 1}
     for k in m.tau:
-        acc = _tensor_mul(acc, _gen_coproduct(_tau(k, m.conjugated), p), p)
+        acc = tensor_mul(acc, _gen_coproduct(_tau(k, m.conjugated), p))
     for idx, e in enumerate(m.xi):
-        if e == 0:
-            continue
-        gen_psi = _gen_coproduct(_xi(idx + 1, 1, m.conjugated), p)
-        power = gen_psi
-        ebits = e
-        result: _TensorElt | None = None
-        while ebits:
-            if ebits & 1:
-                result = power if result is None else _tensor_mul(result, power, p)
-            ebits >>= 1
-            if ebits:
-                power = _tensor_mul(power, power, p)
-        acc = _tensor_mul(acc, result, p)
+        if e:
+            gen_psi = _gen_coproduct(_xi(idx + 1, 1, m.conjugated), p)
+            acc = tensor_mul(acc, fplin.power(gen_psi, e, tensor_mul))
     return tuple(sorted(acc.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))))
 
 
@@ -900,14 +857,9 @@ def _chi_xi(k: int, p: int) -> tuple:
     # chi(xi_k) = -sum_{i>=1} xi_i * chi(xi_{k-i})^{p^i}
     out: dict[MilnorMonomial, int] = {}
     for i in range(1, k + 1):
-        term = _power_elt(dict(_chi_xi(k - i, p)), p ** i, p)
-        term = _elt_mul({_xi(i, 1, False): 1}, term, p)
-        for m, c in term.items():
-            c2 = (out.get(m, 0) - c) % p
-            if c2:
-                out[m] = c2
-            else:
-                out.pop(m, None)
+        term = fplin.power(dict(_chi_xi(k - i, p)), p ** i, partial(dual_mul, p=p))
+        for m, c in dual_mul({_xi(i, 1, False): 1}, term, p).items():
+            fplin.add_term(out, m, -c, p)
     return tuple(sorted(out.items(), key=lambda kv: str(kv[0])))
 
 
@@ -918,27 +870,9 @@ def _chi_tau(k: int, p: int) -> tuple:
     out: dict[MilnorMonomial, int] = {_tau(k, False): -1 % p}
     for i in range(1, k + 1):
         j = k - i
-        term = _elt_mul({_xi(i, p ** j, False): 1}, dict(_chi_tau(j, p)), p)
-        for m, c in term.items():
-            c2 = (out.get(m, 0) - c) % p
-            if c2:
-                out[m] = c2
-            else:
-                out.pop(m, None)
+        for m, c in dual_mul({_xi(i, p ** j, False): 1}, dict(_chi_tau(j, p)), p).items():
+            fplin.add_term(out, m, -c, p)
     return tuple(sorted(out.items(), key=lambda kv: str(kv[0])))
-
-
-def _power_elt(elt: dict[MilnorMonomial, int], e: int, p: int) -> dict[MilnorMonomial, int]:
-    base_alphabet = next(iter(elt)).conjugated if elt else False
-    result = {milnor_one(base_alphabet): 1}
-    power = dict(elt)
-    while e:
-        if e & 1:
-            result = _elt_mul(result, power, p)
-        e >>= 1
-        if e:
-            power = _elt_mul(power, power, p)
-    return result
 
 
 def conjugate(m: MilnorMonomial, p: int) -> dict[MilnorMonomial, int]:
@@ -955,10 +889,11 @@ def conjugate(m: MilnorMonomial, p: int) -> dict[MilnorMonomial, int]:
         return {MilnorMonomial(mm.xi, mm.tau, target_conj): c for mm, c in elt.items()}
 
     for k in m.tau:
-        out = _elt_mul(out, retag(dict(_chi_tau(k, p))), p)
+        out = dual_mul(out, retag(dict(_chi_tau(k, p))), p)
     for idx, e in enumerate(m.xi):
         if e:
-            out = _elt_mul(out, _power_elt(retag(dict(_chi_xi(idx + 1, p))), e, p), p)
+            chi = retag(dict(_chi_xi(idx + 1, p)))
+            out = dual_mul(out, fplin.power(chi, e, partial(dual_mul, p=p)), p)
     return out
 
 
@@ -966,14 +901,8 @@ def antipode(elt: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMonomial, 
     """Antipode chi on a polynomial, staying in its own alphabet."""
     out: dict[MilnorMonomial, int] = {}
     for m, c in elt.items():
-        flipped = conjugate(m, p)
-        for mm, cc in flipped.items():
-            m2 = MilnorMonomial(mm.xi, mm.tau, m.conjugated)
-            c2 = (out.get(m2, 0) + c * cc) % p
-            if c2:
-                out[m2] = c2
-            else:
-                out.pop(m2, None)
+        for mm, cc in conjugate(m, p).items():
+            fplin.add_term(out, MilnorMonomial(mm.xi, mm.tau, m.conjugated), c * cc, p)
     return out
 
 
@@ -981,11 +910,11 @@ def _to_unconjugated(elt: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMo
     out: dict[MilnorMonomial, int] = {}
     for m, c in elt.items():
         if not m.conjugated:
-            out[m] = (out.get(m, 0) + c) % p
+            fplin.add_term(out, m, c, p)
         else:
             for mm, cc in conjugate(m, p).items():
-                out[mm] = (out.get(mm, 0) + c * cc) % p
-    return {m: c for m, c in out.items() if c % p}
+                fplin.add_term(out, mm, c * cc, p)
+    return out
 
 
 def pairing(a: SteenrodElement, m: MilnorMonomial | Mapping[MilnorMonomial, int], p: int = 2) -> int:
@@ -1159,9 +1088,5 @@ def dual_action(
         part = {mm: c for mm, c in a.items() if mm.degree(p) == r}
         if not part:
             continue
-        c = pairing(sq, part, p)
-        if c:
-            out[x] = (out.get(x, 0) + c) % p
-            if not out[x]:
-                del out[x]
+        fplin.add_term(out, x, pairing(sq, part, p), p)
     return out

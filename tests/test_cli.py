@@ -159,12 +159,19 @@ def test_verify_jobs_and_report(tmp_path, capsys, monkeypatch):
         cli, "CRITERIA", [acceptance.criterion_1, acceptance.criterion_3]
     )
     report = tmp_path / "report.json"
-    assert cli.main(["verify", "--jobs", "2", "--report", str(report)]) == 0
+    assert cli.main(["verify", "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
     payload = json.loads(report.read_text())
     assert [r["id"] for r in payload["result"]] == ["1", "3"]
     assert all(r["passed"] for r in payload["result"])
+
+
+def test_verify_jobs_is_a_usage_error(capsys):
+    # the criteria are pure Python, so a thread pool only made verify slower
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_reports_failure_exit(monkeypatch, capsys):
@@ -175,6 +182,51 @@ def test_verify_reports_failure_exit(monkeypatch, capsys):
     )
     assert cli.main(["verify"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def _write_presentation(tmp_path, p=3, **gen):
+    pres = {"p": p, "max_degree": 8,
+            "generators": [{"name": "x", "degree": 2, "kind": "polynomial", **gen}]}
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(pres))
+    return str(path)
+
+
+def test_hh_spectrum_reports_the_file_prime(tmp_path, capsys):
+    path = _write_presentation(tmp_path, p=3)
+    assert cli.main(["hh", "compute", "--spectrum", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["p"] == 3
+    assert cli.main(["hh", "compute", "--spectrum", path, "--p", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["p"] == 3
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_hh_spectrum_refuses_a_disagreeing_prime(tmp_path, capsys, via_config):
+    path = _write_presentation(tmp_path, p=3)
+    argv = ["hh", "compute", "--spectrum", path]
+    if via_config:
+        cfg = tmp_path / "cfg"
+        cfg.write_text("p = 5\n")
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--p", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [{"kind": "polynomail"}, {"kind": "truncated"}, {"kind": "truncated", "height": 1},
+     {"degree": -2}],
+)
+def test_hh_spectrum_refuses_bad_generators(tmp_path, capsys, gen):
+    path = _write_presentation(tmp_path, **gen)
+    assert cli.main(["hh", "compute", "--spectrum", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cache_env_and_corruption(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from thhforge import fplin
+from thhforge.bokstedt import build_e2
+from thhforge.catalog import spectrum
 from thhforge.gca import (
     AlgebraPresentation,
     CoactionTable,
@@ -195,8 +198,40 @@ def test_coaction_is_algebra_map():
     )
     x = A.gen_monomial("x")
     nu_x2 = c.nu_monomial(((0, 2),))
-    manual = c._tensor_mul(c.nu_monomial(x), c.nu_monomial(x))
+    manual = fplin.mul(c.nu_monomial(x), c.nu_monomial(x), c.mul_monomials, 2)
     assert nu_x2 == manual
+
+
+_PAGES: dict = {}
+
+
+def _e2_page(name, p, n=36):
+    if (name, p) not in _PAGES:
+        _PAGES[(name, p)] = build_e2(spectrum(name, p, n), n)
+    return _PAGES[(name, p)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from([("ku", 2), ("ju", 2), ("hz", 3), ("ell", 3)]), hst.data())
+def test_coaction_and_coproduct_are_multiplicative(case, data):
+    """nu and psi are algebra maps into the Koszul-signed tensor products:
+    nu(m1 m2) = nu(m1) nu(m2) in A_* (x) H, psi(m1 m2) = psi(m1) psi(m2) in
+    H (x)_base H; at p = 3 the odd classes make the signs matter."""
+    page = _e2_page(*case)
+    A, c, h = page.algebra, page.coaction, page.hopf
+    p = A.p
+    monos = [m for d in range(18) for m in A.monomial_basis(d)]
+    m1 = data.draw(hst.sampled_from(monos))
+    m2 = data.draw(hst.sampled_from(monos))
+    m, s = A.mul_monomials(m1, m2)
+
+    def scaled(elt):
+        return {} if m is None else {k: v * s % p for k, v in elt.items()}
+
+    assert scaled(c.nu_monomial(m) if m is not None else {}) == fplin.mul(
+        c.nu_monomial(m1), c.nu_monomial(m2), c.mul_monomials, p)
+    assert scaled(h.psi_monomial(m) if m is not None else {}) == fplin.mul(
+        h.psi_monomial(m1), h.psi_monomial(m2), h.mul_monomials, p)
 
 
 def test_comodule_primitives():

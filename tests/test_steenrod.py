@@ -225,3 +225,16 @@ def test_basis_cache_roundtrip(tmp_path):
     st._basis_memo.clear()
     b3 = st.steenrod_basis(spec, 5, tmp_path)
     assert b3 == b1
+
+
+def test_corrupt_cache_is_replaced_atomically(tmp_path):
+    spec = SubalgebraSpec.A(1)
+    st._basis_memo.clear()
+    good = st.steenrod_basis(spec, 5, tmp_path)
+    (path,) = [f for f in tmp_path.iterdir() if f.name.endswith("_d5.json")]
+    path.write_text("{not json")
+    st._basis_memo.clear()
+    assert st.steenrod_basis(spec, 5, tmp_path) == good
+    # the recompute's store overwrote the corrupt file with a valid one
+    assert json.loads(path.read_text())["basis"] == [st.element_str(e) for e in good]
+    assert not [f for f in tmp_path.iterdir() if f.name.endswith(".tmp")]
