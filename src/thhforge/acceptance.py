@@ -29,8 +29,6 @@ from .hochschild import (
     tensor_boundary,
 )
 
-MIN_RANGE = 20  # the suite refuses to certify anything below this bound
-
 # the seventeen spanning classes of the kernel module, as admissible words
 KERNEL_SPAN = [
     "Sq4", "Sq6", "Sq7", "Sq6Sq2", "Sq9",

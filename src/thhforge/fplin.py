@@ -69,9 +69,6 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse in F_p")
         return pow(a, self.p - 2, self.p)
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
 
 @dataclass(frozen=True)
 class SparseVec:
@@ -86,12 +83,6 @@ class SparseVec:
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.entries)
-
-    def to_dense(self, n: int) -> list[int]:
-        out = [0] * n
-        for i, v in self.entries:
-            out[i] = v
-        return out
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -10,6 +10,7 @@ power generators, square-zero algebras) all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import fplin
@@ -163,22 +164,6 @@ class HochschildComplex:
                 elt = {src[i]: v for i, v in vec.items()}
                 reps.append(HHClass.make(q, t, elt))
         return reps
-
-    def class_coords(self, elt: ChainElt, q: int, t: int, reps: Sequence[HHClass]) -> list[int] | None:
-        """Coordinates of a cycle in the chosen homology basis, or None."""
-        src = self.basis(q, t)
-        idx = {c: i for i, c in enumerate(src)}
-        above = self.basis(q + 1, t)
-        vectors = [self._vec(r.element(), idx) for r in reps]
-        boundaries = []
-        for c in above:
-            v = self._vec(self.boundary_chain(c), idx)
-            if v:
-                boundaries.append(v)
-        sol = fplin.solve_in_span(vectors + boundaries, self._vec(elt, idx), len(src), self.A.p)
-        if sol is None:
-            return None
-        return sol[: len(vectors)]
 
 
 def boundary(algebra: AlgebraPresentation, elt: ChainElt) -> ChainElt:
@@ -598,61 +583,47 @@ def hh_squarezero(
     """HH of the split square-zero extension k + V, as bigraded dims.
 
     HH_q = invariants of the signed cyclic action on V^{(x) q} plus
-    coinvariants on V^{(x) (q+1)}; the generator acts as (-1)^{q+1} times
-    the cyclic permutation with its Koszul sign.
+    coinvariants on V^{(x) (q+1)}; the generator T acts as (-1)^{q+1}
+    times the cyclic permutation with its Koszul sign.  T permutes words
+    up to sign, so both dimensions count the rotation orbits on which T
+    comes back with sign +1 (signed necklaces; every orbit at p = 2).
+    A word u^k of length q and degree t, with u primitive of length
+    d = q/k and degree s = t/k, lies in an orbit of d words, and T^d acts
+    on it by (-1)^{d(q+1) + s(k-1)}: the twist applied d times and the
+    Koszul sign of moving u past u^{k-1}.  Primitive words are counted by
+    (length, degree) by Moebius inversion of the word counts; no word is
+    listed.
     """
     degs = [d for _, d in vee]
-    n = max_degree if max_degree is not None else (max(degs, default=0)) * (qmax + 1)
+    n = max_degree if max_degree is not None else max(degs, default=0) * (qmax + 1)
 
-    def words(length: int) -> list[tuple]:
-        """Words of the given length with total degree within the bound."""
-        out = [((), 0)]
-        for _ in range(length):
-            out = [
-                (w + (i,), t + degs[i])
-                for w, t in out
-                for i in range(len(vee))
-                if t + degs[i] <= n
-            ]
-        return [w for w, _ in out]
+    def divisors(l: int, s: int) -> list[int]:
+        g = gcd(l, s)
+        return [k for k in range(1, g + 1) if g % k == 0]
 
-    min_deg = min((d for d in degs if d > 0), default=0)
-    inv_dims: dict[tuple[int, int], int] = {}
-    coinv_dims: dict[tuple[int, int], int] = {}
-    for q in range(0, qmax + 2):
+    # words[l][s], prim[l][s]: all and primitive words of length l, degree s
+    words = [[1] + [0] * n]
+    prim = [[0] * (n + 1)]
+    for l in range(1, qmax + 2):
+        words.append([sum(words[l - 1][s - d] for d in degs if d <= s) for s in range(n + 1)])
+        prim.append([words[l][s] - sum(prim[l // k][s // k] for k in divisors(l, s)[1:])
+                     for s in range(n + 1)])
+
+    def inv(q: int, t: int) -> int:
+        """Orbits in V^{(x) q} of degree t on which T^d = +1 (the unit at q = 0)."""
         if q == 0:
-            inv_dims[(0, 0)] = 1
-            continue
-        if min_deg and q * min_deg > n:
-            break
-        by_t: dict[int, list[tuple]] = {}
-        for w in words(q):
-            t = sum(degs[i] for i in w)
-            if t <= n:
-                by_t.setdefault(t, []).append(w)
-        for t, basis in by_t.items():
-            idx = {w: i for i, w in enumerate(basis)}
-            rows = []
-            for w in basis:
-                # (1 - T) w, T = (-1)^{q+1} t_q with the Koszul sign
-                last = w[-1]
-                rotated = (last,) + w[:-1]
-                eps = degs[last] * sum(degs[i] for i in w[:-1])
-                sign = (-1) ** (q + 1 + eps)
-                row = {idx[w]: 1}
-                fplin.add_term(row, idx[rotated], -sign, p)
-                rows.append(row)
-            mat = fplin.SparseMat.from_rows(rows, len(basis), p)
-            r = mat.rank()
-            inv_dims[(q, t)] = len(basis) - r     # ker(1-T) on V^{(x) q}
-            coinv_dims[(q, t)] = len(basis) - r   # cok(1-T), same rank count
+            return int(t == 0)
+        return sum(
+            prim[q // k][t // k] // (q // k)
+            for k in divisors(q, t)
+            if p == 2 or ((q // k) * (q + 1) + (t // k) * (k - 1)) % 2 == 0
+        )
+
     out: dict[tuple[int, int], int] = {}
-    for q in range(0, qmax + 1):
-        keys = {t for (qq, t) in inv_dims if qq == q} | {t for (qq, t) in coinv_dims if qq == q + 1}
-        for t in keys:
-            d = inv_dims.get((q, t), 0) + coinv_dims.get((q + 1, t), 0)
-            if d:
-                out[(q, t)] = out.get((q, t), 0) + d
+    for q in range(qmax + 1):
+        for t in range(n + 1):
+            if dim := inv(q, t) + inv(q + 1, t):
+                out[(q, t)] = dim
     return out
 
 

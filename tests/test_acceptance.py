@@ -7,8 +7,6 @@ functions from the command line.
 
 from __future__ import annotations
 
-import pytest
-
 from thhforge import acceptance
 
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from thhforge import bokstedt as bk
-from thhforge.catalog import SpectrumData, j_module_degrees, spectrum
+from thhforge.catalog import j_module_degrees, spectrum
 from thhforge.gca import AlgebraPresentation, GeneratorSpec, expand_divided
-from thhforge.hochschild import hh_dims, hh_homology, presentation_dims_internal
 
 
 def expected_series(name, p, n, extra, divided=None):
@@ -49,7 +48,7 @@ def test_catalog_homology_series():
 
 
 def test_coaction_counit_and_coassociativity():
-    from thhforge.steenrod import milnor_coproduct, milnor_mul, milnor_one
+    from thhforge.steenrod import milnor_coproduct, milnor_one
 
     for name, p in (("ku", 2), ("ko", 2), ("ju", 2), ("ell", 3), ("ju", 3)):
         data = spectrum(name, p, 20)

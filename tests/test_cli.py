@@ -95,6 +95,24 @@ def test_hh_custom_presentation(tmp_path, capsys, schema):
     assert payload["result"]["1,2"] == 1
 
 
+def test_hh_spectrum_ignores_the_coaction(tmp_path, capsys):
+    pres = {"p": 2, "max_degree": 8,
+            "generators": [{"name": "x", "degree": 2, "kind": "polynomial"}],
+            "coaction": {"z": [["1", "z"]]}}
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(pres))
+    assert cli.main(["hh", "compute", "--spectrum", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["1,2"] == 1
+
+
+def test_bokstedt_run_j_at_the_degree_cap(capsys):
+    # the non-flat square-zero factor is counted, not enumerated
+    code = cli.main(["bokstedt", "run", "--spectrum", "j", "--p", "2", "--maxdeg", "128",
+                     "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"]["nonflat"] is True
+
+
 def test_bokstedt_run_deterministic(tmp_path, schema):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):
@@ -147,9 +165,11 @@ def test_bad_args_exit_two():
     assert proc.returncode == 2
 
 
-def test_verify_refuses_small_range(capsys):
-    assert cli.main(["verify", "--maxdeg", "10"]) == 3
-    assert "refusing" in capsys.readouterr().err
+def test_verify_maxdeg_is_a_usage_error(capsys):
+    # every criterion runs at its own fixed bound, so a range flag would misreport
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--maxdeg", "10"])
+    assert exc.value.code == 2
 
 
 def test_verify_jobs_and_report(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from thhforge.gca import AlgebraPresentation, GeneratorSpec
@@ -222,17 +222,25 @@ def test_flatness_detector():
     assert not free
 
 
-def test_square_zero_vs_presented():
-    for p in (2, 3):
-        cases = [[("x", 1)], [("x", 1), ("y", 1)], [("x", 2), ("y", 3), ("z", 4)]]
-        for vee in cases:
-            sq = hh.hh_squarezero(vee, 5, p=p, max_degree=9)
-            gens = [GeneratorSpec(n, d, "exterior") for n, d in vee]
-            A = AlgebraPresentation(p, gens, 9, square_zero=True)
-            raw = hh.hh_dims(hh.hh_homology(A, 9, qmax=5))
-            keys = {k for k in set(sq) | set(raw) if k[0] <= 5 and k[1] <= 9}
-            for k in keys:
-                assert sq.get(k, 0) == raw.get(k, 0), (p, vee, k)
+@settings(max_examples=30, deadline=None)
+@given(
+    p=hst.sampled_from([2, 3, 5]),
+    degs=hst.lists(hst.integers(1, 4), min_size=1, max_size=3),
+    qmax=hst.integers(0, 4),
+    tmax=hst.integers(0, 8),
+)
+@example(p=2, degs=[1], qmax=5, tmax=9)
+@example(p=3, degs=[1], qmax=5, tmax=9)
+@example(p=2, degs=[1, 1], qmax=5, tmax=9)
+@example(p=3, degs=[1, 1], qmax=5, tmax=9)
+@example(p=2, degs=[2, 3, 4], qmax=5, tmax=9)
+@example(p=3, degs=[2, 3, 4], qmax=5, tmax=9)
+def test_square_zero_vs_presented(p, degs, qmax, tmax):
+    # the necklace count against the honest normalized complex of k + V
+    vee = [(f"x{i}", d) for i, d in enumerate(degs)]
+    sq = hh.hh_squarezero(vee, qmax, p=p, max_degree=tmax)
+    A = AlgebraPresentation(p, [E(n, d) for n, d in vee], tmax, square_zero=True)
+    assert sq == hh.hh_dims(hh.hh_homology(A, tmax, qmax=qmax))
 
 
 def test_square_zero_rank5_example():
