@@ -19,6 +19,7 @@ from .catalog import SpectrumData, spectrum
 from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData
 from .hochschild import (
     closed_form_hh,
+    fiberwise_hopf,
     hh_dims,
     hh_homology,
     hh_squarezero,
@@ -147,18 +148,6 @@ def _page_coaction(
                 entries.append(({a: (c * v) % page_alg.p for a, v in a_elt.items()}, mm))
         coact.entries[page_alg.index[g.name]] = entries
     return coact
-
-
-def _page_hopf(page_alg: AlgebraPresentation) -> HopfData:
-    hopf = HopfData(page_alg)
-    for g in page_alg.gens:
-        if g.filtration == 0:
-            continue
-        if g.gamma_power >= 1 and g.sigma_of is not None:
-            hopf.set_divided(g.name, sigma_name(g.sigma_of), g.gamma_power)
-        else:
-            hopf.set_primitive(g.name)
-    return hopf
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +414,7 @@ def page_homology(
         page.spectrum,
         p,
         candidate,
-        _page_hopf(candidate),
+        fiberwise_hopf(candidate),
         coact,
         flat=page.flat,
         max_degree=page.max_degree,

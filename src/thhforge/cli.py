@@ -294,15 +294,11 @@ def cmd_adams(args, config) -> int:
         return EXIT_USAGE
     target = args.target
     einf, module, log = ad.run_ss(target, n)
-    table = [
-        {"degree": row["degree"], "generators": row["generators"]}
-        for row in ad.homotopy_table(target, n)
-    ]
     result = {
         "target": target,
         "stages": log,
         "einf": {f"{s},{t}": v for (s, t), v in sorted(einf.dims.items()) if v},
-        "homotopy": table,
+        "homotopy": module.table(n),
     }
     if args.chart:
         smax = max((s for s, _ in einf.dims), default=10)

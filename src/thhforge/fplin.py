@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over prime fields F_p.
 
-Every homology, rank and kernel computation in this package reduces to
-row reduction over F_p.  Two storage lanes: bit-packed rows (Python
-ints) over F_2, and numpy integer rows at odd primes.  All public
-values are immutable after construction and all operations are pure, so
-concurrent read-only use is safe.
+Every homology, rank, kernel and solve in this package reduces to row
+reduction over F_p, and all of it goes through one incremental RREF,
+Span.  Two storage lanes: bit-packed rows (Python ints) over F_2, and
+numpy integer rows at odd primes.  All public values are immutable after
+construction and all operations are pure, so concurrent read-only use
+is safe.
 
 The sparse-algebra kernel shared by the algebra layers lives here too:
 elements are dicts {monomial: nonzero scalar mod p}, accumulated with
@@ -23,7 +24,6 @@ import numpy as np
 __all__ = [
     "PrimeField",
     "is_prime",
-    "SparseVec",
     "SparseMat",
     "Span",
     "rank",
@@ -71,24 +71,6 @@ class PrimeField:
 
 
 @dataclass(frozen=True)
-class SparseVec:
-    """Vector with nonzero entries only, indexed into a declared ordered basis."""
-
-    entries: tuple[tuple[int, int], ...]  # sorted (index, scalar), scalar != 0
-
-    @staticmethod
-    def from_dict(d: Mapping[int, int], p: int) -> "SparseVec":
-        items = sorted((i, v % p) for i, v in d.items() if v % p)
-        return SparseVec(tuple(items))
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-@dataclass(frozen=True)
 class SparseMat:
     """Sparse matrix over F_p; (row, col) pairs distinct, scalars nonzero."""
 
@@ -131,16 +113,6 @@ class SparseMat:
                 if v % p:
                     rows.setdefault(key, {})[j] = v % p
         return SparseMat.from_rows(list(rows.values()), len(columns), p)
-
-    @staticmethod
-    def from_dense(rows: Sequence[Sequence[int]], p: int = 2) -> "SparseMat":
-        ncols = len(rows[0]) if rows else 0
-        ents = []
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v % p:
-                    ents.append((r, c, v % p))
-        return SparseMat(len(rows), ncols, tuple(ents), p)
 
     def row_dicts(self) -> list[dict[int, int]]:
         rows: list[dict[int, int]] = [dict() for _ in range(self.nrows)]
@@ -300,11 +272,13 @@ def rank(m: SparseMat) -> int:
     return _span_of(m.row_dicts(), m.ncols, m.p).rank
 
 
-def kernel_basis(m: SparseMat) -> list[SparseVec]:
+def kernel_basis(m: SparseMat) -> list[dict[int, int]]:
     """Basis of the null space {v : m v = 0}; size = ncols - rank(m).
 
     Representatives are the standard ones read off the RREF: one vector
-    per free column, in increasing column order.
+    per free column j, in increasing column order, equal to 1 at j, 0 at
+    the other free columns and minus column j of the RREF at the pivots
+    (all left of j, so every dict is sorted by index).
     """
     sp = _span_of(m.row_dicts(), m.ncols, m.p)
     pivots = sp.pivots
@@ -314,25 +288,20 @@ def kernel_basis(m: SparseMat) -> list[SparseVec]:
     for j in range(m.ncols):
         if j in pivot_set:
             continue
-        vec = {j: 1}
-        for piv, row in zip(pivots, rows):
-            c = row.get(j, 0)
-            if c:
-                vec[piv] = (-c) % m.p
-        out.append(SparseVec.from_dict(vec, m.p))
+        vec = {piv: (-row[j]) % m.p for piv, row in zip(pivots, rows) if j in row}
+        vec[j] = 1
+        out.append(vec)
     return out
 
 
-def quotient_basis(space_dim: int, subspace: Sequence[Mapping[int, int] | SparseVec], p: int = 2) -> list[SparseVec]:
+def quotient_basis(space_dim: int, subspace: Sequence[Mapping[int, int]], p: int = 2) -> list[dict[int, int]]:
     """Representatives of a basis of F_p^n / span(subspace).
 
     Returns the standard basis vectors e_j for the non-pivot columns j of
     the subspace RREF; count = n - rank(subspace).
     """
-    vecs = [v.to_dict() if isinstance(v, SparseVec) else v for v in subspace]
-    sp = _span_of(vecs, space_dim, p)
-    pivot_set = set(sp.pivots)
-    return [SparseVec.from_dict({j: 1}, p) for j in range(space_dim) if j not in pivot_set]
+    pivot_set = set(_span_of(subspace, space_dim, p).pivots)
+    return [{j: 1} for j in range(space_dim) if j not in pivot_set]
 
 
 def solve_in_span(
@@ -343,41 +312,18 @@ def solve_in_span(
 ) -> list[int] | None:
     """Coefficients c with sum(c_i * vectors_i) = target, or None.
 
-    Dense elimination on the augmented system; used for coordinate
-    extraction on small spaces (module actions, homology classes).
+    The vectors and the target index into F_p^ncols.  The target lies in
+    the span exactly when its column of [vectors | target] is free.  Its
+    kernel vector is then the last one: 1 at the target, -c_i at the
+    pivot columns and 0 at the other free columns.  The pivots of an RREF
+    are the greedy leftmost independent vectors, so c is the same however
+    the rows were eliminated.
     """
     k = len(vectors)
-    a = np.zeros((ncols, k + 1), dtype=np.int64)
-    for j, vec in enumerate(vectors):
-        for i, v in vec.items():
-            a[i, j] = v % p
-    for i, v in target.items():
-        a[i, k] = v % p
-    row = 0
-    pivcols: list[int] = []
-    for col in range(k):
-        pr = None
-        for r in range(row, ncols):
-            if a[r, col] % p:
-                pr = r
-                break
-        if pr is None:
-            continue
-        a[[row, pr]] = a[[pr, row]]
-        a[row] = (a[row] * pow(int(a[row, col]), p - 2, p)) % p
-        for r in range(ncols):
-            if r != row and a[r, col] % p:
-                a[r] = (a[r] - a[r, col] * a[row]) % p
-        pivcols.append(col)
-        row += 1
-    # inconsistent if any leftover row is (0...0 | nonzero)
-    for r in range(row, ncols):
-        if a[r, k] % p:
-            return None
-    coeffs = [0] * k
-    for r, col in enumerate(pivcols):
-        coeffs[col] = int(a[r, k]) % p
-    return coeffs
+    kernel = kernel_basis(SparseMat.from_columns([*vectors, target], p))
+    if not kernel or k not in kernel[-1]:
+        return None
+    return [(-kernel[-1].get(i, 0)) % p for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

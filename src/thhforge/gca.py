@@ -489,7 +489,7 @@ class CoactionTable:
 def _kernel(basis: Sequence[Monomial], constraint, p: int) -> list[Element]:
     """Basis of the elements of span(basis) that the constraint map kills."""
     mat = fplin.constraint_matrix(basis, [constraint], p)
-    return [{basis[j]: v for j, v in vec.entries} for vec in fplin.kernel_basis(mat)]
+    return [{basis[j]: v for j, v in vec.items()} for vec in fplin.kernel_basis(mat)]
 
 
 def comodule_primitives(

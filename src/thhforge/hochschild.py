@@ -147,23 +147,17 @@ class HochschildComplex:
         n = len(src)
         if n == 0:
             return []
-        mat = fplin.SparseMat.from_columns(cols, self.A.p)
-        kernel = [v.to_dict() for v in fplin.kernel_basis(mat)]
-        # image of the next boundary
-        above = self.basis(q + 1, t)
+        kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, self.A.p))
+        # a cycle is a new class when it enlarges the image of the next boundary
         idx = {c: i for i, c in enumerate(src)}
-        img = fplin.Span(n, self.A.p)
-        for c in above:
-            img.add(self._vec(self.boundary_chain(c), idx))
-        reps: list[HHClass] = []
-        span = img
-        for vec in kernel:
-            residue = span.reduce(vec)
-            if residue:
-                span.add(residue)
-                elt = {src[i]: v for i, v in vec.items()}
-                reps.append(HHClass.make(q, t, elt))
-        return reps
+        span = fplin.Span(n, self.A.p)
+        for c in self.basis(q + 1, t):
+            span.add(self._vec(self.boundary_chain(c), idx))
+        return [
+            HHClass.make(q, t, {src[i]: v for i, v in vec.items()})
+            for vec in kernel
+            if span.add(vec)
+        ]
 
 
 def boundary(algebra: AlgebraPresentation, elt: ChainElt) -> ChainElt:
@@ -563,15 +557,21 @@ def closed_form_hh(
         else:
             raise ValueError(f"unsupported generator kind for closed form: {g.kind}")
     out = AlgebraPresentation(algebra.p, gens, n)
-    hopf = HopfData(out)
-    for g in out.gens:
+    return out, fiberwise_hopf(out)
+
+
+def fiberwise_hopf(algebra: AlgebraPresentation) -> HopfData:
+    """Fiberwise coproducts of the filtered generators: a divided power
+    gamma_k s(x) is divided, every other positive-filtration class primitive."""
+    hopf = HopfData(algebra)
+    for g in algebra.gens:
         if g.filtration == 0:
             continue
-        if g.gamma_power:
+        if g.gamma_power and g.sigma_of is not None:
             hopf.set_divided(g.name, sigma_name(g.sigma_of), g.gamma_power)
         else:
             hopf.set_primitive(g.name)
-    return out, hopf
+    return hopf
 
 
 def hh_squarezero(
@@ -592,8 +592,11 @@ def hh_squarezero(
     on it by (-1)^{d(q+1) + s(k-1)}: the twist applied d times and the
     Koszul sign of moving u past u^{k-1}.  Primitive words are counted by
     (length, degree) by Moebius inversion of the word counts; no word is
-    listed.
+    listed.  Letters must have positive degree: a degree-0 letter has no
+    presented square-zero algebra to check it against.
     """
+    if low := [name for name, d in vee if d <= 0]:
+        raise ValueError(f"square-zero letters need positive degree: {', '.join(low)}")
     degs = [d for _, d in vee]
     n = max_degree if max_degree is not None else max(degs, default=0) * (qmax + 1)
 

@@ -37,7 +37,6 @@ __all__ = [
     "conjugate",
     "antipode",
     "pairing",
-    "dual_quotient_basis",
     "dual_action",
     "milnor_primitive",
     "parse_element",
@@ -583,8 +582,7 @@ def module_map_kernel(
     kernel_elements: dict[int, list[SteenrodElement]] = {}
     kernel_vecs: dict[int, list[dict[int, int]]] = {}
     for d in source.degrees():
-        mat = fplin.SparseMat.from_columns(matrices[d], 2)
-        kvecs = [v.to_dict() for v in fplin.kernel_basis(mat)]
+        kvecs = fplin.kernel_basis(fplin.SparseMat.from_columns(matrices[d], 2))
         total_rank_map += source.dim(d) - len(kvecs)
         if kvecs:
             elts = []
@@ -947,98 +945,6 @@ def _pair_word(word: tuple[int, ...], m: MilnorMonomial) -> int:
         if l.degree(2) == i and _pair_word((i,), l):
             total ^= _pair_word(word[1:], r) & c
     return total
-
-
-_DUAL_QUOTIENT_GENS: dict[str, Callable[[int, int], list[tuple[MilnorMonomial, str]]]] = {}
-
-
-def _dual_gens(name: str, p: int, max_degree: int) -> list[tuple[MilnorMonomial, str]]:
-    """Monomial generators of (A//B)_* for the supported B, with kinds."""
-    gens: list[tuple[MilnorMonomial, str]] = []
-
-    def add_xi(k, e, kind="P"):
-        g = _xi(k, e)
-        if g.degree(p) <= max_degree:
-            gens.append((g, kind))
-
-    def add_tau(k):
-        g = _tau(k)
-        if g.degree(p) <= max_degree:
-            gens.append((g, "E"))
-
-    def xi_family(start, head_exps):
-        # head_exps: exponents for xi_1..xi_{start-1}; xi_k for k >= start
-        for i, e in enumerate(head_exps):
-            add_xi(i + 1, e)
-        k = len(head_exps) + 1
-        while _xi(k, 1).degree(p) <= max_degree:
-            add_xi(k, 1)
-            k += 1
-
-    if p == 2:
-        if name == "E1":
-            xi_family(3, [2, 2])
-        elif name == "A1":
-            xi_family(3, [4, 2])
-        elif name == "A2":
-            xi_family(4, [8, 4, 2])
-        elif name == "EQ1":
-            xi_family(3, [1, 2])
-        elif name == "E":
-            k = 1
-            while _xi(k, 2).degree(2) <= max_degree:
-                add_xi(k, 2)
-                k += 1
-        else:
-            raise ValueError(f"unsupported subalgebra {name!r}")
-    else:
-        if name == "E1":
-            xi_family(2, [1])
-            k = 2
-            while _tau(k).degree(p) <= max_degree:
-                add_tau(k)
-                k += 1
-        elif name == "A1":
-            xi_family(2, [p])
-            k = 2
-            while _tau(k).degree(p) <= max_degree:
-                add_tau(k)
-                k += 1
-        elif name == "E":
-            xi_family(1, [])
-        else:
-            raise ValueError(f"unsupported subalgebra {name!r} at odd p")
-    return gens
-
-
-def dual_quotient_basis(name: str, p: int, degree: int) -> list[MilnorMonomial]:
-    """Monomial basis of (A//B)_* in one degree, B in {E1, A1, A2, EQ1, E}."""
-    gens = _dual_gens(name, p, degree)
-    out: list[MilnorMonomial] = []
-
-    def rec(idx: int, remaining: int, acc: MilnorMonomial):
-        if remaining == 0:
-            out.append(acc)
-            return
-        if idx >= len(gens):
-            return
-        g, kind = gens[idx]
-        dg = g.degree(p)
-        rec(idx + 1, remaining, acc)
-        e = 1
-        cur = acc
-        while e * dg <= remaining:
-            m, s = milnor_mul(cur, g, p)
-            if m is None or s == 0:
-                break
-            cur = m
-            rec(idx + 1, remaining - e * dg, cur)
-            if kind == "E":
-                break
-            e += 1
-
-    rec(0, degree, milnor_one())
-    return sorted(set(out), key=lambda m: (m.tau, m.xi))
 
 
 def parse_milnor(text: str, p: int = 2) -> dict[MilnorMonomial, int]:

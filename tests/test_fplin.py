@@ -37,8 +37,12 @@ def dense_rank_oracle(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def from_dense(rows: list[list[int]], p: int) -> fplin.SparseMat:
+    return fplin.SparseMat.from_rows([dict(enumerate(r)) for r in rows], len(rows[0]) if rows else 0, p)
+
+
 def test_identity_and_zero():
-    eye = fplin.SparseMat.from_dense([[1, 0], [0, 1]], p=2)
+    eye = from_dense([[1, 0], [0, 1]], p=2)
     assert fplin.rank(eye) == 2
     zero = fplin.SparseMat(3, 4, (), p=2)
     assert fplin.rank(zero) == 0
@@ -47,14 +51,13 @@ def test_identity_and_zero():
 
 
 def test_kernel_of_sum_row():
-    m = fplin.SparseMat.from_dense([[1, 1]], p=2)
-    (v,) = fplin.kernel_basis(m)
-    assert v.to_dict() == {0: 1, 1: 1}
+    m = from_dense([[1, 1]], p=2)
+    assert fplin.kernel_basis(m) == [{0: 1, 1: 1}]
 
 
 def test_quotient_basis_examples():
     reps = fplin.quotient_basis(3, [{0: 1}], p=2)
-    assert [v.to_dict() for v in reps] == [{1: 1}, {2: 1}]
+    assert reps == [{1: 1}, {2: 1}]
     reps = fplin.quotient_basis(2, [{0: 1}, {1: 1}], p=2)
     assert reps == []
     # coinvariants of the swap on a 4-dim tensor square: quotient by x(x)y - y(x)x
@@ -73,6 +76,53 @@ def test_solve_in_span(p):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    hst.integers(min_value=0, max_value=6),
+    hst.integers(min_value=1, max_value=7),
+    hst.sampled_from([2, 3, 5]),
+    hst.randoms(use_true_random=False),
+)
+def test_solve_in_span_property(k, n, p, rng):
+    vectors = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+    sparse = [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
+
+    def combination(c: list[int]) -> list[int]:
+        return [sum(ci * vec[i] for ci, vec in zip(c, vectors)) % p for i in range(n)]
+
+    # a random combination is solved, though the coefficients need not be the same
+    made = combination([rng.randrange(p) for _ in range(k)])
+    sol = fplin.solve_in_span(sparse, {i: v for i, v in enumerate(made) if v}, n, p)
+    assert sol is not None and len(sol) == k and combination(sol) == made
+    # a target outside the span, by the dense oracle, has no solution
+    target = [rng.randrange(p) for _ in range(n)]
+    sol = fplin.solve_in_span(sparse, {i: v for i, v in enumerate(target) if v}, n, p)
+    if dense_rank_oracle(vectors + [target], p) > dense_rank_oracle(vectors, p):
+        assert sol is None
+    else:
+        assert sol is not None and combination(sol) == target
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hst.integers(min_value=1, max_value=7),
+    hst.integers(min_value=1, max_value=8),
+    hst.sampled_from([2, 3, 5]),
+    hst.randoms(use_true_random=False),
+)
+def test_kernel_vectors_are_standard(nr, nc, p, rng):
+    rows = [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
+    columns = [[row[j] for row in rows] for j in range(nc)]
+    # column j is free when it does not raise the rank of the columns left of it
+    free = [j for j in range(nc)
+            if dense_rank_oracle(columns[: j + 1], p) == dense_rank_oracle(columns[:j], p)]
+    kernel = fplin.kernel_basis(from_dense(rows, p))
+    assert [max(vec) for vec in kernel] == free
+    for j, vec in zip(free, kernel):
+        assert vec[j] == 1
+        assert all(vec.get(f, 0) == 0 for f in free if f != j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     hst.integers(min_value=1, max_value=8),
     hst.integers(min_value=1, max_value=8),
     hst.sampled_from([2, 3, 5]),
@@ -80,12 +130,11 @@ def test_solve_in_span(p):
 )
 def test_rank_plus_kernel_is_cols(nr, nc, p, rng):
     rows = [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
-    m = fplin.SparseMat.from_dense(rows, p=p)
+    m = from_dense(rows, p=p)
     assert fplin.rank(m) + len(fplin.kernel_basis(m)) == nc
     for vec in fplin.kernel_basis(m):
-        vd = vec.to_dict()
         for row in rows:
-            assert sum(row[j] * c for j, c in vd.items()) % p == 0
+            assert sum(row[j] * c for j, c in vec.items()) % p == 0
 
 
 def test_agreement_with_dense_oracle_gf2():
@@ -93,7 +142,7 @@ def test_agreement_with_dense_oracle_gf2():
     for _ in range(25):
         nr, nc = rng.integers(1, 64, size=2)
         rows = rng.integers(0, 2, size=(int(nr), int(nc))).tolist()
-        m = fplin.SparseMat.from_dense(rows, p=2)
+        m = from_dense(rows, p=2)
         assert fplin.rank(m) == dense_rank_oracle(rows, 2)
 
 
@@ -103,7 +152,7 @@ def test_agreement_with_dense_oracle_odd():
         for _ in range(15):
             nr, nc = rng.integers(1, 24, size=2)
             rows = rng.integers(0, p, size=(int(nr), int(nc))).tolist()
-            m = fplin.SparseMat.from_dense(rows, p=p)
+            m = from_dense(rows, p=p)
             assert fplin.rank(m) == dense_rank_oracle(rows, p)
 
 

@@ -243,6 +243,12 @@ def test_square_zero_vs_presented(p, degs, qmax, tmax):
     assert sq == hh.hh_dims(hh.hh_homology(A, tmax, qmax=qmax))
 
 
+def test_square_zero_refuses_nonpositive_letters():
+    for vee in ([("a", 0), ("b", 1)], [("a", -1)]):
+        with pytest.raises(ValueError, match="positive degree: a"):
+            hh.hh_squarezero(vee, 3, p=2)
+
+
 def test_square_zero_rank5_example():
     sq = hh.hh_squarezero([("x", 1), ("y", 1)], 1, p=2)
     assert sum(v for (q, t), v in sq.items() if q == 1) == 5

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from thhforge import steenrod as st
+from thhforge.catalog import spectrum
 from thhforge.steenrod import MilnorMonomial, SubalgebraSpec
 
 
@@ -175,14 +176,13 @@ def test_pairing_matrix_invertible():
 
 
 def test_dual_quotient_bases():
-    # bottom positive-degree classes of the standard quotient subalgebras
-    assert [str(m) for m in st.dual_quotient_basis("A1", 2, 4)] == ["xibar1^4"]
-    got = {str(m) for m in st.dual_quotient_basis("A2", 2, 8)}
-    assert "xibar1^8" in got
-    assert [str(m) for m in st.dual_quotient_basis("EQ1", 2, 1)] == ["xibar1"]
-    assert st.dual_quotient_basis("A1", 2, 1) == []
-    with pytest.raises(ValueError):
-        st.dual_quotient_basis("A7", 2, 3)
+    # bottom positive-degree classes of (A//A(1))_* and (A//A(2))_*, as the
+    # catalog presents the homology of ko and tmf
+    ko = spectrum("ko", 2, 8).homology
+    assert ko.monomial_basis(4) == [ko.gen_monomial("xibar1^4")]
+    assert ko.monomial_basis(1) == []
+    tmf = spectrum("tmf", 2, 8).homology
+    assert tmf.gen_monomial("xibar1^8") in tmf.monomial_basis(8)
 
 
 def test_dual_action():
