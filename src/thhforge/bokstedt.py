@@ -153,11 +153,14 @@ def _page_coaction(
 # ---------------------------------------------------------------------------
 # stage 1: the initial term
 
+CHAIN_BUDGET = 20000  # chains in a normalized Hochschild complex built on request
+
+
 def build_e2(
     data: SpectrumData,
     max_degree: int,
     cross_check_internal: int | None = None,
-    cross_check_budget: int = 20000,
+    cross_check_budget: int = CHAIN_BUDGET,
 ) -> SSPage:
     """Initial term of the spectral sequence from the homology presentation.
 
@@ -218,16 +221,20 @@ def _budget_cut(counts: list[int], budget: int) -> int:
     return len(counts) - 1
 
 
-def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int) -> int:
-    """Largest t <= bound whose total chain count stays within budget."""
+def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int, qmax: int | None = None) -> int:
+    """Largest t <= bound whose total chain count stays within budget.
+
+    chains(t) = sum_{d0} dim_{d0} * words(t - d0), where words(t) counts
+    the words in the positive-degree part of H of total degree t and, when
+    qmax is set, of length at most qmax.
+    """
     series = H.poincare_series(bound)
-    reduced = list(series)
-    reduced[0] = 0
-    # chains(t) = sum_{d0} dim_{d0} * words(t - d0), words = 1/(1 - reduced)
-    words = [0] * (bound + 1)
-    words[0] = 1
-    for t in range(1, bound + 1):
-        words[t] = sum(reduced[s] * words[t - s] for s in range(1, t + 1))
+    words = [1] + [0] * bound
+    level = list(words)  # the words of one length, by degree
+    for _ in range(bound if qmax is None else min(qmax, bound)):
+        level = [0] + [sum(series[s] * level[t - s] for s in range(1, t + 1))
+                       for t in range(1, bound + 1)]
+        words = [w + v for w, v in zip(words, level)]
     return _budget_cut([sum(series[d0] * words[t - d0] for d0 in range(t + 1))
                         for t in range(bound + 1)], budget)
 

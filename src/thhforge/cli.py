@@ -266,6 +266,12 @@ def cmd_hh(args, config) -> int:
     else:
         print("hh compute needs --preset or --spectrum", file=sys.stderr)
         return EXIT_USAGE
+    cut = bk._budgeted_bound(pres, n, bk.CHAIN_BUDGET, qmax)
+    if cut < n:
+        print(f"error: the Hochschild complex through t = {n} has more than "
+              f"{bk.CHAIN_BUDGET} chains; the largest degree within budget is "
+              f"t = {cut} (--maxdeg {cut})", file=sys.stderr)
+        return EXIT_USAGE
     dims = hh_dims(hh_homology(pres, n, qmax=qmax))
     result = {f"{q},{t}": v for (q, t), v in sorted(dims.items()) if v}
     emit(envelope("hh compute",

@@ -2,10 +2,10 @@
 
 Every homology, rank, kernel and solve in this package reduces to row
 reduction over F_p, and all of it goes through one incremental RREF,
-Span.  Two storage lanes: bit-packed rows (Python ints) over F_2, and
-numpy integer rows at odd primes.  All public values are immutable after
-construction and all operations are pure, so concurrent read-only use
-is safe.
+Span, in plain Python: its rows are bit masks at p = 2 and sparse dicts
+at odd p.  PrimeField and SparseMat are immutable.  A Span grows as
+vectors are added to it; the functions below build their own spans and
+never modify their arguments.
 
 The sparse-algebra kernel shared by the algebra layers lives here too:
 elements are dicts {monomial: nonzero scalar mod p}, accumulated with
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 __all__ = [
     "PrimeField",
@@ -124,140 +122,99 @@ class SparseMat:
         return rank(self)
 
 
-class _Gf2Span:
-    """Reduced row space over F_2, rows as bit masks (bit i = column i)."""
-
-    def __init__(self, ncols: int) -> None:
-        self.ncols = ncols
-        self.rows: list[int] = []     # kept in RREF, sorted by pivot
-        self.pivots: list[int] = []   # pivot column of each row
-
-    def reduce(self, mask: int) -> int:
-        for piv, row in zip(self.pivots, self.rows):
-            if (mask >> piv) & 1:
-                mask ^= row
-        return mask
-
-    def add(self, mask: int) -> bool:
-        mask = self.reduce(mask)
-        if mask == 0:
-            return False
-        piv = (mask & -mask).bit_length() - 1
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
-        self.pivots.insert(pos, piv)
-        self.rows.insert(pos, mask)
-        for i in range(len(self.rows)):
-            if i != pos and (self.rows[i] >> piv) & 1:
-                self.rows[i] ^= mask
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-class _ModpSpan:
-    """Reduced row space over F_p (p odd), rows as numpy int64 vectors."""
-
-    def __init__(self, ncols: int, p: int) -> None:
-        self.ncols = ncols
-        self.p = p
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        vec = vec % self.p
-        for piv, row in zip(self.pivots, self.rows):
-            c = int(vec[piv])
-            if c:
-                vec = (vec - c * row) % self.p
-        return vec
-
-    def add(self, vec: np.ndarray) -> bool:
-        vec = self.reduce(vec)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        vec = (vec * pow(int(vec[piv]), self.p - 2, self.p)) % self.p
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
-        self.pivots.insert(pos, piv)
-        self.rows.insert(pos, vec)
-        for i in range(len(self.rows)):
-            if i != pos:
-                c = int(self.rows[i][piv])
-                if c:
-                    self.rows[i] = (self.rows[i] - c * vec) % self.p
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def _subtract(out: dict[int, int], c: int, row: Mapping[int, int], p: int) -> None:
+    """out -= c * row mod p, dropping entries that cancel."""
+    for j, v in row.items():
+        w = (out.get(j, 0) - c * v) % p
+        if w:
+            out[j] = w
+        else:
+            del out[j]
 
 
 class Span:
     """Incremental RREF row space over F_p with membership queries.
 
-    Vectors go in and come out as {index: scalar} dicts.  Pivot choice is
-    the least index, so reduced forms are reproducible for a fixed basis
-    order.
+    Vectors go in and come out as {index: scalar} dicts.  The rows are
+    kept fully reduced in a dict {pivot: row}, the pivot being the row's
+    least index: a bit mask at p = 2, a {col: coeff} dict with coefficient
+    1 at the pivot at odd p.  An RREF row is zero at every other pivot, so
+    reducing a vector subtracts only the rows of the pivots it hits, and
+    the residue (and so every reduced form) depends only on the span.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
         PrimeField(p)
         self.ncols = ncols
         self.p = p
-        self._impl = _Gf2Span(ncols) if p == 2 else _ModpSpan(ncols, p)
+        self._rows: dict[int, int | dict[int, int]] = {}
+        self._pivot_mask = 0  # p = 2: one bit per pivot
 
-    def _pack(self, vec: Mapping[int, int]):
+    def _residue(self, vec: Mapping[int, int]) -> int | dict[int, int]:
+        """vec reduced against the rows, in the lane's row format."""
+        rows = self._rows
         if self.p == 2:
-            mask = 0
-            for i, v in vec.items():
-                if v % 2:
-                    mask |= 1 << i
+            mask = sum(1 << i for i, v in vec.items() if v % 2)
+            hit = mask & self._pivot_mask
+            while hit:
+                low = hit & -hit
+                mask ^= rows[low.bit_length() - 1]
+                hit ^= low
             return mask
-        arr = np.zeros(self.ncols, dtype=np.int64)
-        for i, v in vec.items():
-            arr[i] = v % self.p
-        return arr
+        p = self.p
+        out = {i: v % p for i, v in vec.items() if v % p}
+        for piv, c in [(i, v) for i, v in out.items() if i in rows]:
+            _subtract(out, c, rows[piv], p)
+        return out
 
-    def _unpack(self, packed) -> dict[int, int]:
+    def _as_dict(self, row) -> dict[int, int]:
         if self.p == 2:
             out = {}
-            i = 0
-            while packed:
-                if packed & 1:
-                    out[i] = 1
-                packed >>= 1
-                i += 1
+            while row:
+                low = row & -row
+                out[low.bit_length() - 1] = 1
+                row ^= low
             return out
-        return {int(i): int(packed[i]) for i in np.nonzero(packed)[0]}
+        return dict(sorted(row.items()))
 
     def add(self, vec: Mapping[int, int]) -> bool:
         """Add a vector; True if it enlarged the span."""
-        return self._impl.add(self._pack(vec))
+        new = self._residue(vec)
+        if not new:
+            return False
+        rows = self._rows
+        if self.p == 2:
+            piv = (new & -new).bit_length() - 1
+            for i in [i for i, r in rows.items() if (r >> piv) & 1]:
+                rows[i] ^= new
+            self._pivot_mask |= 1 << piv
+        else:
+            p = self.p
+            piv = min(new)
+            inv = pow(new[piv], p - 2, p)
+            new = {j: v * inv % p for j, v in new.items()}
+            for r in [r for r in rows.values() if piv in r]:
+                _subtract(r, r[piv], new, p)
+        rows[piv] = new
+        return True
 
     def reduce(self, vec: Mapping[int, int]) -> dict[int, int]:
         """Residue of vec after reduction against the span (RREF rows)."""
-        return self._unpack(self._impl.reduce(self._pack(vec)))
+        return self._as_dict(self._residue(vec))
 
     def contains(self, vec: Mapping[int, int]) -> bool:
         return not self.reduce(vec)
 
     @property
     def rank(self) -> int:
-        return self._impl.rank
+        return len(self._rows)
 
     @property
     def pivots(self) -> list[int]:
-        return list(self._impl.pivots)
+        return sorted(self._rows)
 
     def basis(self) -> list[dict[int, int]]:
-        return [self._unpack(r) for r in self._impl.rows]
+        return [self._as_dict(self._rows[piv]) for piv in self.pivots]
 
 
 def _span_of(vectors: Iterable[Mapping[int, int]], ncols: int, p: int) -> Span:

@@ -598,16 +598,20 @@ def module_map_kernel(
     cokernel_rank = sum(target.dim(d) for d in target.degrees()) - total_rank_map
 
     def reduce_fn(elt: SteenrodElement, d: int) -> dict[int, int] | None:
+        # each kernel vector is 1 at its own free column max(kv) and 0 at
+        # the others, so the coordinates are amb's entries there
         amb = source.reduce_ambient(elt, d)
         if amb is None:
             return None
-        if not amb:
-            return {}
-        vecs = kernel_vecs.get(d, [])
-        sol = fplin.solve_in_span(vecs, amb, source.dim(d), 2)
-        if sol is None:
+        kvecs = kernel_vecs.get(d, [])
+        coords = {i: 1 for i, kv in enumerate(kvecs) if amb.get(max(kv), 0) % 2}
+        combo: dict[int, int] = {}
+        for i in coords:
+            for j, v in kvecs[i].items():
+                fplin.add_term(combo, j, v, 2)
+        if combo != {j: 1 for j, v in amb.items() if v % 2}:
             return None  # in the module but not in the kernel
-        return {i: c for i, c in enumerate(sol) if c % 2}
+        return coords
 
     return GradedModulePresentation(source.spec, kernel_elements, reduce_fn), cokernel_rank
 

@@ -105,6 +105,23 @@ def test_hh_spectrum_ignores_the_coaction(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["1,2"] == 1
 
 
+@pytest.mark.parametrize("maxdeg", [[], ["--maxdeg", "28"]])
+def test_hh_refuses_a_complex_over_the_chain_budget(capsys, maxdeg):
+    # F_2[x] with |x| = 2 has 2^(k-1) reduced words in degree 2k, so the
+    # complex passes the chain budget after t = 27 (the default maxdeg is 40)
+    assert cli.main(["hh", "compute", "--preset", "polynomial", "--p", "2", *maxdeg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.rstrip().endswith("t = 27 (--maxdeg 27)")
+
+
+def test_hh_chain_budget_counts_words_up_to_qmax(capsys):
+    # unrestricted, two degree-1 letters give 2^t words; qmax = 5 bounds them
+    assert cli.main(["hh", "compute", "--preset", "squarezero", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["maxdeg"] == 40
+
+
 def test_bokstedt_run_j_at_the_degree_cap(capsys):
     # the non-flat square-zero factor is counted, not enumerated
     code = cli.main(["bokstedt", "run", "--spectrum", "j", "--p", "2", "--maxdeg", "128",

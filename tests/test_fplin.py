@@ -10,13 +10,16 @@ from hypothesis import strategies as hst
 from thhforge import fplin
 
 
-def dense_rank_oracle(rows: list[list[int]], p: int) -> int:
-    """Textbook elimination on a numpy copy; independent of the Span path."""
+def dense_rref(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Textbook elimination on a numpy copy; independent of the Span path.
+
+    Returns the nonzero rows of the reduced row echelon form, each 1 at
+    its leading column and 0 at the other rows' leading columns.
+    """
     a = np.array(rows, dtype=np.int64) % p
     if a.size == 0:
-        return 0
+        return []
     nr, nc = a.shape
-    rank = 0
     row = 0
     for col in range(nc):
         piv = None
@@ -32,9 +35,12 @@ def dense_rank_oracle(rows: list[list[int]], p: int) -> int:
         for rr in range(nr):
             if rr != row and a[rr, col]:
                 a[rr] = (a[rr] - a[rr, col] * a[row]) % p
-        rank += 1
         row += 1
-    return rank
+    return a[:row].tolist()
+
+
+def dense_rank_oracle(rows: list[list[int]], p: int) -> int:
+    return len(dense_rref(rows, p))
 
 
 def from_dense(rows: list[list[int]], p: int) -> fplin.SparseMat:
@@ -168,6 +174,32 @@ def test_row_reduction_idempotent():
         for r in reduced:
             sp2.add(r)
         assert sp2.basis() == reduced
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hst.integers(min_value=0, max_value=8),
+    hst.integers(min_value=1, max_value=9),
+    hst.sampled_from([2, 3, 5]),
+    hst.randoms(use_true_random=False),
+)
+def test_span_is_the_dense_rref(k, n, p, rng):
+    rows = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)] for _ in range(k)]
+    sp = fplin.Span(n, p)
+    for r in rows:
+        sp.add({j: v for j, v in enumerate(r) if v})
+    rref = dense_rref(rows, p)
+    assert sp.basis() == [{j: v for j, v in enumerate(r) if v} for r in rref]
+    assert sp.pivots == sorted(sp.pivots) == [min(b) for b in sp.basis()]
+    for row in sp.basis():
+        assert [row.get(piv, 0) for piv in sp.pivots] == [int(piv == min(row)) for piv in sp.pivots]
+    for _ in range(3):
+        vec = [rng.randrange(p) for _ in range(n)]
+        residue = sp.reduce({j: v for j, v in enumerate(vec) if v})
+        assert all(piv not in residue for piv in sp.pivots)
+        # v - reduce(v) lies in the span
+        diff = [(v - residue.get(j, 0)) % p for j, v in enumerate(vec)]
+        assert dense_rank_oracle(rows + [diff], p) == len(rref)
 
 
 def test_span_membership():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from thhforge import fplin
 from thhforge import steenrod as st
 from thhforge.catalog import spectrum
 from thhforge.steenrod import MilnorMonomial, SubalgebraSpec
@@ -92,6 +93,30 @@ def test_quotient_module_pipeline():
     K, cok = st.module_map_kernel(st.parse_element("Sq4"), M, N)
     assert K.total_rank() == 17
     assert cok == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_coordinates_match_solve_in_span(n):
+    """The kernel's reduce_fn reads coordinates off the standard kernel
+    vectors; a solve over the same vectors must give the same answer."""
+    spec = SubalgebraSpec.A(n)
+    M = st.quotient_module(spec, [st.parse_element("Sq1"), st.parse_element("Sq2Sq3")])
+    N = st.quotient_module(spec, [st.parse_element("Sq1"), st.parse_element("Sq2")])
+    K, _ = st.module_map_kernel(st.parse_element("Sq4"), M, N)
+    outcomes = set()
+    for d in M.degrees():
+        kvecs = [M.reduce_ambient(e, d) for e in K.elements.get(d, [])]
+        basis = st.steenrod_basis(spec, d)
+        elements = basis + K.elements.get(d, []) + [
+            st.steenrod_add(k, b) for k in K.elements.get(d, []) for b in basis]
+        for e in elements:
+            amb = M.reduce_ambient(e, d)
+            sol = fplin.solve_in_span(kvecs, amb, M.dim(d), 2)
+            expect = None if sol is None else {i: c for i, c in enumerate(sol) if c}
+            got = K.reduce_ambient(e, d)
+            assert got == expect
+            outcomes.add("none" if got is None else "zero" if not got else "kernel")
+    assert outcomes == {"none", "zero", "kernel"}
 
 
 def test_module_map_trivial_cases():
