@@ -34,6 +34,7 @@ __all__ = [
     "apply_d_pminus1",
     "page_homology",
     "collapse_check",
+    "CoactionBoundError",
     "obstruction_scan",
     "resolve_extensions",
     "thh_homology",
@@ -444,18 +445,38 @@ def collapse_check(page: SSPage) -> bool:
     return all(g.filtration <= 1 for g in page.generators())
 
 
+def _primitive_monomials(page: SSPage, filtration: int, total_degree: int) -> list[tuple]:
+    """The monomials of one bidegree that are coalgebra primitives over the base."""
+    if filtration <= 0:
+        return []
+    return [m for m in page.algebra.bigraded_basis(filtration, total_degree)
+            if page.hopf.is_primitive(m)]
+
+
 def simultaneous_primitives(page: SSPage, filtration: int, total_degree: int) -> int:
     """Dimension of the space of simultaneous coalgebra- and comodule
     primitives in one bidegree (filtration 0 is excluded by the counit
-    convention)."""
-    if filtration <= 0:
+    convention).
+
+    The page is a Hopf algebra over its filtration-0 base B with monogenic
+    fibers, so by Milnor-Moore its coalgebra primitives are spanned by the
+    monomials b y^{p^k} and b gamma_1 (HopfData.is_primitive); no kernel
+    is needed.  This assumes the coproduct fiberwise_hopf declares, which
+    nothing yet checks against hochschild.coproduct_on_class.  An
+    element is an A_*-comodule primitive iff the algebra generators of
+    the Steenrod algebra act on it by zero, that is iff the xibar1^{p^i}
+    and (odd p) taubar0 components of its coaction vanish; those
+    component rows are ranked over the primitive monomials only.
+    """
+    prims = _primitive_monomials(page, filtration, total_degree)
+    if not prims:
         return 0
-    A = page.algebra
-    basis = A.bigraded_basis(filtration, total_degree)
-    if not basis:
-        return 0
-    constraints = [page.hopf.psi_reduced, page.coaction.nu_reduced]
-    return len(basis) - fplin.constraint_matrix(basis, constraints, A.p).rank()
+    rows = fplin.constraint_matrix(prims, [page.coaction.generator_components], page.algebra.p)
+    return len(prims) - rows.rank()
+
+
+class CoactionBoundError(ValueError):
+    """A scan that needs a coaction the catalog has not materialised."""
 
 
 def obstruction_scan(page: SSPage, max_degree: int | None = None) -> list[dict]:
@@ -463,28 +484,33 @@ def obstruction_scan(page: SSPage, max_degree: int | None = None) -> list[dict]:
 
     Scans every generator in filtration >= 2 (the only possible sources)
     against the simultaneous primitive spaces in the reachable target
-    bidegrees; an empty list certifies collapse through the bound.
+    bidegrees; an empty list certifies collapse through the bound.  A
+    target primitive built from a generator without a coaction entry is
+    refused with CoactionBoundError, naming the generator and the
+    largest source degree whose targets avoid all such generators.
     """
     if page.algebra is None:
         raise ValueError("obstruction scan needs a flat page with Hopf structure")
     bound = page.max_degree if max_degree is None else max_degree
+    scans = [(g, r) for g in page.generators() if g.filtration >= 2 and g.degree <= bound
+             for r in range(max(2, page.r), g.filtration + 1)]
+    gens = page.algebra.gens
+    lacking = {i for i in range(len(gens)) if i not in page.coaction.entries}
+    unavailable = lacking and [(g.degree, gens[i].name) for g, r in scans
+                               for m in _primitive_monomials(page, g.filtration - r, g.degree - 1)
+                               for i, _ in m if i in lacking]
+    if unavailable:
+        degree, name = min(unavailable)
+        raise CoactionBoundError(
+            f"coaction not available for generator {name}: "
+            f"the obstruction scan completes through degree {degree - 1}"
+        )
     out: list[dict] = []
-    for g in page.generators():
+    for g, r in scans:
         s, deg = g.filtration, g.degree
-        if s < 2 or deg > bound:
-            continue
-        for r in range(max(2, page.r), s + 1):
-            dim = simultaneous_primitives(page, s - r, deg - 1)
-            if dim:
-                out.append(
-                    {
-                        "source": g.name,
-                        "source_bidegree": [s, deg - s],
-                        "r": r,
-                        "target_bidegree": [s - r, deg - 1 - (s - r)],
-                        "dim": dim,
-                    }
-                )
+        if dim := simultaneous_primitives(page, s - r, deg - 1):
+            out.append({"source": g.name, "source_bidegree": [s, deg - s], "r": r,
+                        "target_bidegree": [s - r, deg - 1 - (s - r)], "dim": dim})
     return out
 
 

@@ -288,7 +288,11 @@ def cmd_bokstedt(args, config) -> int:
     n = min(resolve(args, config, "maxdeg"), HARD_DEGREE_CAP)
     if bad_bounds(n, p):
         return EXIT_USAGE
-    res = bk.thh_homology(args.spectrum, p, n)
+    try:
+        res = bk.thh_homology(args.spectrum, p, n)
+    except bk.CoactionBoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     emit(envelope("bokstedt run", {"spectrum": args.spectrum, "p": p, "maxdeg": n},
                   res.to_jsonable()), args, config)
     return EXIT_OK

@@ -7,8 +7,8 @@ Divided power generators are stored expanded as the truncated height-p
 family gamma_{p^i}; general gamma_j are derived monomials.
 
 Coaction tables over the dual Steenrod algebra and fiberwise coproduct
-data (for spectral sequence pages) live here too, together with the two
-primitive-space computations they support.
+data (for spectral sequence pages) live here too, each with the test for
+primitives it supports.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ __all__ = [
     "HopfData",
     "expand_divided",
     "gamma_coefficient",
-    "comodule_primitives",
-    "coalgebra_primitives",
-    "tensor_series",
 ]
 
 Monomial = tuple  # tuple[(gen_index, exponent), ...], sorted by index
@@ -146,6 +143,8 @@ class AlgebraPresentation:
                 raise ValueError(f"degree-0 generator {g.name} must be idempotent")
             if p != 2 and g.degree % 2 and g.max_exponent() not in (1,):
                 raise ValueError(f"odd-degree generator {g.name} must be exterior at odd p")
+        self._caps = [math.inf if g.max_exponent() is None else g.max_exponent()
+                      for g in self.gens]
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._tail_cache: dict[tuple[int, int], list[Monomial]] = {}
         self._filtration_cache: dict[int, dict[int, list[Monomial]]] = {}
@@ -172,24 +171,6 @@ class AlgebraPresentation:
             parts.append(self.gens[i].name if e == 1 else f"{self.gens[i].name}^{e}")
         return " ".join(parts)
 
-    def parse_monomial(self, text: str) -> Monomial:
-        text = text.strip()
-        if text in ("1", ""):
-            return ()
-        exps: dict[int, int] = {}
-        for part in text.replace("*", " ").split():
-            # generator names may themselves contain carets (xibar1^2), so
-            # try the whole token first, then split at the last caret
-            if part in self.index:
-                name, e = part, 1
-            elif "^" in part and part.rsplit("^", 1)[0] in self.index:
-                name, etxt = part.rsplit("^", 1)
-                e = int(etxt)
-            else:
-                raise KeyError(f"unknown generator in monomial: {part!r}")
-            exps[self.index[name]] = exps.get(self.index[name], 0) + e
-        return tuple(sorted(exps.items()))
-
     def _sign(self, m1: Monomial, m2: Monomial) -> int:
         if self.p == 2:
             return 1
@@ -213,13 +194,10 @@ class AlgebraPresentation:
         out = []
         for i in sorted(exps):
             e = exps[i]
-            g = self.gens[i]
-            if g.idempotent:
-                e = 1
-            else:
-                cap = g.max_exponent()
-                if cap is not None and e > cap:
+            if e > self._caps[i]:
+                if not self.gens[i].idempotent:
                     return None, 0
+                e = 1  # idempotents: u^2 = u
             out.append((i, e))
         return tuple(out), sign % self.p
 
@@ -390,6 +368,13 @@ class AlgebraPresentation:
         return {tuple(sorted(exps.items())): fplin.PrimeField(self.p).inv(c)}
 
 
+def _is_power(e: int, p: int) -> bool:
+    """Whether e = p^k for some k >= 0."""
+    while e > 1 and e % p == 0:
+        e //= p
+    return e == 1
+
+
 def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
     out = [0] * (n + 1)
     for i, x in enumerate(a):
@@ -399,11 +384,6 @@ def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
                     break
                 out[i + j] += x * y
     return out
-
-
-def tensor_series(a: list[int], b: list[int], n: int) -> list[int]:
-    """Poincare series of a tensor product = convolution of the factors."""
-    return _convolve(a + [0] * (n + 1 - len(a)), b + [0] * (n + 1 - len(b)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -427,48 +407,97 @@ class CoactionTable:
              (lambda a, b: self.A.mul_monomials(a, b), presentation.degree)],
             p,
         )
+        self._tensor = partial(fplin.mul, monomial_mul=self.mul_monomials, p=p)
+        # the same product on the quotient F_p[xibar1] (x) E(taubar0) (x) H,
+        # with xibar1^a taubar0^eps held as the pair (a, eps)
+        xi1 = 1 if p == 2 else 2 * (p - 1)
+        self._quotient_tensor = partial(fplin.mul, monomial_mul=fplin.tensor_monomial_mul(
+            [(lambda a, b: (None, 0) if a[1] and b[1] else ((a[0] + b[0], a[1] + b[1]), 1),
+              lambda a: xi1 * a[0] + a[1]),
+             (lambda a, b: self.A.mul_monomials(a, b), presentation.degree)],
+            p,
+        ), p=p)
         self.entries: dict[int, list[tuple[dict, Monomial]]] = {}
         for name, terms in (entries or {}).items():
             self.set_gen(name, terms)
         self._memo: dict[Monomial, dict] = {}
+        self._quotient_memo: dict[Monomial, dict] = {}
 
     def set_gen(self, name: str, terms: Iterable[tuple[Mapping[MilnorMonomial, int], Monomial]]) -> None:
         idx = self.A.index[name]
         self.entries[idx] = [(dict(a), m) for a, m in terms]
         self._memo = {}
+        self._quotient_memo = {}
 
     def set_primitive(self, name: str) -> None:
-        idx = self.A.index[name]
-        self.entries[idx] = [({milnor_one(): 1}, self.A.gen_monomial(name))]
-        self._memo = {}
+        self.set_gen(name, [({milnor_one(): 1}, self.A.gen_monomial(name))])
 
     def has_gen(self, name: str) -> bool:
         return self.A.index[name] in self.entries
+
+    def _generator_nu(self, i: int, project=lambda a: a) -> dict:
+        """nu(g_i) as dict[(dual monomial, Monomial)] -> coeff, the dual
+        monomials mapped through project (None drops the term)."""
+        if i not in self.entries:
+            raise KeyError(f"coaction not available for generator {self.A.gens[i].name}")
+        out: dict = {}
+        for a_elt, mono in self.entries[i]:
+            for mm, cc in a_elt.items():
+                if (q := project(mm)) is not None:
+                    fplin.add_term(out, (q, mono), cc, self.A.p)
+        return out
 
     def nu_monomial(self, m: Monomial) -> dict:
         """Coaction on a basis monomial: dict[(MilnorMonomial, Monomial)] -> coeff."""
         if m in self._memo:
             return self._memo[m]
-        p = self.A.p
-        tensor = partial(fplin.mul, monomial_mul=self.mul_monomials, p=p)
         acc = {(milnor_one(), ()): 1}
         for i, e in m:
-            if i not in self.entries:
-                raise KeyError(
-                    f"coaction not available for generator {self.A.gens[i].name}"
-                )
-            gen_nu: dict = {}
-            for a_elt, mono in self.entries[i]:
-                for mm, cc in a_elt.items():
-                    fplin.add_term(gen_nu, (mm, mono), cc, p)
-            acc = tensor(acc, fplin.power(gen_nu, e, tensor))
+            acc = self._tensor(acc, fplin.power(self._generator_nu(i), e, self._tensor))
         self._memo[m] = acc
         return acc
 
-    def nu_reduced(self, m: Monomial) -> dict:
-        """nu(m) - 1 (x) m: zero exactly on comodule primitives."""
-        out = dict(self.nu_monomial(m))
-        fplin.add_term(out, (milnor_one(), m), -1, self.A.p)
+    def generator_components(self, m: Monomial) -> dict:
+        """The xibar1^{p^i} and, at odd p, taubar0 components of nu(m).
+
+        They give the action on m of chi Sq^{2^i} (at odd p chi P^{p^i} and
+        chi beta), which generate the Steenrod algebra, so an element is a
+        comodule primitive iff its components vanish.  They are read off
+        the image of nu(m) in the quotient algebra F_p[xibar1] (x) E(taubar0)
+        of A_* by (xibar_k, k >= 2; taubar_k, k >= 1).  The last factor
+        g^e of m is multiplied in only against the terms of nu(m / g^e)
+        that it takes to a generator component.
+        """
+        p = self.A.p
+
+        def dual_to_generator(a: int, eps: int) -> bool:
+            return a == 0 if eps else _is_power(a, p)
+
+        head = self._quotient_nu(m[:-1])
+        out: dict = {}
+        for (q, mono), c in self._quotient_nu(m[-1:]).items():
+            wanted = {key: v for key, v in head.items()
+                      if dual_to_generator(key[0][0] + q[0], key[0][1] + q[1])}
+            for key, v in self._quotient_tensor(wanted, {(q, mono): c}).items():
+                fplin.add_term(out, key, v, p)
+        return out
+
+    def _quotient_nu(self, m: Monomial) -> dict:
+        """nu(m) in F_p[xibar1] (x) E(taubar0) (x) H, memoized by prefixes:
+        nu(m g^e) = nu(m) nu(g^e)."""
+        if m in self._quotient_memo:
+            return self._quotient_memo[m]
+        if len(m) > 1:
+            out = self._quotient_tensor(self._quotient_nu(m[:-1]), self._quotient_nu(m[-1:]))
+        elif m:
+            ((i, e),) = m
+            gen = self._generator_nu(
+                i, lambda a: None if len(a.xi) > 1 or a.tau not in ((), (0,))
+                else (sum(a.xi), len(a.tau)))
+            out = fplin.power(gen, e, self._quotient_tensor)
+        else:
+            out = {((0, 0), ()): 1}
+        self._quotient_memo[m] = out
         return out
 
     def nu(self, elt: Element) -> dict:
@@ -484,23 +513,6 @@ class CoactionTable:
 
         terms = [({a: c}, m) for (a, m), c in self.nu(elt).items()]
         return dual_action(terms, r, self.A.p)
-
-
-def _kernel(basis: Sequence[Monomial], constraint, p: int) -> list[Element]:
-    """Basis of the elements of span(basis) that the constraint map kills."""
-    mat = fplin.constraint_matrix(basis, [constraint], p)
-    return [{basis[j]: v for j, v in vec.items()} for vec in fplin.kernel_basis(mat)]
-
-
-def comodule_primitives(
-    a: AlgebraPresentation,
-    c: CoactionTable,
-    degree: int,
-    monomials: Sequence[Monomial] | None = None,
-) -> list[Element]:
-    """Basis of {x : nu(x) = 1 (x) x} in one degree, via a kernel computation."""
-    basis = list(monomials) if monomials is not None else a.monomial_basis(degree)
-    return _kernel(basis, c.nu_reduced, a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -554,26 +566,21 @@ class HopfData:
             acc = tensor(acc, fplin.power(self.entries[i], e, tensor))
         return acc
 
-    def psi_reduced(self, m: Monomial) -> dict:
-        """psi(m) - m (x) 1 - 1 (x) m in canonical coordinates."""
-        out = dict(self.psi_monomial(m))
-        base, fiber = self._split_base(m)
-        for key in [(base, fiber, ()), (base, (), fiber)]:
-            fplin.add_term(out, key, -1, self.A.p)
-        return out
+    def is_primitive(self, m: Monomial) -> bool:
+        """Whether the monomial m = b y^e is a coalgebra primitive over the base.
 
-
-def coalgebra_primitives(
-    h: HopfData,
-    degree: int,
-    monomials: Sequence[Monomial] | None = None,
-) -> list[Element]:
-    """Primitives of the reduced coproduct over the base, one degree.
-
-    Filtration-0 monomials are excluded by the counit convention, so the
-    computation runs over the positive-filtration span only.
-    """
-    a = h.A
-    basis = [m for m in (monomials if monomials is not None else a.monomial_basis(degree))
-             if a.filtration(m) > 0]
-    return _kernel(basis, h.psi_reduced, a.p)
+        Each fiber is monogenic and primitives of a tensor product of
+        connected coalgebras are the sums of those of the factors
+        (Milnor-Moore), so m is one exactly when its fiber part is a single
+        generator y with psi(y) = y (x) 1 + 1 (x) y and e a power of p.  A
+        divided tower gamma_{p^i} is primitive only at gamma_1, whose
+        exponent stays below p.
+        """
+        _, fiber = self._split_base(m)
+        if len(fiber) != 1:
+            return False
+        ((i, e),) = fiber
+        if i not in self.entries:
+            raise KeyError(f"no coproduct entry for generator {self.A.gens[i].name}")
+        g = ((i, 1),)
+        return self.entries[i] == {((), g, ()): 1, ((), (), g): 1} and _is_power(e, self.A.p)

@@ -62,9 +62,6 @@ class HochschildComplex:
         self._basis: dict[tuple[int, int], list[Chain]] = {}
         self._word_cache: dict[tuple[int, int], list[Chain]] = {}
 
-    def chain_degree(self, c: Chain) -> int:
-        return sum(self.A.degree(m) for m in c)
-
     def basis(self, q: int, t: int) -> list[Chain]:
         """All normalized chains of homological degree q, internal degree t."""
         key = (q, t)
@@ -348,67 +345,57 @@ def coproduct_on_class(
 ) -> dict[tuple[HHClass, HHClass], int]:
     """Project psi(representative) to the Kunneth basis of HH (x)_Lambda HH.
 
-    Requires HH free over the base through the relevant degrees (see
-    is_free_over_base); a failed projection signals non-flatness and is
-    refused with a diagnostic.
+    Canonicalizing a tensor moves base factors across to the left, so the
+    Kunneth basis is indexed by the Hochschild degrees (q1, q2) and the
+    total internal degree, which canonicalization keeps.  Candidates with
+    the larger left internal degree come first, so base factors are
+    reported on the left (x sigma x comes back as x sigma x (x) 1 +
+    x (x) sigma x).  Requires HH free over the base through the relevant
+    degrees (see is_free_over_base); a failed projection signals
+    non-flatness and is refused with a diagnostic.
     """
     A = algebra
     p = A.p
-    psi = chain_coproduct(A, cls.element())
-    by_bidegree: dict[tuple[int, int, int, int], TensorElt] = {}
+    t = cls.t
     cx = HochschildComplex(A)
-    for (l, r), v in psi.items():
-        key = (len(l) - 1, cx.chain_degree(l), len(r) - 1, cx.chain_degree(r))
-        by_bidegree.setdefault(key, {})[(l, r)] = v
+    by_block: dict[tuple[int, int], TensorElt] = {}
+    for (l, r), v in chain_coproduct(A, cls.element()).items():
+        by_block.setdefault((len(l) - 1, len(r) - 1), {})[(l, r)] = v
+
+    def block(q1: int, q2: int) -> list[tuple[Chain, Chain]]:
+        """Canonical chain pairs of Hochschild degrees (q1, q2), total degree t."""
+        return [(l, r) for t1 in range(t, -1, -1) for l in cx.basis(q1, t1)
+                for r in cx.basis(q2, t - t1) if not r[0]]
+
     out: dict[tuple[HHClass, HHClass], int] = {}
-    for (q1, t1, q2, t2), part in by_bidegree.items():
-        reps1 = hh.get((q1, t1), [])
-        reps2 = hh.get((q2, t2), [])
-        # basis of the tensor bidegree: canonical chain pairs
-        pairs = []
-        for l in cx.basis(q1, t1):
-            for r in cx.basis(q2, t2):
-                if not r[0]:
-                    pairs.append((l, r))
-        idx = {pr: i for i, pr in enumerate(pairs)}
+    for (q1, q2), part in by_block.items():
+        idx = {pr: i for i, pr in enumerate(block(q1, q2))}
 
         def vec(te: TensorElt) -> dict[int, int]:
             return {idx[k]: v for k, v in te.items()}
 
         candidates: list[dict[int, int]] = []
         labels: list[tuple[HHClass, HHClass]] = []
-        for r1 in reps1:
-            for r2 in reps2:
-                te: TensorElt = {}
-                for c1, v1 in r1.element().items():
-                    for c2, v2 in r2.element().items():
-                        canon = _canonicalize_tensor(A, c1, c2, v1 * v2)
-                        if canon is not None:
-                            fplin.add_term(te, *canon, p)
-                candidates.append(vec(te))
-                labels.append((r1, r2))
-        # boundaries inside the tensor complex at total bidegree +1
-        boundaries = []
-        for l in cx.basis(q1 + 1, t1):
-            for r in cx.basis(q2, t2):
-                if r[0]:
-                    continue
-                te = tensor_boundary(A, {(l, r): 1})
-                te = {k: v for k, v in te.items() if k in idx}
-                if te:
-                    boundaries.append(vec(te))
-        for l in cx.basis(q1, t1):
-            for r in cx.basis(q2 + 1, t2):
-                if r[0]:
-                    continue
-                te = tensor_boundary(A, {(l, r): 1})
-                te = {k: v for k, v in te.items() if k in idx}
-                if te:
-                    boundaries.append(vec(te))
-        sol = fplin.solve_in_span(candidates + boundaries, vec(part), len(pairs), p)
+        for t1 in range(t, -1, -1):
+            for r1 in hh.get((q1, t1), []):
+                for r2 in hh.get((q2, t - t1), []):
+                    te: TensorElt = {}
+                    for c1, v1 in r1.element().items():
+                        for c2, v2 in r2.element().items():
+                            canon = _canonicalize_tensor(A, c1, c2, v1 * v2)
+                            if canon is not None:
+                                fplin.add_term(te, *canon, p)
+                    candidates.append(vec(te))
+                    labels.append((r1, r2))
+        # boundaries inside the tensor complex one homological degree up,
+        # restricted to this block
+        boundaries = [b for pr in block(q1 + 1, q2) + block(q1, q2 + 1)
+                      if (b := {idx[k]: v for k, v in tensor_boundary(A, {pr: 1}).items()
+                                if k in idx})]
+        sol = fplin.solve_in_span(candidates + boundaries, vec(part), len(idx), p)
         if sol is None:
             raise ValueError(
-                f"coproduct projection failed in bidegree ({q1},{t1})x({q2},{t2}): "
+                f"coproduct projection failed in bidegree ({q1},{q2}) at internal degree {t}: "
                 "homology is not free over the base there"
             )
         for c, lab in zip(sol[: len(candidates)], labels):

@@ -59,10 +59,6 @@ def _binom_mod2(m: int, n: int) -> int:
     return 1 if (m - n) & n == 0 else 0
 
 
-def is_admissible(word: Sequence[int]) -> bool:
-    return all(word[j] >= 2 * word[j + 1] for j in range(len(word) - 1))
-
-
 @lru_cache(maxsize=None)
 def _adem_pair(a: int, b: int) -> frozenset:
     """Admissible expansion of the inadmissible product Sq^a Sq^b (a < 2b)."""
@@ -204,10 +200,6 @@ class SubalgebraSpec:
     @staticmethod
     def E(*qs: int) -> "SubalgebraSpec":
         return SubalgebraSpec("E", qs=tuple(sorted(set(qs))))
-
-    @staticmethod
-    def En(n: int) -> "SubalgebraSpec":
-        return SubalgebraSpec.E(*range(n + 1))
 
     @property
     def finite(self) -> bool:
@@ -443,24 +435,6 @@ class GradedModulePresentation:
                 for i, v in cols[j].items():
                     fplin.add_term(out, i, v, 2)
         return out
-
-    def verify_action_relation(self, left: Sequence[int], right: Sequence[int]) -> bool:
-        """Check that two generator words act identically (Adem spot check)."""
-        for d in self.degrees():
-            for j in range(self.dim(d)):
-                a = {j: 1}
-                da = d
-                for g in reversed(left):
-                    a = self.act(g, da, a)
-                    da += g
-                b = {j: 1}
-                db = d
-                for g in reversed(right):
-                    b = self.act(g, db, b)
-                    db += g
-                if a != b:
-                    return False
-        return True
 
 
 def _subalgebra_coords(spec: SubalgebraSpec, cache_dir=None):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from thhforge import bokstedt as bk
+from thhforge import fplin
 from thhforge.catalog import j_module_degrees, spectrum
-from thhforge.gca import AlgebraPresentation, GeneratorSpec, expand_divided
+from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec, expand_divided
+from thhforge.steenrod import milnor_one
 
 
 def expected_series(name, p, n, extra, divided=None):
@@ -126,19 +128,78 @@ def test_primitive_enumeration_ju():
 
 
 def test_comodule_primitivity_of_suspensions():
-    from thhforge.gca import comodule_primitives
-
     # sigma b on the ju page is a comodule primitive; sigma xibar3 on the
     # ku page is not (its coaction picks up xibar1 (x) sigma xibar2^2)
     ju_page = bk.build_e2(spectrum("ju", 2, 12), 12)
     A = ju_page.algebra
-    prims = comodule_primitives(A, ju_page.coaction, 4, A.bigraded_basis(1, 4))
-    assert [A.monomial_str(m) for vec in prims for m in vec] == ["s(b)"]
+    prims = [m for m in A.bigraded_basis(1, 4) if not ju_page.coaction.generator_components(m)]
+    assert [A.monomial_str(m) for m in prims] == ["s(b)"]
     ku_page = bk.build_e2(spectrum("ku", 2, 12), 12)
     B = ku_page.algebra
-    prims = comodule_primitives(B, ku_page.coaction, 8, B.bigraded_basis(1, 8))
-    names = {B.monomial_str(m) for vec in prims for m in vec}
-    assert "s(xibar3)" not in names
+    sx3 = B.gen_monomial("s(xibar3)")
+    assert ku_page.coaction.generator_components(sx3) == {
+        ((1, 0), B.gen_monomial("s(xibar2^2)")): 1
+    }
+
+
+def _final_page(name, p, n):
+    page = bk.apply_d_pminus1(bk.build_e2(spectrum(name, p, n), n))
+    return bk.page_homology(page)[0] if page.differential else page
+
+
+def _kernel_primitives(page, s, d):
+    """The full-basis oracle: the dimension of the common kernel of the
+    reduced coproduct and the reduced coaction on every monomial of (s, d)."""
+    A, hopf, coact = page.algebra, page.hopf, page.coaction
+    basis = A.bigraded_basis(s, d)
+
+    def psi_bar(m):
+        out = dict(hopf.psi_monomial(m))
+        base, fiber = hopf._split_base(m)
+        for key in ((base, fiber, ()), (base, (), fiber)):
+            fplin.add_term(out, key, -1, A.p)
+        return out
+
+    def nu_bar(m):
+        out = dict(coact.nu_monomial(m))
+        fplin.add_term(out, (milnor_one(), m), -1, A.p)
+        return out
+
+    return len(basis) - fplin.constraint_matrix(basis, [psi_bar, nu_bar], A.p).rank()
+
+
+@pytest.mark.parametrize("name,p,n", [
+    *[(name, 2, 32) for name in ("ju", "ku", "ko", "tmf", "bp")],
+    ("hz", 2, 24), ("hf", 2, 20),  # their full bases grow fastest
+    *[(name, 3, 40) for name in ("ju", "hz", "ell")], ("hf", 3, 32),
+    ("hf", 5, 60),
+])
+def test_simultaneous_primitives_match_the_kernel_oracle(name, p, n):
+    """The primitive monomials ranked by the generator components of the
+    coaction span the same space as the kernel of the stacked reduced
+    coproduct and coaction over the whole bidegree."""
+    page = _final_page(name, p, n)
+    for d in range(n + 1):
+        for s in range(1, d + 1):
+            assert bk.simultaneous_primitives(page, s, d) == _kernel_primitives(page, s, d), (s, d)
+
+
+def test_obstruction_scan_never_takes_the_full_coaction(monkeypatch):
+    page = bk.build_e2(spectrum("ju", 2, 97), 97)
+
+    def refuse(self, m):
+        raise AssertionError("the scan computed a full coaction")
+
+    monkeypatch.setattr(CoactionTable, "nu_monomial", refuse)
+    assert bk.obstruction_scan(page, 96) == []
+
+
+def test_scan_refuses_above_the_materialised_coactions():
+    # ju at p = 3 has lifted coactions only for xitilde_k, tautilde_k with k <= 2
+    page = _final_page("ju", 3, 109)
+    assert bk.obstruction_scan(page, 107) == []
+    with pytest.raises(bk.CoactionBoundError, match=r"s\(tautilde3\).*degree 107"):
+        bk.obstruction_scan(page, 108)
 
 
 def test_odd_ju_primitive_degrees():

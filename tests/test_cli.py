@@ -130,6 +130,20 @@ def test_bokstedt_run_j_at_the_degree_cap(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["nonflat"] is True
 
 
+def test_bokstedt_refuses_ju_above_its_materialised_coactions(capsys):
+    # the catalog lifts the ju coactions at p = 3 only through xitilde2 and
+    # tautilde2; the scan first needs s(tautilde3) at source degree 108
+    argv = ["bokstedt", "run", "--spectrum", "ju", "--p", "3", "--format", "json", "--maxdeg"]
+    assert cli.main([*argv, "107"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["collapse"]["scanned_to"] == 107
+    assert cli.main([*argv, "108"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "s(tautilde3)" in captured.err
+    assert captured.err.rstrip().endswith("completes through degree 107")
+
+
 def test_bokstedt_run_deterministic(tmp_path, schema):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

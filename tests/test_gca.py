@@ -17,11 +17,8 @@ from thhforge.gca import (
     CoactionTable,
     GeneratorSpec,
     HopfData,
-    coalgebra_primitives,
-    comodule_primitives,
     expand_divided,
     gamma_coefficient,
-    tensor_series,
 )
 from thhforge.steenrod import MilnorMonomial, milnor_one
 
@@ -106,7 +103,7 @@ def test_series_is_convolution_of_factors():
     a = AlgebraPresentation(3, [P("x", 2)], 12).poincare_series()
     b = AlgebraPresentation(3, [E("y", 3)], 12).poincare_series()
     both = AlgebraPresentation(3, [P("x", 2), E("y", 3)], 12).poincare_series()
-    assert tensor_series(a, b, 12) == both
+    assert [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(13)] == both
 
 
 def test_series_matches_enumeration():
@@ -243,11 +240,10 @@ def test_comodule_primitives():
         [({milnor_one(): 1}, A.gen_monomial("x")),
          ({MilnorMonomial((1,)): 1}, A.gen_monomial("y"))],
     )
-    prims = comodule_primitives(A, c, 2)
-    # y^2 is primitive, x is not
-    assert len(prims) == 1
-    assert list(prims[0]) == [((1, 2),)]
-    assert comodule_primitives(A, c, 0)  # the unit
+    # y^2 is primitive, x is not: Sq1_* x = y is the xibar1 component
+    assert [m for m in A.monomial_basis(2) if not c.generator_components(m)] == [((1, 2),)]
+    assert c.generator_components(((0, 1),)) == {((1, 0), ((1, 1),)): 1}
+    assert c.generator_components(()) == {}  # the unit
 
 
 def test_coalgebra_primitives():
@@ -260,14 +256,24 @@ def test_coalgebra_primitives():
     for g in A.gens:
         if g.gamma_power:
             h.set_divided(g.name, "sy", g.gamma_power)
-    # sx is primitive; gamma_2(sy) is not; base multiples of primitives are
-    prims3 = coalgebra_primitives(h, 3)
-    assert len(prims3) == 1
-    prims4 = coalgebra_primitives(h, 4)  # g2(sy) in degree 4? |sy| = 2: g2 deg 4
-    names = {A.monomial_str(m) for vec in prims4 for m in vec}
-    assert "g2(sy)" not in names
-    # b * sy is primitive over the base
-    assert any("b sy" in A.monomial_str(m) for vec in prims4 for m in vec)
+    # sx is primitive; gamma_2(sy) and sy gamma_2(sy) are not; base
+    # multiples of primitives are
+    prims = {A.monomial_str(m) for d in range(9) for m in A.monomial_basis(d)
+             if A.filtration(m) and h.is_primitive(m)}
+    assert prims == {"sx", "sy", "b sx", "b^2 sx", "b sy", "b^2 sy", "b^3 sy"}
+    # they span the kernel of the reduced coproduct over the base
+    for d in range(9):
+        basis = [m for m in A.monomial_basis(d) if A.filtration(m)]
+
+        def psi_bar(m):
+            out = dict(h.psi_monomial(m))
+            base, fiber = h._split_base(m)
+            for key in ((base, fiber, ()), (base, (), fiber)):
+                fplin.add_term(out, key, -1, 2)
+            return out
+
+        kernel = len(basis) - fplin.constraint_matrix(basis, [psi_bar], 2).rank()
+        assert kernel == sum(map(h.is_primitive, basis)), d
 
 
 def test_bigraded_series_tracks_filtration():
@@ -275,11 +281,28 @@ def test_bigraded_series_tracks_filtration():
     A = AlgebraPresentation(2, gens, 10)
     dims = A.bigraded_series(10)
     assert dims[(1, 3)] == 1 and dims[(0, 2)] == 1 and dims[(1, 5)] == 1
-    assert A.bigraded_basis(1, 5) == [A.parse_monomial("x sx")]
+    assert A.bigraded_basis(1, 5) == [((0, 1), (1, 1))]
 
 
-def test_parse_monomial():
+def test_monomial_str():
     A = AlgebraPresentation(2, [P("xibar1^2", 2), P("y", 1)], 10)
-    m = A.parse_monomial("xibar1^2 y^3")
-    assert A.monomial_str(m) == "xibar1^2 y^3"
-    assert A.parse_monomial("1") == ()
+    assert A.monomial_str(((0, 1), (1, 3))) == "xibar1^2 y^3"
+    assert A.monomial_str(()) == "1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([("ju", 2), ("ku", 2), ("hz", 3), ("ell", 3), ("ju", 3)]), hst.data())
+def test_generator_components_project_the_coaction(case, data):
+    """generator_components(m) is nu(m) cut down to the xibar1^{p^i} and
+    taubar0 terms, though it is computed in the quotient F_p[xibar1] (x)
+    E(taubar0) of A_*."""
+    page = _e2_page(*case)
+    A, c = page.algebra, page.coaction
+    p = A.p
+    m = data.draw(hst.sampled_from([m for d in range(30) for m in A.monomial_basis(d)
+                                    if all(i in c.entries for i, _ in m)]))
+    powers = {p ** k for k in range(8)}
+    expect = {((sum(a.xi), len(a.tau)), mono): v for (a, mono), v in c.nu_monomial(m).items()
+              if (a.tau, a.xi) == ((0,), ())
+              or not a.tau and len(a.xi) == 1 and a.xi[0] in powers}
+    assert c.generator_components(m) == expect

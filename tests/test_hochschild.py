@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from thhforge.catalog import spectrum
 from thhforge.gca import AlgebraPresentation, GeneratorSpec
 from thhforge import hochschild as hh
 from thhforge.hochschild import HochschildComplex
@@ -46,7 +47,7 @@ def test_chain_counts_match_series(p, degs, idempotent):
             chains = cx.basis(q, t)
             assert len(chains) == expected[t]
             assert chains == sorted(set(chains))
-            assert all(len(c) == q + 1 and cx.chain_degree(c) == t for c in chains)
+            assert all(len(c) == q + 1 and sum(map(A.degree, c)) == t for c in chains)
         expected = [sum(expected[i] * reduced[t - i] for i in range(t + 1)) for t in range(9)]
 
 
@@ -195,6 +196,38 @@ def test_coproduct_on_classes():
     res = hh.coproduct_on_class(E2, g2, HE)
     shapes = sorted(((a.q, a.t), (b.q, b.t)) for (a, b), c in res.items() if c)
     assert shapes == [((0, 0), (2, 2)), ((1, 1), (1, 1)), ((2, 2), (0, 0))]
+
+
+@pytest.mark.parametrize("algebra,t", [
+    (lambda: AlgebraPresentation(2, [P("x", 2), P("y", 4)], 14), 12),
+    (lambda: spectrum("ku", 2, 16).homology, 16),
+    (lambda: spectrum("ju", 2, 16).homology, 16),
+    (lambda: spectrum("hz", 3, 20).homology, 20),
+    (lambda: AlgebraPresentation(3, [P("x", 2), E("y", 3)], 14), 14),
+], ids=["P(x2)P(y4)@2", "ku@2", "ju@2", "hz@3", "P(x2)E(y3)@3"])
+def test_coproduct_projects_every_class_of_a_smooth_algebra(algebra, t):
+    # HH of a free commutative algebra is free over it, so every class has
+    # a Kunneth projection, and the counit leaves the term class (x) 1;
+    # canonical tensors move base factors left, out of the (q1, t1) x
+    # (q2, t2) blocks of the two factors
+    A = algebra()
+    H = hh.hh_homology(A, t)
+    (unit,) = H[(0, 0)]
+    for classes in H.values():
+        for cls in classes:
+            assert hh.coproduct_on_class(A, cls, H).get((cls, unit)) == 1
+
+
+def test_coproduct_of_suspensions_over_two_generators():
+    A = AlgebraPresentation(2, [P("x", 2), P("y", 4)], 14)
+    H = hh.hh_homology(A, 12)
+    (unit,) = H[(0, 0)]
+    sx = H[(1, 2)][0]
+    assert hh.coproduct_on_class(A, sx, H) == {(sx, unit): 1, (unit, sx): 1}
+    # x sx = x (sx (x) 1 + 1 (x) sx), reported with the base factor on the left
+    (x,) = H[(0, 2)]
+    xsx = next(c for c in H[(1, 4)] if c.rep == (((((0, 1),), ((0, 1),)), 1),))
+    assert hh.coproduct_on_class(A, xsx, H) == {(xsx, unit): 1, (x, sx): 1}
 
 
 def test_co_leibniz():
