@@ -21,7 +21,6 @@ from .hochschild import (
     closed_form_hh,
     fiberwise_hopf,
     hh_dims,
-    hh_homology,
     hh_squarezero,
     presentation_dims_internal,
     sigma_name,
@@ -196,13 +195,12 @@ def build_e2(
     if cross_check_internal is not None:
         bound = _budgeted_bound(data.homology, min(cross_check_internal, max_degree // 2),
                                 cross_check_budget)
-        raw = hh_dims(hh_homology(data.homology, bound))
+        raw = hh_dims(data.homology, bound)
         closed = {
             k: v
             for k, v in presentation_dims_internal(alg, bound).items()
             if v
         }
-        raw = {k: v for k, v in raw.items() if v}
         if raw != closed:
             raise AssertionError(
                 f"closed-form initial term disagrees with the normalized complex "
@@ -612,7 +610,7 @@ class THHResult:
     nonflat: bool = False
 
     def to_jsonable(self) -> dict:
-        return {
+        out = {
             "spectrum": self.spectrum,
             "p": self.p,
             "max_degree": self.max_degree,
@@ -640,6 +638,11 @@ class THHResult:
                 "coaction": _coaction_jsonable(self.coaction) if self.coaction else None,
             },
         }
+        # abutment generators the catalog gives no coaction for, if any
+        if self.coaction and (missing := [g.name for i, g in enumerate(self.abutment.gens)
+                                          if i not in self.coaction.entries]):
+            out["coaction_missing"] = missing
+        return out
 
 
 def _coaction_jsonable(coact: CoactionTable) -> dict:

@@ -21,6 +21,7 @@ __all__ = [
     "HHClass",
     "boundary",
     "hh_homology",
+    "hh_dims",
     "shuffle_product",
     "chain_coproduct",
     "coproduct_on_class",
@@ -61,6 +62,7 @@ class HochschildComplex:
         self.A = algebra
         self._basis: dict[tuple[int, int], list[Chain]] = {}
         self._word_cache: dict[tuple[int, int], list[Chain]] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
 
     def basis(self, q: int, t: int) -> list[Chain]:
         """All normalized chains of homological degree q, internal degree t."""
@@ -131,23 +133,37 @@ class HochschildComplex:
         return {index[c]: v for c, v in elt.items()}
 
     def boundary_matrix(self, q: int, t: int) -> tuple[list[Chain], list[Chain], list[dict[int, int]]]:
-        """Basis of C_q,t, basis of C_{q-1},t, and the columns of the boundary."""
+        """Bases of C_q,t and C_{q-1},t (empty when C_q,t is) and the boundary's columns."""
         src = self.basis(q, t)
-        dst = self.basis(q - 1, t)
+        dst = self.basis(q - 1, t) if src else []
         idx = {c: i for i, c in enumerate(dst)}
         cols = [self._vec(self.boundary_chain(c), idx) for c in src]
         return src, dst, cols
 
+    def rank(self, q: int, t: int) -> int:
+        """Rank of the boundary C_q,t -> C_{q-1},t (zero at q = 0), memoized."""
+        if (q, t) not in self._ranks:
+            _, dst, cols = self.boundary_matrix(q, t) if q > 0 else ((), (), ())
+            span = fplin.Span(len(dst), self.A.p)
+            for col in cols:
+                span.add(col)
+            self._ranks[(q, t)] = span.rank
+        return self._ranks[(q, t)]
+
+    def dim(self, q: int, t: int) -> int:
+        """dim HH_q,t = dim C_q,t - rank d_q - rank d_{q+1}."""
+        n = len(self.basis(q, t))
+        return n - self.rank(q, t) - self.rank(q + 1, t) if n else 0
+
     def homology(self, q: int, t: int) -> list[HHClass]:
         """Homology classes at (q, t) with cycle representatives."""
-        src, _, cols = self.boundary_matrix(q, t)
-        n = len(src)
-        if n == 0:
+        if not self.dim(q, t):
             return []
+        src, _, cols = self.boundary_matrix(q, t)
         kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, self.A.p))
         # a cycle is a new class when it enlarges the image of the next boundary
         idx = {c: i for i, c in enumerate(src)}
-        span = fplin.Span(n, self.A.p)
+        span = fplin.Span(len(src), self.A.p)
         for c in self.basis(q + 1, t):
             span.add(self._vec(self.boundary_chain(c), idx))
         return [
@@ -161,36 +177,47 @@ def boundary(algebra: AlgebraPresentation, elt: ChainElt) -> ChainElt:
     return HochschildComplex(algebra).boundary(elt)
 
 
-def hh_homology(
-    algebra: AlgebraPresentation,
-    max_degree: int,
-    qmax: int | None = None,
-) -> dict[tuple[int, int], list[HHClass]]:
-    """Bigraded homology with representatives, for t <= max_degree.
+def _bidegrees(algebra: AlgebraPresentation, max_degree: int, qmax: int | None) -> list[tuple[int, int]]:
+    """The bidegrees (q, t), t <= max_degree, at which homology is read.
 
     For connected positively graded algebras q is bounded by t; the
     square-zero and idempotent cases need an explicit qmax.
     """
-    cx = HochschildComplex(algebra)
     has_deg0 = any(g.idempotent for g in algebra.gens) or (
         algebra.square_zero and any(g.degree == 0 for g in algebra.gens)
     )
     if has_deg0 and qmax is None:
         raise ValueError("algebras with degree-0 content need an explicit qmax")
+    return [
+        (q, t)
+        for t in range(max_degree + 1)
+        for q in range((t if qmax is None else qmax if has_deg0 else min(qmax, t)) + 1)
+    ]
+
+
+def hh_homology(
+    algebra: AlgebraPresentation,
+    max_degree: int,
+    qmax: int | None = None,
+) -> dict[tuple[int, int], list[HHClass]]:
+    """Bigraded homology with representatives, for t <= max_degree (and
+    q <= qmax, which algebras with degree-0 content must give)."""
+    cx = HochschildComplex(algebra)
     out: dict[tuple[int, int], list[HHClass]] = {}
-    for t in range(max_degree + 1):
-        top_q = qmax if qmax is not None else t
-        for q in range(top_q + 1):
-            if not has_deg0 and q > t:
-                break
-            classes = cx.homology(q, t)
-            if classes:
-                out[(q, t)] = classes
+    for q, t in _bidegrees(algebra, max_degree, qmax):
+        if classes := cx.homology(q, t):
+            out[(q, t)] = classes
     return out
 
 
-def hh_dims(hh: Mapping[tuple[int, int], list]) -> dict[tuple[int, int], int]:
-    return {k: len(v) for k, v in hh.items()}
+def hh_dims(
+    algebra: AlgebraPresentation,
+    max_degree: int,
+    qmax: int | None = None,
+) -> dict[tuple[int, int], int]:
+    """The nonzero bigraded dims of hh_homology, from boundary ranks alone."""
+    cx = HochschildComplex(algebra)
+    return {(q, t): d for q, t in _bidegrees(algebra, max_degree, qmax) if (d := cx.dim(q, t))}
 
 
 def presentation_dims_internal(

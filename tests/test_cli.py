@@ -144,6 +144,21 @@ def test_bokstedt_refuses_ju_above_its_materialised_coactions(capsys):
     assert captured.err.rstrip().endswith("completes through degree 107")
 
 
+def test_bokstedt_names_the_generators_without_a_coaction(capsys):
+    # ju at p = 3 has abutment generators past xitilde2/tautilde2 whose
+    # coactions the catalog does not give; the result lists them by name
+    argv = ["bokstedt", "run", "--spectrum", "ju", "--p", "3", "--format", "json", "--maxdeg"]
+    missing = {}
+    for n in ("50", "51", "96"):
+        assert cli.main([*argv, n]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        missing[n] = result.get("coaction_missing")
+        assert "coaction_missing" not in result["abutment"]
+        names = [g["name"] for g in result["abutment"]["generators"]]
+        assert sorted(result["abutment"]["coaction"]) == sorted(set(names) - set(missing[n] or []))
+    assert missing == {"50": None, "51": ["xitilde3"], "96": ["xitilde3", "tautilde3"]}
+
+
 def test_bokstedt_run_deterministic(tmp_path, schema):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):
