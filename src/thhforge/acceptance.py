@@ -120,8 +120,9 @@ def criterion_3() -> dict:
                    a and b and c, t0, None)
 
 
-def criterion_4(bound: int = 24) -> dict:
+def criterion_4() -> dict:
     t0 = time.perf_counter()
+    bound = 24
     ok = True
     for p in (2, 3):
         for kind, degs in (("polynomial", (2, 4, 8)), ("exterior", (1, 3, 7))):

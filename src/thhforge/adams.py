@@ -350,7 +350,6 @@ def run_ss(
     smax: int | None = None,
     from_e1: bool = False,
     stop_after: int | None = None,
-    verify_stages: bool = True,
 ) -> tuple[ExtPage, PModulePresentation, list[dict]]:
     """Run the schedule and return the final term, the homotopy module
     presentation, and a stage log.
@@ -377,11 +376,9 @@ def run_ss(
     last_n = nmax
     for n in range(start_n, nmax + 1):
         rn = sched.r[n]
-        if verify_stages:
-            ok = _stage_homology_check(rn, sdeg[n], sdeg[n + 1], 8 * 2 ** (n - 1),
-                                       tmax_stem, smax)
-            if not ok:
-                raise AssertionError(f"stage n={n} homology mismatch")
+        if not _stage_homology_check(rn, sdeg[n], sdeg[n + 1], 8 * 2 ** (n - 1),
+                                     tmax_stem, smax):
+            raise AssertionError(f"stage n={n} homology mismatch")
         torsion.append(n)
         log.append({"n": n, "r": rn, "source": f"mu^{2 ** (n - 1)}",
                     "target": f"v1^{rn} l{n}"})

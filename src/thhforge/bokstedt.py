@@ -154,14 +154,10 @@ def _page_coaction(
 # stage 1: the initial term
 
 CHAIN_BUDGET = 20000  # chains in a normalized Hochschild complex built on request
+VERIFY_BUDGET = 200000  # page monomials behind the honest check of page_homology
 
 
-def build_e2(
-    data: SpectrumData,
-    max_degree: int,
-    cross_check_internal: int | None = None,
-    cross_check_budget: int = CHAIN_BUDGET,
-) -> SSPage:
+def build_e2(data: SpectrumData, max_degree: int, cross_check_internal: int | None = None) -> SSPage:
     """Initial term of the spectral sequence from the homology presentation.
 
     Flat entries get the closed-form Hochschild presentation with
@@ -194,7 +190,7 @@ def build_e2(
     )
     if cross_check_internal is not None:
         bound = _budgeted_bound(data.homology, min(cross_check_internal, max_degree // 2),
-                                cross_check_budget)
+                                CHAIN_BUDGET)
         raw = hh_dims(data.homology, bound)
         closed = {
             k: v
@@ -224,16 +220,19 @@ def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int, qmax: int |
     """Largest t <= bound whose total chain count stays within budget.
 
     chains(t) = sum_{d0} dim_{d0} * words(t - d0), where words(t) counts
-    the words in the positive-degree part of H of total degree t and, when
-    qmax is set, of length at most qmax.
+    the words in the reduced algebra (degree 0 holds the idempotent
+    monomials other than 1) of total degree t and, when qmax is set, of
+    length at most qmax.
     """
     series = H.poincare_series(bound)
+    reduced = [series[0] - 1] + series[1:]
     words = [1] + [0] * bound
     level = list(words)  # the words of one length, by degree
-    for _ in range(bound if qmax is None else min(qmax, bound)):
-        level = [0] + [sum(series[s] * level[t - s] for s in range(1, t + 1))
-                       for t in range(1, bound + 1)]
+    for _ in range(bound if qmax is None else qmax):
+        level = [sum(reduced[s] * level[t - s] for s in range(t + 1)) for t in range(bound + 1)]
         words = [w + v for w, v in zip(words, level)]
+        if not any(level) or series[0] * words[0] > budget:
+            break  # no longer word fits, or degree 0 alone is over budget
     return _budget_cut([sum(series[d0] * words[t - d0] for d0 in range(t + 1))
                         for t in range(bound + 1)], budget)
 
@@ -334,11 +333,7 @@ def differential_on_monomial(page: SSPage, m: tuple) -> dict:
     return out
 
 
-def page_homology(
-    page: SSPage,
-    verify_bound: int | None = None,
-    verify_budget: int = 200000,
-) -> tuple[SSPage, dict]:
+def page_homology(page: SSPage, verify_bound: int | None = None) -> tuple[SSPage, dict]:
     """Next page: recognized presentation checked against honest homology.
 
     The candidate removes, for each tower whose differential hits a
@@ -371,7 +366,7 @@ def page_homology(
     # incoming differentials land from one degree up, so honest verification
     # stops one short of the materialized bound
     bound = page.max_degree - 1 if verify_bound is None else min(verify_bound, page.max_degree - 1)
-    bound = _verify_budget_bound(A, bound, verify_budget)
+    bound = _verify_budget_bound(A, bound, VERIFY_BUDGET)
     cand_dims = {
         k: v for k, v in candidate.bigraded_series(bound).items() if v and k[1] <= bound
     }
@@ -477,7 +472,7 @@ class CoactionBoundError(ValueError):
     """A scan that needs a coaction the catalog has not materialised."""
 
 
-def obstruction_scan(page: SSPage, max_degree: int | None = None) -> list[dict]:
+def obstruction_scan(page: SSPage, max_degree: int) -> list[dict]:
     """Candidate differentials per the indecomposable-to-primitive rule.
 
     Scans every generator in filtration >= 2 (the only possible sources)
@@ -489,8 +484,7 @@ def obstruction_scan(page: SSPage, max_degree: int | None = None) -> list[dict]:
     """
     if page.algebra is None:
         raise ValueError("obstruction scan needs a flat page with Hopf structure")
-    bound = page.max_degree if max_degree is None else max_degree
-    scans = [(g, r) for g in page.generators() if g.filtration >= 2 and g.degree <= bound
+    scans = [(g, r) for g in page.generators() if g.filtration >= 2 and g.degree <= max_degree
              for r in range(max(2, page.r), g.filtration + 1)]
     gens = page.algebra.gens
     lacking = {i for i in range(len(gens)) if i not in page.coaction.entries}
@@ -515,7 +509,7 @@ def obstruction_scan(page: SSPage, max_degree: int | None = None) -> list[dict]:
 # ---------------------------------------------------------------------------
 # stage 4: multiplicative extensions
 
-def resolve_extensions(einf: SSPage, max_degree: int | None = None):
+def resolve_extensions(einf: SSPage, max_degree: int):
     """Abutment presentation from the final page via sigma-compatible
     Dyer-Lashof operations, with its coaction table and a relation log."""
     data = einf.spectrum
@@ -524,7 +518,6 @@ def resolve_extensions(einf: SSPage, max_degree: int | None = None):
         raise ValueError("cannot resolve extensions of a raw-dims page")
     p = data.p
     H = data.homology
-    bound = einf.max_degree if max_degree is None else max_degree
     links: dict[str, str] = {}
     relations: list[str] = []
     names = {g.name for g in A.gens}
@@ -544,7 +537,7 @@ def resolve_extensions(einf: SSPage, max_degree: int | None = None):
         k = g.degree if p == 2 else g.degree // 2
         val = data.dl.lookup(g.sigma_of, k, data.is_even_power(g.sigma_of), base.degree, p)
         if val is None:
-            if (2 if p == 2 else p) * g.degree > bound:
+            if (2 if p == 2 else p) * g.degree > max_degree:
                 continue  # the power relation is invisible below the bound
             raise KeyError(f"missing Dyer-Lashof entry Q^{k}({g.sigma_of})")
         if not val:
@@ -656,19 +649,14 @@ def _coaction_jsonable(coact: CoactionTable) -> dict:
     return out
 
 
-def thh_homology(
-    name: str,
-    p: int,
-    max_degree: int,
-    cross_check_internal: int | None = None,
-) -> THHResult:
+def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
     """Full pipeline for one catalog spectrum.
 
     Raises with a stage diagnostic when a certificate fails; the non-flat
     case stops after the initial term with raw dims.
     """
     data = spectrum(name, p, max_degree + 1)
-    e2 = build_e2(data, max_degree + 1, cross_check_internal=cross_check_internal)
+    e2 = build_e2(data, max_degree + 1)
     if not e2.flat:
         dims = {k: v for k, v in e2.raw_dims.items() if k[0] + k[1] <= max_degree}
         series = [0] * (max_degree + 1)
@@ -728,7 +716,7 @@ def _page_dims(page: SSPage, max_degree: int) -> dict[tuple[int, int], int]:
 # ---------------------------------------------------------------------------
 # Nishida instance certificates for the mod-2 image-of-J entries
 
-def nishida_certificates(max_degree: int = 16) -> list[dict]:
+def nishida_certificates() -> list[dict]:
     """Verify the dual-operation computations forcing the ju Dyer-Lashof
     entries Q^4(b) = Q^5(xibar1^4) = Q^7(xibar2^2) = 0 at p = 2.
 
@@ -736,6 +724,7 @@ def nishida_certificates(max_degree: int = 16) -> list[dict]:
     operations vanish on the claimed value by the stated relation
     instances, and checks the constraint map has zero kernel.
     """
+    max_degree = 16  # covers H_13, the highest degree a certificate reads
     ju = spectrum("ju", 2, max_degree)
     ku = spectrum("ku", 2, max_degree)
     H = ju.homology

@@ -27,13 +27,12 @@ class DyerLashofTable:
     """Q-operation values on homology generators, plus Bocksteins.
 
     entries maps (generator name, k) to the value of Q^k on it as an
-    element dict of the homology presentation.  The cartan flag enables
-    the shortcut Q^odd(square) = 0 at p = 2.
+    element dict of the homology presentation.  Entries not listed follow
+    from instability and, at p = 2, from Q^odd(square) = 0.
     """
 
     entries: dict[tuple[str, int], dict] = field(default_factory=dict)
     bockstein: dict[str, dict] = field(default_factory=dict)
-    cartan: bool = True
 
     def lookup(self, gen: str, k: int, is_even_power: bool, degree: int, p: int) -> dict | None:
         if (gen, k) in self.entries:
@@ -42,7 +41,7 @@ class DyerLashofTable:
             return {}  # instability: Q^k(x) = 0 below the degree
         if p != 2 and 2 * k < degree:
             return {}
-        if p == 2 and self.cartan and k % 2 == 1 and is_even_power:
+        if p == 2 and k % 2 == 1 and is_even_power:
             return {}  # Q^odd kills squares (Cartan formula)
         return None
 
@@ -60,7 +59,6 @@ class SpectrumData:
     gamma_square_zero: frozenset = frozenset()
     flat: bool = True
     squarezero_factor: tuple | None = None  # (label, degree) pairs for j
-    kappa_to: str | None = None             # comparison map target (ju -> ku)
 
     def is_even_power(self, gen_name: str) -> bool:
         m = self.milnor_values.get(gen_name)
@@ -155,10 +153,7 @@ def _build_subalgebra_spectrum(
     gen_list: list[tuple[str, MilnorMonomial, str]],
     dl: DyerLashofTable,
     extra_gens: list[GeneratorSpec] | None = None,
-    extra_coactions: dict | None = None,
-    commutative: bool = True,
     gamma_square_zero: frozenset = frozenset(),
-    kappa_to: str | None = None,
 ) -> SpectrumData:
     specs = []
     values: dict[str, MilnorMonomial] = {}
@@ -172,8 +167,6 @@ def _build_subalgebra_spectrum(
     recognize = _recognizer(values, H, p)
     for gname, m, kind in gen_list:
         coact.set_gen(gname, _psi_coaction(m, recognize, p))
-    for gname, terms in (extra_coactions or {}).items():
-        coact.set_gen(gname, terms)
     return SpectrumData(
         name=name,
         p=p,
@@ -182,10 +175,20 @@ def _build_subalgebra_spectrum(
         coaction=coact,
         milnor_values=values,
         dl=dl,
-        commutative=commutative,
         gamma_square_zero=gamma_square_zero,
-        kappa_to=kappa_to,
     )
+
+
+def _squaring_chain(data: SpectrumData, k: int) -> None:
+    """Q^{2^k}(xibar_k) = xibar_{k+1} up the unsquared generators from xibar_k;
+    entries whose target lies beyond the bound are invisible below it and
+    stay absent."""
+    H = data.homology
+    while _xibname(k, 1) in H.index:
+        nxt = _xibname(k + 1, 1)
+        if nxt in H.index:
+            data.dl.entries[(_xibname(k, 1), 2 ** k)] = {H.gen_monomial(nxt): 1}
+        k += 1
 
 
 def _bp_family(p: int, m: int | None, name: str, max_degree: int) -> SpectrumData:
@@ -203,15 +206,8 @@ def _bp_family(p: int, m: int | None, name: str, max_degree: int) -> SpectrumDat
             head = [2] * m
             gen_list = _xi_power_family(2, head, max_degree)
         data = _build_subalgebra_spectrum(name, 2, max_degree, gen_list, dl)
-        # squaring chain on the unsquared generators; entries whose target
-        # lies beyond the bound are invisible below it and stay absent
         if m is not None:
-            k = m + 1
-            while _xibname(k, 1) in data.homology.index:
-                nxt = _xibname(k + 1, 1)
-                if nxt in data.homology.index:
-                    dl.entries[(_xibname(k, 1), 2 ** k)] = {data.homology.gen_monomial(nxt): 1}
-                k += 1
+            _squaring_chain(data, m + 1)
     else:
         gen_list = []
         k = 1
@@ -236,22 +232,14 @@ def _bp_family(p: int, m: int | None, name: str, max_degree: int) -> SpectrumDat
                     else {}
                 )
                 k += 1
-    data.dl = dl
     return data
 
 
 def _ko_tmf(name: str, max_degree: int) -> SpectrumData:
     head = [4, 2] if name == "ko" else [8, 4, 2]
-    lo = len(head) + 1
     gen_list = _xi_power_family(2, head, max_degree)
-    dl = DyerLashofTable()
-    data = _build_subalgebra_spectrum(name, 2, max_degree, gen_list, dl)
-    k = lo
-    while _xibname(k, 1) in data.homology.index:
-        nxt = _xibname(k + 1, 1)
-        if nxt in data.homology.index:
-            dl.entries[(_xibname(k, 1), 2 ** k)] = {data.homology.gen_monomial(nxt): 1}
-        k += 1
+    data = _build_subalgebra_spectrum(name, 2, max_degree, gen_list, DyerLashofTable())
+    _squaring_chain(data, len(head) + 1)
     return data
 
 
@@ -267,19 +255,12 @@ def _ju_even(max_degree: int) -> SpectrumData:
         dl,
         extra_gens=[b],
         gamma_square_zero=frozenset({"b"}),
-        kappa_to="ku",
     )
     data.coaction.set_primitive("b")
-    H = data.homology
     dl.entries[("b", 4)] = {}
     dl.entries[(_xibname(1, 4), 5)] = {}
     dl.entries[(_xibname(2, 2), 7)] = {}
-    k = 3
-    while _xibname(k, 1) in H.index:
-        nxt = _xibname(k + 1, 1)
-        if nxt in H.index:
-            dl.entries[(_xibname(k, 1), 2 ** k)] = {H.gen_monomial(nxt): 1}
-        k += 1
+    _squaring_chain(data, 3)
     return data
 
 
@@ -353,7 +334,6 @@ def _ju_odd(p: int, max_degree: int) -> SpectrumData:
         milnor_values={},
         dl=dl,
         gamma_square_zero=frozenset({"b"}),
-        kappa_to="ell",
     )
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -33,7 +32,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-DEFAULTS = {"p": 2, "maxdeg": 40, "format": "table", "cache_dir": None}
+DEFAULTS = {"p": 2, "maxdeg": 40, "format": "table"}
 FORMATS = ("table", "json", "csv")
 HARD_DEGREE_CAP = 128
 
@@ -75,14 +74,6 @@ def bad_bounds(maxdeg: int, p: int | None = None) -> bool:
         print(f"error: --p must be a prime (got {p})", file=sys.stderr)
         return True
     return False
-
-
-def cache_dir_of(args, config) -> str | None:
-    return (
-        getattr(args, "cache_dir", None)
-        or os.environ.get("THHFORGE_CACHE")
-        or config.get("cache_dir")
-    )
 
 
 def envelope(command: str, params: dict, result) -> dict:
@@ -137,11 +128,10 @@ def _print_csv(result) -> None:
 # steenrod
 
 def cmd_steenrod(args, config) -> int:
-    cache = cache_dir_of(args, config)
     sub = args.steenrod_cmd
     if sub == "basis":
         spec = st.SubalgebraSpec.parse(args.subalgebra)
-        basis = st.steenrod_basis(spec, args.degree, cache)
+        basis = st.steenrod_basis(spec, args.degree)
         result = [st.element_str(e) for e in basis]
         emit(envelope("steenrod basis",
                       {"subalgebra": spec.id, "degree": args.degree}, result),
@@ -149,13 +139,13 @@ def cmd_steenrod(args, config) -> int:
         return EXIT_OK
     if sub == "rank":
         spec = st.SubalgebraSpec.parse(args.subalgebra)
-        result = st.total_rank(spec, cache)
+        result = st.total_rank(spec)
         emit(envelope("steenrod rank", {"subalgebra": spec.id}, result), args, config)
         return EXIT_OK
     if sub == "quotient":
         spec = st.SubalgebraSpec.parse(args.subalgebra)
         gens = [st.parse_element(s) for s in args.ideal.split(",")]
-        module = st.quotient_module(spec, gens, cache)
+        module = st.quotient_module(spec, gens)
         result: dict = {"total_rank": module.total_rank()}
         if not args.total_rank:
             result["series"] = {str(d): n for d, n in module.poincare().items()}
@@ -167,10 +157,8 @@ def cmd_steenrod(args, config) -> int:
         return EXIT_OK
     if sub == "kernel":
         spec = st.SubalgebraSpec.parse(args.subalgebra)
-        src = st.quotient_module(spec, [st.parse_element(s) for s in args.ideal.split(",")], cache)
-        tgt = st.quotient_module(
-            spec, [st.parse_element(s) for s in args.target_ideal.split(",")], cache
-        )
+        src = st.quotient_module(spec, [st.parse_element(s) for s in args.ideal.split(",")])
+        tgt = st.quotient_module(spec, [st.parse_element(s) for s in args.target_ideal.split(",")])
         kernel, cok = st.module_map_kernel(st.parse_element(args.map), src, tgt)
         result = {
             "kernel_rank": kernel.total_rank(),
@@ -254,7 +242,7 @@ def cmd_hh(args, config) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         p = pres.p
-        qmax = args.qmax
+        qmax = resolve(args, config, "qmax")
         n = min(n, pres.N)
     elif args.preset:
         if args.preset not in PRESETS:
@@ -263,7 +251,7 @@ def cmd_hh(args, config) -> int:
             return EXIT_USAGE
         pres, qmax = PRESETS[args.preset](p, n)
         n = min(n, pres.N)
-        qmax = args.qmax if args.qmax is not None else qmax
+        qmax = resolve(args, config, "qmax", qmax)
     else:
         print("hh compute needs --preset or --spectrum", file=sys.stderr)
         return EXIT_USAGE
@@ -352,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "homology and the spectral sequences of topological Hochschild homology.",
     )
     ap.add_argument("--config", help="key = value configuration file")
-    ap.add_argument("--cache-dir", dest="cache_dir", help="basis cache directory")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("steenrod", help="Steenrod algebra computations")

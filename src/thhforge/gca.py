@@ -143,6 +143,8 @@ class AlgebraPresentation:
                 raise ValueError(f"degree-0 generator {g.name} must be idempotent")
             if p != 2 and g.degree % 2 and g.max_exponent() not in (1,):
                 raise ValueError(f"odd-degree generator {g.name} must be exterior at odd p")
+            if square_zero and g.idempotent:
+                raise ValueError(f"idempotent generator {g.name} in a square-zero presentation")
         self._caps = [math.inf if g.max_exponent() is None else g.max_exponent()
                       for g in self.gens]
         self._basis_cache: dict[int, list[Monomial]] = {}
@@ -397,7 +399,7 @@ class CoactionTable:
     alphabet.  The extension is as an algebra map.
     """
 
-    def __init__(self, presentation: AlgebraPresentation, entries: Mapping[str, list] | None = None):
+    def __init__(self, presentation: AlgebraPresentation):
         self.A = presentation
         p = presentation.p
         # monomial product on A_* (x) H; the slot products are looked up at
@@ -418,8 +420,6 @@ class CoactionTable:
             p,
         ), p=p)
         self.entries: dict[int, list[tuple[dict, Monomial]]] = {}
-        for name, terms in (entries or {}).items():
-            self.set_gen(name, terms)
         self._memo: dict[Monomial, dict] = {}
         self._quotient_memo: dict[Monomial, dict] = {}
 

@@ -180,12 +180,10 @@ def boundary(algebra: AlgebraPresentation, elt: ChainElt) -> ChainElt:
 def _bidegrees(algebra: AlgebraPresentation, max_degree: int, qmax: int | None) -> list[tuple[int, int]]:
     """The bidegrees (q, t), t <= max_degree, at which homology is read.
 
-    For connected positively graded algebras q is bounded by t; the
-    square-zero and idempotent cases need an explicit qmax.
+    For connected positively graded algebras q is bounded by t; algebras
+    with idempotent generators need an explicit qmax.
     """
-    has_deg0 = any(g.idempotent for g in algebra.gens) or (
-        algebra.square_zero and any(g.degree == 0 for g in algebra.gens)
-    )
+    has_deg0 = any(g.idempotent for g in algebra.gens)
     if has_deg0 and qmax is None:
         raise ValueError("algebras with degree-0 content need an explicit qmax")
     return [

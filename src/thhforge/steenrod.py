@@ -251,11 +251,7 @@ def _to_vec(elt: SteenrodElement, index: Mapping[tuple, int]) -> dict[int, int]:
 _basis_memo: dict[tuple[str, int], list[SteenrodElement]] = {}
 
 
-def steenrod_basis(
-    spec: SubalgebraSpec,
-    degree: int,
-    cache_dir: str | os.PathLike | None = None,
-) -> list[SteenrodElement]:
+def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
     """F_2 basis of the subalgebra in one degree, in admissible coordinates.
 
     For the full algebra these are single admissible monomials.  For A_n
@@ -273,7 +269,7 @@ def steenrod_basis(
     key = (spec.id, degree)
     if key in _basis_memo:
         return _basis_memo[key]
-    cached = _load_cached_basis(spec, degree, cache_dir)
+    cached = _load_cached_basis(spec, degree)
     if cached is not None:
         _basis_memo[key] = cached
         return cached
@@ -289,7 +285,7 @@ def steenrod_basis(
             out.append(elt)
         out.sort(key=lambda e: sorted(e))
         _basis_memo[key] = out
-        _store_cached_basis(spec, degree, out, cache_dir)
+        _store_cached_basis(spec, degree, out)
         return out
     # A_n by closure: degree-d span = sum of Sq^{2^i} * basis(d - 2^i)
     if degree == 0:
@@ -299,27 +295,27 @@ def steenrod_basis(
         span = fplin.Span(len(index), 2)
         for i in spec.generator_exponents():
             g = frozenset({(i,)})
-            for b in steenrod_basis(spec, degree - i, cache_dir):
+            for b in steenrod_basis(spec, degree - i):
                 prod = steenrod_mul(g, b)
                 if prod:
                     span.add(_to_vec(prod, index))
         inv = admissible_monomials(degree)
         out = [frozenset(inv[i] for i in row) for row in span.basis()]
     _basis_memo[key] = out
-    _store_cached_basis(spec, degree, out, cache_dir)
+    _store_cached_basis(spec, degree, out)
     return out
 
 
-def _cache_path(spec: SubalgebraSpec, degree: int, cache_dir) -> str | None:
-    if cache_dir is None:
-        cache_dir = os.environ.get("THHFORGE_CACHE")
+def _cache_path(spec: SubalgebraSpec, degree: int) -> str | None:
+    """The basis file in the cache directory, the one cache setting; None when unset."""
+    cache_dir = os.environ.get("THHFORGE_CACHE")
     if cache_dir is None:
         return None
-    return os.path.join(str(cache_dir), f"p2_{spec.id}_d{degree}.json")
+    return os.path.join(cache_dir, f"p2_{spec.id}_d{degree}.json")
 
 
-def _load_cached_basis(spec, degree, cache_dir) -> list[SteenrodElement] | None:
-    path = _cache_path(spec, degree, cache_dir)
+def _load_cached_basis(spec, degree) -> list[SteenrodElement] | None:
+    path = _cache_path(spec, degree)
     if path is None or not os.path.exists(path):
         return None
     try:
@@ -339,11 +335,11 @@ def _load_cached_basis(spec, degree, cache_dir) -> list[SteenrodElement] | None:
         return None
 
 
-def _store_cached_basis(spec, degree, basis, cache_dir) -> None:
+def _store_cached_basis(spec, degree, basis) -> None:
     """Write the cache file atomically: a temporary file in the same
     directory is renamed over the target, so readers never see a partial
     file."""
-    path = _cache_path(spec, degree, cache_dir)
+    path = _cache_path(spec, degree)
     if path is None:
         return
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"  # unique per writer; open() honours the umask
@@ -357,11 +353,11 @@ def _store_cached_basis(spec, degree, basis, cache_dir) -> None:
             os.remove(tmp)
 
 
-def total_rank(spec: SubalgebraSpec, cache_dir=None) -> int:
+def total_rank(spec: SubalgebraSpec) -> int:
     """F_2 dimension of a finite subalgebra (A_n or exterior)."""
     if not spec.finite:
         raise ValueError("total rank of the full Steenrod algebra is infinite")
-    return sum(len(steenrod_basis(spec, d, cache_dir)) for d in range(spec.top_degree() + 1))
+    return sum(len(steenrod_basis(spec, d)) for d in range(spec.top_degree() + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +367,7 @@ class GradedModulePresentation:
     """A degreewise-finite left module over a finite subalgebra of A.
 
     Carries per-degree bases with ambient representatives inside the
-    subalgebra, together with matrices for left multiplication by the
-    algebra generators Sq^{2^i}.
+    subalgebra, and reduces ambient elements to module coordinates.
     """
 
     def __init__(
@@ -384,16 +379,6 @@ class GradedModulePresentation:
         self.spec = spec
         self.elements = {d: list(v) for d, v in basis_elements.items() if v}
         self._reduce_fn = reduce_fn
-        self.actions: dict[int, dict[int, list[dict[int, int]]]] = {}
-        for g in spec.generator_exponents():
-            per_deg: dict[int, list[dict[int, int]]] = {}
-            for d, elts in self.elements.items():
-                cols = []
-                for e in elts:
-                    img = steenrod_mul(frozenset({(g,)}), e)
-                    cols.append(self.reduce_ambient(img, d + g) or {})
-                per_deg[d] = cols
-            self.actions[g] = per_deg
 
     # -- structure ---------------------------------------------------
     def degrees(self) -> list[int]:
@@ -428,16 +413,15 @@ class GradedModulePresentation:
         return not coords
 
     def act(self, gen_exp: int, d: int, coords: Mapping[int, int]) -> dict[int, int]:
-        cols = self.actions[gen_exp].get(d, [])
-        out: dict[int, int] = {}
+        """Coordinates of Sq^{gen_exp} applied to the element with these coordinates."""
+        elt: SteenrodElement = frozenset()
         for j, c in coords.items():
             if c % 2:
-                for i, v in cols[j].items():
-                    fplin.add_term(out, i, v, 2)
-        return out
+                elt = steenrod_add(elt, self.elements[d][j])
+        return self.reduce_ambient(steenrod_mul(frozenset({(gen_exp,)}), elt), d + gen_exp) or {}
 
 
-def _subalgebra_coords(spec: SubalgebraSpec, cache_dir=None):
+def _subalgebra_coords(spec: SubalgebraSpec):
     """Per-degree coordinate system on a finite subalgebra.
 
     Returns lookup(d) -> (elements, pivots, amb_index); the basis rows are
@@ -447,7 +431,7 @@ def _subalgebra_coords(spec: SubalgebraSpec, cache_dir=None):
 
     def lookup(d: int):
         if d not in memo:
-            elts = steenrod_basis(spec, d, cache_dir)
+            elts = steenrod_basis(spec, d)
             index = _amb_index(d)
             span = fplin.Span(len(index), 2)
             for e in elts:
@@ -465,13 +449,12 @@ def _subalgebra_coords(spec: SubalgebraSpec, cache_dir=None):
 def quotient_module(
     spec: SubalgebraSpec,
     left_ideal_gens: Iterable[SteenrodElement],
-    cache_dir=None,
 ) -> GradedModulePresentation:
     """Quotient of a finite subalgebra by the left ideal on the given generators."""
     if not spec.finite:
         raise ValueError("quotient modules need a finite subalgebra")
     gens = [g for g in left_ideal_gens if g]
-    coords = _subalgebra_coords(spec, cache_dir)
+    coords = _subalgebra_coords(spec)
     top = spec.top_degree()
 
     ideal_spans: dict[int, fplin.Span] = {}
@@ -485,7 +468,7 @@ def quotient_module(
             dg = element_degree(g)
             if dg is None or dg > d:
                 continue
-            for b in steenrod_basis(spec, d - dg, cache_dir):
+            for b in steenrod_basis(spec, d - dg):
                 prod = steenrod_mul(b, g)
                 if prod:
                     span.add(_coords_in(prod, pivots, index))
@@ -595,7 +578,6 @@ def cyclic_and_annihilator_check(
     generator: SteenrodElement,
     generator_degree: int,
     candidate_ann_gens: Iterable[SteenrodElement],
-    cache_dir=None,
 ) -> bool:
     """True iff generator's orbit spans m, the candidates kill it, and the
     candidate quotient has m's Poincare series (shifted by the generator)."""
@@ -630,7 +612,7 @@ def cyclic_and_annihilator_check(
         if img and not m.is_zero(img, generator_degree + element_degree(c)):
             return False
     # quotient by the candidates matches m degreewise
-    q = quotient_module(m.spec, cands, cache_dir)
+    q = quotient_module(m.spec, cands)
     shifted = {d + generator_degree: n for d, n in q.poincare().items()}
     shifted = {d: n for d, n in shifted.items() if n}
     return shifted == m.poincare()

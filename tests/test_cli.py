@@ -122,6 +122,56 @@ def test_hh_chain_budget_counts_words_up_to_qmax(capsys):
     assert json.loads(capsys.readouterr().out)["params"]["maxdeg"] == 40
 
 
+def _write_generators(tmp_path, p, gens, **extra):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"p": p, "max_degree": 8, "generators": gens, **extra}))
+    return str(path)
+
+
+IDEMPOTENT = {"degree": 0, "kind": "truncated", "height": 2, "idempotent": True}
+
+
+def test_hh_chain_budget_counts_idempotent_letters(tmp_path, capsys):
+    # P(x2) (x) E(y1) with two idempotents at p = 3: the reduced degree-0
+    # part has dimension 3, and C_q,t for q <= 4 has 484, 2756, 9124 and
+    # 22916 chains at t = 0..3, so the budget of 20000 stops at t = 2
+    path = _write_generators(tmp_path, 3, [
+        {"name": "x", "degree": 2, "kind": "polynomial"},
+        {"name": "y", "degree": 1, "kind": "exterior"},
+        {"name": "u", **IDEMPOTENT}, {"name": "v", **IDEMPOTENT}])
+    assert cli.main(["hh", "compute", "--spectrum", path, "--qmax", "4", "--maxdeg", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.rstrip().endswith("t = 2 (--maxdeg 2)")
+
+
+def test_hh_refuses_a_square_zero_presentation_with_idempotents(tmp_path, capsys):
+    path = _write_generators(tmp_path, 2, [
+        {"name": "x", "degree": 1, "kind": "exterior"}, {"name": "u", **IDEMPOTENT}],
+        square_zero=True)
+    argv = ["hh", "compute", "--spectrum", path, "--qmax", "2", "--maxdeg", "3"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "square-zero" in captured.err
+
+
+def test_hh_qmax_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("qmax = 2\n")
+    argv = ["hh", "compute", "--preset", "squarezero", "--maxdeg", "6", "--format", "json"]
+    assert cli.main(argv + ["--qmax", "2"]) == 0
+    by_flag = capsys.readouterr().out
+    assert cli.main(["--config", str(cfg)] + argv) == 0
+    assert capsys.readouterr().out == by_flag
+    assert json.loads(by_flag)["params"]["qmax"] == 2
+    # flags beat the config file
+    assert cli.main(["--config", str(cfg)] + argv + ["--qmax", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["qmax"] == 3
+
+
 def test_bokstedt_run_j_at_the_degree_cap(capsys):
     # the non-flat square-zero factor is counted, not enumerated
     code = cli.main(["bokstedt", "run", "--spectrum", "j", "--p", "2", "--maxdeg", "128",
@@ -309,6 +359,22 @@ def test_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
     st._basis_memo.clear()
     assert cli.main(["steenrod", "rank", "--subalgebra", "A1"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["steenrod", "rank", "--subalgebra", "A2"],
+     ["bokstedt", "run", "--spectrum", "j", "--p", "2", "--maxdeg", "20"]],
+)
+def test_thhforge_cache_is_the_one_cache_setting(tmp_path, argv):
+    # fresh processes, so no in-memory basis hides the disk cache
+    env = {**os.environ, "THHFORGE_CACHE": str(tmp_path / "cache")}
+    proc = run_cli(argv, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert any(f.name.startswith("p2_A2_") for f in (tmp_path / "cache").iterdir())
+    proc = run_cli(["--cache-dir", str(tmp_path / "flag"), *argv], env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert not (tmp_path / "flag").exists()
 
 
 @pytest.mark.parametrize(

@@ -39,10 +39,17 @@ def test_monomial_basis_examples():
         A.monomial_basis(13)
 
 
+def test_square_zero_refuses_idempotents():
+    u = GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)
+    with pytest.raises(ValueError, match="square-zero"):
+        AlgebraPresentation(2, [E("x", 1), u], 4, square_zero=True)
+
+
 @hst.composite
 def presentations(draw):
     """Mixed polynomial/exterior/truncated generators with random
-    filtrations, optionally idempotents and the square-zero relation."""
+    filtrations, and optionally either idempotents or the square-zero
+    relation (a square-zero presentation refuses idempotents)."""
     p = draw(hst.sampled_from([2, 3, 5]))
     gens = []
     for k in range(draw(hst.integers(1, 5))):
@@ -53,10 +60,10 @@ def presentations(draw):
         height = draw(hst.integers(2, 4)) if kind == "truncated" else 0
         gens.append(GeneratorSpec(f"x{k}", d, kind, height=height,
                                   filtration=draw(hst.integers(0, 3))))
-    for k in range(draw(hst.integers(0, 2))):
+    square_zero = draw(hst.booleans())
+    for k in range(0 if square_zero else draw(hst.integers(0, 2))):
         gens.append(GeneratorSpec(f"u{k}", 0, "truncated", height=2, idempotent=True))
-    return AlgebraPresentation(p, gens, draw(hst.integers(0, 24)),
-                               square_zero=draw(hst.booleans()))
+    return AlgebraPresentation(p, gens, draw(hst.integers(0, 24)), square_zero=square_zero)
 
 
 @settings(max_examples=80, deadline=None)

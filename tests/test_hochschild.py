@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from test_gca import presentations
+from thhforge import bokstedt as bk
 from thhforge.catalog import spectrum
 from thhforge.gca import AlgebraPresentation, GeneratorSpec
 from thhforge import hochschild as hh
@@ -112,10 +113,7 @@ def test_qmax_required_for_degree_zero_content():
 
 
 @settings(max_examples=100, deadline=None)
-# square-zero with idempotents is left out: the product u x lies outside
-# the basis, so that complex is not defined
-@given(presentations().filter(lambda A: not (A.square_zero and any(g.idempotent for g in A.gens))),
-       hst.integers(0, 3))
+@given(presentations(), hst.integers(0, 3))
 @example(AlgebraPresentation(3, [GeneratorSpec("x", 2, "truncated", height=3), E("y", 1)], 8), 3)
 @example(AlgebraPresentation(2, [E("x", 1), E("y", 2)], 6, square_zero=True), 3)
 @example(AlgebraPresentation(3, [E("x", 1), E("y", 2)], 6, square_zero=True), 3)
@@ -135,6 +133,22 @@ def test_dims_from_ranks_count_the_classes(A, qmax):
         for q in range(qmax + 2):
             for c in cx.basis(q, t):
                 assert cx.boundary(cx.boundary_chain(c)) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(), hst.integers(0, 3), hst.integers(0, 400))
+def test_chain_budget_cut_matches_the_enumerated_chains(A, qmax, budget):
+    # the budget cut is the last t whose running total of chains C_q,t,
+    # q <= qmax, stays within budget; here the chains are enumerated
+    cx = HochschildComplex(A)
+    bound = min(A.N, 6)
+    total, cut = 0, bound
+    for t in range(bound + 1):
+        total += sum(len(cx.basis(q, t)) for q in range(qmax + 1))
+        if total > budget:
+            cut = max(t - 1, 0)
+            break
+    assert bk._budgeted_bound(A, bound, budget, qmax) == cut
 
 
 def test_divided_power_representatives_are_cycles():

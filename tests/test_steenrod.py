@@ -95,6 +95,13 @@ def test_quotient_module_pipeline():
     assert cok == 1
 
 
+def test_quotient_of_an_exterior_subalgebra():
+    # E(Q0, Q1, Q2) / E.Q0 is the exterior algebra on Q1, Q2 (degrees 3, 7)
+    M = st.quotient_module(SubalgebraSpec.E(0, 1, 2), [st.parse_element("Sq1")])
+    assert M.poincare() == {0: 1, 3: 1, 7: 1, 10: 1}
+    assert M.labels(3) == [st.element_str(st.milnor_primitive(1))]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernel_coordinates_match_solve_in_span(n):
     """The kernel's reduce_fn reads coordinates off the standard kernel
@@ -245,31 +252,33 @@ def test_parse_milnor():
         st.parse_milnor("xi1 xibar2", 2)
 
 
-def test_basis_cache_roundtrip(tmp_path):
+def test_basis_cache_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setenv("THHFORGE_CACHE", str(tmp_path))
     spec = SubalgebraSpec.A(1)
     st._basis_memo.clear()
-    b1 = st.steenrod_basis(spec, 5, tmp_path)
+    b1 = st.steenrod_basis(spec, 5)
     files = list(tmp_path.iterdir())
     assert files, "cache file written"
     st._basis_memo.clear()
-    b2 = st.steenrod_basis(spec, 5, tmp_path)
+    b2 = st.steenrod_basis(spec, 5)
     assert b1 == b2
     # corrupt cache: recomputed, not trusted
     for f in files:
         f.write_text("{not json")
     st._basis_memo.clear()
-    b3 = st.steenrod_basis(spec, 5, tmp_path)
+    b3 = st.steenrod_basis(spec, 5)
     assert b3 == b1
 
 
-def test_corrupt_cache_is_replaced_atomically(tmp_path):
+def test_corrupt_cache_is_replaced_atomically(tmp_path, monkeypatch):
+    monkeypatch.setenv("THHFORGE_CACHE", str(tmp_path))
     spec = SubalgebraSpec.A(1)
     st._basis_memo.clear()
-    good = st.steenrod_basis(spec, 5, tmp_path)
+    good = st.steenrod_basis(spec, 5)
     (path,) = [f for f in tmp_path.iterdir() if f.name.endswith("_d5.json")]
     path.write_text("{not json")
     st._basis_memo.clear()
-    assert st.steenrod_basis(spec, 5, tmp_path) == good
+    assert st.steenrod_basis(spec, 5) == good
     # the recompute's store overwrote the corrupt file with a valid one
     assert json.loads(path.read_text())["basis"] == [st.element_str(e) for e in good]
     assert not [f for f in tmp_path.iterdir() if f.name.endswith(".tmp")]
