@@ -601,6 +601,7 @@ class THHResult:
     series: list[int]
     einf_dims: dict[tuple[int, int], int] | None = None
     nonflat: bool = False
+    warnings: list[str] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
         out = {
@@ -635,6 +636,8 @@ class THHResult:
         if self.coaction and (missing := [g.name for i, g in enumerate(self.abutment.gens)
                                           if i not in self.coaction.entries]):
             out["coaction_missing"] = missing
+        if self.warnings:
+            out["warnings"] = self.warnings
         return out
 
 
@@ -672,12 +675,18 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
             series=series, nonflat=True,
         )
     pages_info: list[dict] = [{"r": 2, "generators": len(e2.generators())}]
+    warnings: list[str] = []
     page = apply_d_pminus1(e2)
     if page.differential:
         page, info = page_homology(page)
         if page.algebra is None:
             raise RuntimeError(f"stage page_homology: recognition failed ({info})")
         pages_info.append({"r": p, "generators": len(page.generators()), **info})
+        if info["verified_to"] < max_degree:
+            warnings.append(
+                f"page r = {p}: the honest check was asked for degree {max_degree} and "
+                f"verified degree {info['verified_to']}; the page past it has more than "
+                f"{VERIFY_BUDGET} monomials")
     if collapse_check(page):
         collapse = {"method": "generator-filtrations", "page": page.r}
     else:
@@ -700,6 +709,7 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
         relations=relations,
         series=series,
         einf_dims=_page_dims(page, max_degree),
+        warnings=warnings,
     )
 
 

@@ -246,14 +246,18 @@ def cmd_hh(args, config) -> int:
         n = min(n, pres.N)
     elif args.preset:
         if args.preset not in PRESETS:
-            print(f"unknown preset {args.preset!r}; presets: {sorted(PRESETS)}",
+            print(f"error: unknown preset {args.preset!r}; presets: {sorted(PRESETS)}",
                   file=sys.stderr)
             return EXIT_USAGE
         pres, qmax = PRESETS[args.preset](p, n)
         n = min(n, pres.N)
         qmax = resolve(args, config, "qmax", qmax)
     else:
-        print("hh compute needs --preset or --spectrum", file=sys.stderr)
+        print("error: hh compute needs --preset or --spectrum", file=sys.stderr)
+        return EXIT_USAGE
+    if qmax is None and any(g.idempotent for g in pres.gens):
+        print("error: a presentation with idempotent generators needs --qmax",
+              file=sys.stderr)
         return EXIT_USAGE
     cut = bk._budgeted_bound(pres, n, bk.CHAIN_BUDGET, qmax)
     if cut < n:

@@ -136,11 +136,16 @@ class Span:
     """Incremental RREF row space over F_p with membership queries.
 
     Vectors go in and come out as {index: scalar} dicts.  The rows are
-    kept fully reduced in a dict {pivot: row}, the pivot being the row's
-    least index: a bit mask at p = 2, a {col: coeff} dict with coefficient
-    1 at the pivot at odd p.  An RREF row is zero at every other pivot, so
-    reducing a vector subtracts only the rows of the pivots it hits, and
-    the residue (and so every reduced form) depends only on the span.
+    kept in a dict {pivot: row}, the pivot being the row's least index: a
+    bit mask at p = 2, a {col: coeff} dict with coefficient 1 at the pivot
+    at odd p.  At odd p the rows are kept fully reduced: an RREF row is
+    zero at every other pivot, so reducing a vector subtracts only the
+    rows of the pivots it hits.  At p = 2 the rows stay echelon (each zero
+    at the pivots older than itself) until basis() back-substitutes them
+    once, in descending pivot order; a residue re-reads the pivots it hits
+    after each XOR, lowest first.  Either way the pivot set and the
+    residue that is zero at every pivot depend only on the span, and so
+    does every reduced form.
     """
 
     def __init__(self, ncols: int, p: int) -> None:
@@ -149,17 +154,18 @@ class Span:
         self.p = p
         self._rows: dict[int, int | dict[int, int]] = {}
         self._pivot_mask = 0  # p = 2: one bit per pivot
+        self._echelon = False  # p = 2: rows added since the last basis()
 
     def _residue(self, vec: Mapping[int, int]) -> int | dict[int, int]:
         """vec reduced against the rows, in the lane's row format."""
         rows = self._rows
         if self.p == 2:
             mask = sum(1 << i for i, v in vec.items() if v % 2)
-            hit = mask & self._pivot_mask
+            pivot_mask = self._pivot_mask
+            hit = mask & pivot_mask
             while hit:
-                low = hit & -hit
-                mask ^= rows[low.bit_length() - 1]
-                hit ^= low
+                mask ^= rows[(hit & -hit).bit_length() - 1]
+                hit = mask & pivot_mask
             return mask
         p = self.p
         out = {i: v % p for i, v in vec.items() if v % p}
@@ -185,9 +191,8 @@ class Span:
         rows = self._rows
         if self.p == 2:
             piv = (new & -new).bit_length() - 1
-            for i in [i for i, r in rows.items() if (r >> piv) & 1]:
-                rows[i] ^= new
             self._pivot_mask |= 1 << piv
+            self._echelon = True
         else:
             p = self.p
             piv = min(new)
@@ -214,7 +219,22 @@ class Span:
         return sorted(self._rows)
 
     def basis(self) -> list[dict[int, int]]:
-        return [self._as_dict(self._rows[piv]) for piv in self.pivots]
+        """The RREF rows, in increasing pivot order."""
+        rows = self._rows
+        if self._echelon:
+            # each row above piv is already reduced, so clearing the higher
+            # pivots piv's row hits adds no other pivot back
+            pivot_mask = self._pivot_mask
+            for piv in sorted(rows, reverse=True):
+                row = rows[piv]
+                hit = row & pivot_mask & ~(1 << piv)
+                while hit:
+                    low = hit & -hit
+                    row ^= rows[low.bit_length() - 1]
+                    hit ^= low
+                rows[piv] = row
+            self._echelon = False
+        return [self._as_dict(rows[piv]) for piv in self.pivots]
 
 
 def _span_of(vectors: Iterable[Mapping[int, int]], ncols: int, p: int) -> Span:

@@ -6,6 +6,14 @@ every prime.  Finite subalgebras A_n and exterior subalgebras on Milnor
 primitives Q_i are handled by brute-force degreewise closure of their
 generating sets, which also drives quotient-module, kernel and
 annihilator computations.
+
+Those computations multiply many elements by one fixed element g: the
+closure by each Sq^{2^i}, a quotient by each ideal generator, a kernel
+by its map, a module action by each generator.  Each goes through a
+multiplier that keeps an image table, admissible word -> reduced g w
+(or w g), so a word is Adem-reduced once per multiplier and a product
+is the XOR of cached images.  A table lives as long as its multiplier;
+there is no module-level product memo.
 """
 
 from __future__ import annotations
@@ -76,16 +84,20 @@ def adem_reduce(word: Sequence[int]) -> SteenrodElement:
 
     The unit is the empty word; exponent 0 is rejected.
     """
-    if any(i <= 0 for i in word):
+    word = tuple(word)
+    if word and min(word) <= 0:
         raise ValueError("Sq exponents must be positive (unit = empty word)")
     result: set = set()
-    stack = [tuple(word)]
+    # (word, start): the pairs before start are admissible; a rewrite of
+    # pair j leaves every pair before j - 1 as it was
+    stack = [(word, 0)]
     while stack:
-        w = stack.pop()
-        for j in range(len(w) - 1):
+        w, start = stack.pop()
+        for j in range(start, len(w) - 1):
             if w[j] < 2 * w[j + 1]:
+                head, tail, back = w[:j], w[j + 2 :], max(j - 1, 0)
                 for t in _adem_pair(w[j], w[j + 1]):
-                    stack.append(w[:j] + t + w[j + 2 :])
+                    stack.append((head + t + tail, back))
                 break
         else:
             result.symmetric_difference_update({w})
@@ -102,6 +114,28 @@ def steenrod_mul(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
         for v in b:
             out.symmetric_difference_update(adem_reduce(u + v) if u + v else {()})
     return frozenset(out)
+
+
+def _multiplier(g: SteenrodElement, left: bool) -> Callable[[SteenrodElement], SteenrodElement]:
+    """x -> g x (left) or x -> x g for a fixed element g.
+
+    The image of each admissible word is Adem-reduced once and kept in a
+    table that lives as long as the multiplier; a product is the XOR of
+    the images of its words.
+    """
+    images: dict[tuple[int, ...], SteenrodElement] = {}
+
+    def multiply(x: SteenrodElement) -> SteenrodElement:
+        out: set = set()
+        for w in x:
+            img = images.get(w)
+            if img is None:
+                word = frozenset({w})
+                img = images[w] = steenrod_mul(g, word) if left else steenrod_mul(word, g)
+            out.symmetric_difference_update(img)
+        return frozenset(out)
+
+    return multiply
 
 
 def steenrod_add(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
@@ -294,9 +328,9 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
         index = _amb_index(degree)
         span = fplin.Span(len(index), 2)
         for i in spec.generator_exponents():
-            g = frozenset({(i,)})
+            sq = _multiplier(frozenset({(i,)}), left=True)
             for b in steenrod_basis(spec, degree - i):
-                prod = steenrod_mul(g, b)
+                prod = sq(b)
                 if prod:
                     span.add(_to_vec(prod, index))
         inv = admissible_monomials(degree)
@@ -379,6 +413,7 @@ class GradedModulePresentation:
         self.spec = spec
         self.elements = {d: list(v) for d, v in basis_elements.items() if v}
         self._reduce_fn = reduce_fn
+        self._actions: dict[int, Callable[[SteenrodElement], SteenrodElement]] = {}
 
     # -- structure ---------------------------------------------------
     def degrees(self) -> list[int]:
@@ -418,7 +453,9 @@ class GradedModulePresentation:
         for j, c in coords.items():
             if c % 2:
                 elt = steenrod_add(elt, self.elements[d][j])
-        return self.reduce_ambient(steenrod_mul(frozenset({(gen_exp,)}), elt), d + gen_exp) or {}
+        if gen_exp not in self._actions:
+            self._actions[gen_exp] = _multiplier(frozenset({(gen_exp,)}), left=True)
+        return self.reduce_ambient(self._actions[gen_exp](elt), d + gen_exp) or {}
 
 
 def _subalgebra_coords(spec: SubalgebraSpec):
@@ -453,7 +490,7 @@ def quotient_module(
     """Quotient of a finite subalgebra by the left ideal on the given generators."""
     if not spec.finite:
         raise ValueError("quotient modules need a finite subalgebra")
-    gens = [g for g in left_ideal_gens if g]
+    gens = [(element_degree(g), _multiplier(g, left=False)) for g in left_ideal_gens if g]
     coords = _subalgebra_coords(spec)
     top = spec.top_degree()
 
@@ -464,12 +501,11 @@ def quotient_module(
         if not elts:
             continue
         span = fplin.Span(len(elts), 2)
-        for g in gens:
-            dg = element_degree(g)
-            if dg is None or dg > d:
+        for dg, times_g in gens:
+            if dg > d:
                 continue
             for b in steenrod_basis(spec, d - dg):
-                prod = steenrod_mul(b, g)
+                prod = times_g(b)
                 if prod:
                     span.add(_coords_in(prod, pivots, index))
         ideal_spans[d] = span
@@ -512,12 +548,13 @@ def module_map_kernel(
     df = element_degree(f)
     if df is None:
         raise ValueError("zero map: kernel is the whole source")
+    times_f = _multiplier(f, left=False)
     matrices: dict[int, list[dict[int, int]]] = {}
     total_rank_map = 0
     for d in source.degrees():
         cols = []
         for e in source.elements[d]:
-            img = steenrod_mul(e, f)
+            img = times_f(e)
             red = target.reduce_ambient(img, d + df)
             if red is None:
                 raise ValueError(f"map image leaves target span in degree {d + df}")
@@ -532,7 +569,7 @@ def module_map_kernel(
                 if c % 2:
                     for i, v in cols[j].items():
                         fplin.add_term(expect, i, v, 2)
-            actual = target.reduce_ambient(steenrod_mul(e, f), d + df)
+            actual = target.reduce_ambient(times_f(e), d + df)
             if actual != expect:
                 raise ValueError(f"right multiplication is not well defined in degree {d}")
 

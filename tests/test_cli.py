@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,11 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from thhforge import cli
+from thhforge.catalog import SPECTRUM_NAMES
 
 SCHEMA_PATH = os.path.join(os.path.dirname(cli.__file__), "schemas", "result.schema.json")
 
@@ -158,6 +163,18 @@ def test_hh_refuses_a_square_zero_presentation_with_idempotents(tmp_path, capsys
     assert "square-zero" in captured.err
 
 
+def test_hh_refuses_idempotents_without_qmax(tmp_path, capsys):
+    # the Hochschild degree is unbounded over degree-0 content, so the
+    # missing --qmax is a usage error, not a failed computation
+    path = _write_generators(tmp_path, 2, [
+        {"name": "x", "degree": 2, "kind": "polynomial"}, {"name": "u", **IDEMPOTENT}])
+    assert cli.main(["hh", "compute", "--spectrum", path, "--maxdeg", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--qmax" in captured.err
+
+
 def test_hh_qmax_from_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("qmax = 2\n")
@@ -207,6 +224,26 @@ def test_bokstedt_names_the_generators_without_a_coaction(capsys):
         names = [g["name"] for g in result["abutment"]["generators"]]
         assert sorted(result["abutment"]["coaction"]) == sorted(set(names) - set(missing[n] or []))
     assert missing == {"50": None, "51": ["xitilde3"], "96": ["xitilde3", "tautilde3"]}
+
+
+def test_bokstedt_warns_when_the_page_check_is_capped(capsys, monkeypatch, schema):
+    argv = ["bokstedt", "run", "--spectrum", "hf", "--p", "3", "--maxdeg", "30",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    uncapped = json.loads(capsys.readouterr().out)
+    assert uncapped["result"]["pages"][1]["verified_to"] == 30
+    assert "warnings" not in uncapped["result"]
+    # 500 page monomials reach only degree 23 of hf at p = 3
+    monkeypatch.setattr(cli.bk, "VERIFY_BUDGET", 500)
+    assert cli.main(argv) == 0
+    capped = json.loads(capsys.readouterr().out)
+    jsonschema.validate(capped, schema)
+    assert capped["result"]["pages"][1]["verified_to"] == 23
+    (warning,) = capped["result"].pop("warnings")
+    assert "page r = 3" in warning and "degree 30" in warning and "degree 23" in warning
+    # the warning is the only change; the mathematics does not depend on the cap
+    capped["result"]["pages"][1]["verified_to"] = 30
+    assert capped == uncapped
 
 
 def test_bokstedt_run_deterministic(tmp_path, schema):
@@ -407,3 +444,52 @@ def test_format_svg_is_refused():
     proc = run_cli(["bokstedt", "run", "--spectrum", "hf", "--maxdeg", "8", "--format", "svg"])
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+_DEGREES = hst.one_of(hst.integers(min_value=-3, max_value=12).map(str),
+                      hst.sampled_from(["", "x", "1.5", "-0"]))
+_PRIMES = hst.one_of(hst.integers(min_value=-2, max_value=9).map(str), hst.just("p"))
+
+
+@hst.composite
+def _argvs(draw):
+    """Small or invalid argument lists for the four computing commands."""
+    command = draw(hst.sampled_from(["steenrod", "hh", "bokstedt", "adams"]))
+    if command == "steenrod":
+        sub = draw(hst.sampled_from(["basis", "rank", "quotient"]))
+        algebra = draw(hst.sampled_from(["A", "A0", "A1", "A2", "E01", "E012", "E", "A-1", "B",
+                                         ""]))
+        if sub == "basis":
+            return ["steenrod", "basis", "--subalgebra", algebra, "--degree", draw(_DEGREES)]
+        if sub == "rank":
+            return ["steenrod", "rank", "--subalgebra", algebra]
+        ideal = draw(hst.sampled_from(["Sq1", "Sq1,Sq2", "Sq2Sq3", "Sq0", "Sq", "Q1", "x", ""]))
+        return ["steenrod", "quotient", "--subalgebra", algebra, "--ideal", ideal]
+    if command == "hh":
+        preset = draw(hst.sampled_from([*cli.PRESETS, "nope"]))
+        return ["hh", "compute", "--preset", preset, "--p", draw(_PRIMES),
+                "--maxdeg", draw(_DEGREES)]
+    if command == "bokstedt":
+        name = draw(hst.sampled_from([*SPECTRUM_NAMES, "nope"]))
+        return ["bokstedt", "run", "--spectrum", name, "--p", draw(_PRIMES),
+                "--maxdeg", draw(_DEGREES)]
+    target = draw(hst.sampled_from([*cli.ad.TARGETS, "nope"]))
+    return ["adams", "run", "--target", target, "--maxdeg", draw(_DEGREES)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argvs(), hst.sampled_from(["table", "json"]))
+def test_cli_exit_codes(argv, fmt):
+    # every input computes (0), fails with a diagnostic (1) or is refused as
+    # bad arguments (2); a failure is one error: line, never a traceback
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([*argv, "--format", fmt])
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code:
+        text = err.getvalue()
+        assert "Traceback" not in text
+        assert sum("error:" in line for line in text.splitlines()) == 1, (argv, text)

@@ -202,6 +202,38 @@ def test_span_is_the_dense_rref(k, n, p, rng):
         assert dense_rank_oracle(rows + [diff], p) == len(rref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    hst.integers(min_value=1, max_value=10),
+    hst.lists(hst.tuples(hst.sampled_from(["add", "reduce", "basis"]),
+                         hst.integers(min_value=0, max_value=2 ** 10 - 1)), max_size=30),
+)
+def test_gf2_span_interleaved_calls_match_the_dense_rref(n, calls):
+    # adds, residues and bases in any order: the rows a Span keeps between
+    # basis() calls are not RREF, but nothing it returns may show that
+    sp = fplin.Span(n, 2)
+    rows: list[list[int]] = []
+    for call, bits in calls:
+        dense = [(bits >> j) & 1 for j in range(n)]
+        vec = {j: 1 for j, v in enumerate(dense) if v}
+        rref = dense_rref(rows, 2)
+        if call == "add":
+            assert sp.add(vec) == (dense_rank_oracle(rows + [dense], 2) > len(rref))
+            rows.append(dense)
+            rref = dense_rref(rows, 2)
+        elif call == "reduce":
+            # subtract the RREF row of every pivot the vector hits
+            residue = list(dense)
+            for row in rref:
+                if residue[row.index(1)]:
+                    residue = [(a + b) % 2 for a, b in zip(residue, row)]
+            assert sp.reduce(vec) == {j: 1 for j, v in enumerate(residue) if v}
+        else:
+            assert sp.basis() == [{j: v for j, v in enumerate(r) if v} for r in rref]
+        assert sp.rank == len(rref)
+        assert sp.pivots == [r.index(1) for r in rref]
+
+
 def test_span_membership():
     sp = fplin.Span(4, 3)
     sp.add({0: 1, 1: 2})

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from thhforge import fplin
 from thhforge import steenrod as st
@@ -282,3 +284,67 @@ def test_corrupt_cache_is_replaced_atomically(tmp_path, monkeypatch):
     # the recompute's store overwrote the corrupt file with a valid one
     assert json.loads(path.read_text())["basis"] == [st.element_str(e) for e in good]
     assert not [f for f in tmp_path.iterdir() if f.name.endswith(".tmp")]
+
+
+def _an_dimension(n: int, degree: int) -> int:
+    """dim A(n) in one degree from the product formula: A(n)_* has the
+    monomial basis xi_1^{r_1} ... xi_{n+1}^{r_{n+1}} with r_j < 2^{n+2-j},
+    so its Poincare series is prod_j (1 - t^{2^{n+2-j} |xi_j|}) / (1 - t^{|xi_j|})."""
+    series = [1] + [0] * degree
+    for j in range(1, n + 2):
+        step, count = 2 ** j - 1, 2 ** (n + 2 - j)
+        series = [sum(series[k - r * step] for r in range(count) if k - r * step >= 0)
+                  for k in range(degree + 1)]
+    return series[degree]
+
+
+def _gf2_rank(elements) -> int:
+    """Rank of F_2 sums of words, by elimination on bit masks."""
+    index: dict = {}
+    pivots: dict[int, int] = {}
+    for elt in elements:
+        mask = sum(1 << index.setdefault(w, len(index)) for w in elt)
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = mask
+                break
+            mask ^= pivots[top]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("n, top", [(1, None), (2, None), (3, 30)])
+def test_an_basis_is_the_annihilator_of_the_profile_ideal(n, top):
+    # A(n) is the annihilator of the ideal of A_* spanned by the monomials
+    # outside the profile r_j < 2^{n+2-j} (j <= n+1, r_j = 0 beyond), so
+    # every basis element pairs to zero with each of them, and there are
+    # as many independent ones as monomials inside the profile
+    spec = SubalgebraSpec.A(n)
+    for d in range(1 + (spec.top_degree() if top is None else top)):
+        basis = st.steenrod_basis(spec, d)
+        assert len(basis) == _gf2_rank(basis) == _an_dimension(n, d), d
+        outside = [m for m in st.milnor_basis(2, d, conjugated=False)
+                   if len(m.xi) > n + 1
+                   or any(r >= 2 ** (n + 2 - j) for j, r in enumerate(m.xi, start=1))]
+        for elt in basis:
+            for m in outside:
+                assert st.pairing(elt, m) == 0, (d, st.element_str(elt), str(m))
+
+
+@hst.composite
+def admissible_elements(draw, max_degree=20):
+    """A nonzero homogeneous sum of admissible words of degree <= max_degree."""
+    words = st.admissible_monomials(draw(hst.integers(0, max_degree)))
+    picked = draw(hst.sets(hst.sampled_from(words), min_size=1))
+    return frozenset(picked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_elements(), hst.lists(admissible_elements(), min_size=1, max_size=4),
+       hst.booleans())
+def test_multiplier_is_steenrod_mul(g, xs, left):
+    # one multiplier serves every x in turn, so later products read images
+    # cached by earlier ones
+    times_g = st._multiplier(g, left=left)
+    for x in xs + xs[:1]:
+        assert times_g(x) == (st.steenrod_mul(g, x) if left else st.steenrod_mul(x, g))
