@@ -339,7 +339,9 @@ def page_homology(page: SSPage, verify_bound: int | None = None) -> tuple[SSPage
     The candidate removes, for each tower whose differential hits a
     suspension class, that class and the tower members above gamma_1.
     Degreewise kernels/images confirm the candidate bigraded dims through
-    the verification bound; on mismatch the raw dims are returned.
+    the verification bound; on mismatch the raw dims are returned.  The
+    info dict holds verified_to and match, and budget_capped_from (the
+    bound asked for) when VERIFY_BUDGET cut the bound below it.
     """
     if not page.differential:
         return page, {"verified_to": page.max_degree, "trivial": True}
@@ -365,8 +367,8 @@ def page_homology(page: SSPage, verify_bound: int | None = None) -> tuple[SSPage
     candidate = AlgebraPresentation(p, cand_gens, A.N)
     # incoming differentials land from one degree up, so honest verification
     # stops one short of the materialized bound
-    bound = page.max_degree - 1 if verify_bound is None else min(verify_bound, page.max_degree - 1)
-    bound = _verify_budget_bound(A, bound, VERIFY_BUDGET)
+    asked = page.max_degree - 1 if verify_bound is None else min(verify_bound, page.max_degree - 1)
+    bound = _verify_budget_bound(A, asked, VERIFY_BUDGET)
     cand_dims = {
         k: v for k, v in candidate.bigraded_series(bound).items() if v and k[1] <= bound
     }
@@ -404,6 +406,8 @@ def page_homology(page: SSPage, verify_bound: int | None = None) -> tuple[SSPage
             if h != cand_dims.get((s, d), 0):
                 ok = False
     info = {"verified_to": bound, "match": ok}
+    if bound < asked:
+        info["budget_capped_from"] = asked
     if not ok:
         return (
             SSPage(page.spectrum, p, None, None, None, flat=page.flat,
@@ -681,12 +685,12 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
         page, info = page_homology(page)
         if page.algebra is None:
             raise RuntimeError(f"stage page_homology: recognition failed ({info})")
-        pages_info.append({"r": p, "generators": len(page.generators()), **info})
-        if info["verified_to"] < max_degree:
+        if (asked := info.pop("budget_capped_from", None)) is not None:
             warnings.append(
-                f"page r = {p}: the honest check was asked for degree {max_degree} and "
+                f"page r = {p}: the honest check was asked for degree {asked} and "
                 f"verified degree {info['verified_to']}; the page past it has more than "
                 f"{VERIFY_BUDGET} monomials")
+        pages_info.append({"r": p, "generators": len(page.generators()), **info})
     if collapse_check(page):
         collapse = {"method": "generator-filtrations", "page": page.r}
     else:

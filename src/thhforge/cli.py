@@ -25,7 +25,7 @@ from .acceptance import CRITERIA
 from .catalog import SPECTRUM_NAMES, spectrum
 from .gca import AlgebraPresentation, GeneratorSpec
 # hh_homology stays importable here: the benchmark tracer's tests call cli.hh_homology
-from .hochschild import hh_dims, hh_homology  # noqa: F401
+from .hochschild import _bidegrees, hh_dims, hh_homology  # noqa: F401
 from .steenrod import parse_milnor
 
 EXIT_OK = 0
@@ -255,9 +255,10 @@ def cmd_hh(args, config) -> int:
     else:
         print("error: hh compute needs --preset or --spectrum", file=sys.stderr)
         return EXIT_USAGE
-    if qmax is None and any(g.idempotent for g in pres.gens):
-        print("error: a presentation with idempotent generators needs --qmax",
-              file=sys.stderr)
+    try:
+        _bidegrees(pres, n, qmax)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cut = bk._budgeted_bound(pres, n, bk.CHAIN_BUDGET, qmax)
     if cut < n:

@@ -154,7 +154,6 @@ class Span:
         self.p = p
         self._rows: dict[int, int | dict[int, int]] = {}
         self._pivot_mask = 0  # p = 2: one bit per pivot
-        self._echelon = False  # p = 2: rows added since the last basis()
 
     def _residue(self, vec: Mapping[int, int]) -> int | dict[int, int]:
         """vec reduced against the rows, in the lane's row format."""
@@ -192,7 +191,6 @@ class Span:
         if self.p == 2:
             piv = (new & -new).bit_length() - 1
             self._pivot_mask |= 1 << piv
-            self._echelon = True
         else:
             p = self.p
             piv = min(new)
@@ -221,7 +219,7 @@ class Span:
     def basis(self) -> list[dict[int, int]]:
         """The RREF rows, in increasing pivot order."""
         rows = self._rows
-        if self._echelon:
+        if self.p == 2:
             # each row above piv is already reduced, so clearing the higher
             # pivots piv's row hits adds no other pivot back
             pivot_mask = self._pivot_mask
@@ -233,7 +231,6 @@ class Span:
                     row ^= rows[low.bit_length() - 1]
                     hit ^= low
                 rows[piv] = row
-            self._echelon = False
         return [self._as_dict(rows[piv]) for piv in self.pivots]
 
 

@@ -9,11 +9,10 @@ annihilator computations.
 
 Those computations multiply many elements by one fixed element g: the
 closure by each Sq^{2^i}, a quotient by each ideal generator, a kernel
-by its map, a module action by each generator.  Each goes through a
-multiplier that keeps an image table, admissible word -> reduced g w
-(or w g), so a word is Adem-reduced once per multiplier and a product
-is the XOR of cached images.  A table lives as long as its multiplier;
-there is no module-level product memo.
+by its map.  Each goes through a multiplier that keeps an image table,
+admissible word -> reduced g w (or w g), so a word is Adem-reduced once
+per multiplier and a product is the XOR of cached images.  A table
+lives as long as its multiplier; there is no module-level product memo.
 """
 
 from __future__ import annotations
@@ -84,20 +83,16 @@ def adem_reduce(word: Sequence[int]) -> SteenrodElement:
 
     The unit is the empty word; exponent 0 is rejected.
     """
-    word = tuple(word)
-    if word and min(word) <= 0:
+    if any(i <= 0 for i in word):
         raise ValueError("Sq exponents must be positive (unit = empty word)")
     result: set = set()
-    # (word, start): the pairs before start are admissible; a rewrite of
-    # pair j leaves every pair before j - 1 as it was
-    stack = [(word, 0)]
+    stack = [tuple(word)]
     while stack:
-        w, start = stack.pop()
-        for j in range(start, len(w) - 1):
+        w = stack.pop()
+        for j in range(len(w) - 1):
             if w[j] < 2 * w[j + 1]:
-                head, tail, back = w[:j], w[j + 2 :], max(j - 1, 0)
                 for t in _adem_pair(w[j], w[j + 1]):
-                    stack.append((head + t + tail, back))
+                    stack.append(w[:j] + t + w[j + 2 :])
                 break
         else:
             result.symmetric_difference_update({w})
@@ -413,7 +408,6 @@ class GradedModulePresentation:
         self.spec = spec
         self.elements = {d: list(v) for d, v in basis_elements.items() if v}
         self._reduce_fn = reduce_fn
-        self._actions: dict[int, Callable[[SteenrodElement], SteenrodElement]] = {}
 
     # -- structure ---------------------------------------------------
     def degrees(self) -> list[int]:
@@ -453,9 +447,7 @@ class GradedModulePresentation:
         for j, c in coords.items():
             if c % 2:
                 elt = steenrod_add(elt, self.elements[d][j])
-        if gen_exp not in self._actions:
-            self._actions[gen_exp] = _multiplier(frozenset({(gen_exp,)}), left=True)
-        return self.reduce_ambient(self._actions[gen_exp](elt), d + gen_exp) or {}
+        return self.reduce_ambient(steenrod_mul(frozenset({(gen_exp,)}), elt), d + gen_exp) or {}
 
 
 def _subalgebra_coords(spec: SubalgebraSpec):

@@ -172,7 +172,7 @@ def test_hh_refuses_idempotents_without_qmax(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "--qmax" in captured.err
+    assert "qmax" in captured.err
 
 
 def test_hh_qmax_from_the_config_file(tmp_path, capsys):
