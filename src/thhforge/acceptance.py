@@ -233,7 +233,7 @@ def criterion_8() -> dict:
 
 def criterion_9() -> dict:
     t0 = time.perf_counter()
-    N = 62
+    N = 61
     gens = [GeneratorSpec("z", 53, "exterior", filtration=1)] + expand_divided(
         "y", 18, 3, N, filtration=1
     )
@@ -244,7 +244,7 @@ def criterion_9() -> dict:
         for g in A.gens
         if g.gamma_power >= 3
     }
-    new, info = bk.page_homology(page, verify_bound=60)
+    new, info = bk.page_homology(page)
     expected = AlgebraPresentation(3, [g for g in gens if g.name in ("y",)], N)
     got = {k: v for k, v in (new.algebra.bigraded_series(60).items()
                              if new.algebra else new.raw_dims.items()) if v}

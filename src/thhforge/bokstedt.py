@@ -154,7 +154,7 @@ def _page_coaction(
 # stage 1: the initial term
 
 CHAIN_BUDGET = 20000  # chains in a normalized Hochschild complex built on request
-VERIFY_BUDGET = 200000  # page monomials behind the honest check of page_homology
+VERIFY_BUDGET = 200000  # monomials behind an honest page check, or a steenrod command's basis
 
 
 def build_e2(data: SpectrumData, max_degree: int, cross_check_internal: int | None = None) -> SSPage:
@@ -205,17 +205,6 @@ def build_e2(data: SpectrumData, max_degree: int, cross_check_internal: int | No
     return page
 
 
-def _budget_cut(counts: list[int], budget: int) -> int:
-    """The budget rule: the last degree whose running total of counts stays
-    within budget (0 when degree 0 alone exceeds it)."""
-    total = 0
-    for t, n in enumerate(counts):
-        total += n
-        if total > budget:
-            return max(t - 1, 0)
-    return len(counts) - 1
-
-
 def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int, qmax: int | None = None) -> int:
     """Largest t <= bound whose total chain count stays within budget.
 
@@ -233,8 +222,8 @@ def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int, qmax: int |
         words = [w + v for w, v in zip(words, level)]
         if not any(level) or series[0] * words[0] > budget:
             break  # no longer word fits, or degree 0 alone is over budget
-    return _budget_cut([sum(series[d0] * words[t - d0] for d0 in range(t + 1))
-                        for t in range(bound + 1)], budget)
+    return fplin.budget_cut((sum(series[d0] * words[t - d0] for d0 in range(t + 1))
+                             for t in range(bound + 1)), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +322,13 @@ def differential_on_monomial(page: SSPage, m: tuple) -> dict:
     return out
 
 
-def page_homology(page: SSPage, verify_bound: int | None = None) -> tuple[SSPage, dict]:
+def page_homology(page: SSPage) -> tuple[SSPage, dict]:
     """Next page: recognized presentation checked against honest homology.
 
     The candidate removes, for each tower whose differential hits a
     suspension class, that class and the tower members above gamma_1.
     Degreewise kernels/images confirm the candidate bigraded dims through
-    the verification bound; on mismatch the raw dims are returned.  The
+    degree max_degree - 1; on mismatch the raw dims are returned.  The
     info dict holds verified_to and match, and budget_capped_from (the
     bound asked for) when VERIFY_BUDGET cut the bound below it.
     """
@@ -367,7 +356,7 @@ def page_homology(page: SSPage, verify_bound: int | None = None) -> tuple[SSPage
     candidate = AlgebraPresentation(p, cand_gens, A.N)
     # incoming differentials land from one degree up, so honest verification
     # stops one short of the materialized bound
-    asked = page.max_degree - 1 if verify_bound is None else min(verify_bound, page.max_degree - 1)
+    asked = page.max_degree - 1
     bound = _verify_budget_bound(A, asked, VERIFY_BUDGET)
     cand_dims = {
         k: v for k, v in candidate.bigraded_series(bound).items() if v and k[1] <= bound
@@ -429,7 +418,7 @@ def page_homology(page: SSPage, verify_bound: int | None = None) -> tuple[SSPage
 
 def _verify_budget_bound(A: AlgebraPresentation, bound: int, budget: int) -> int:
     """Largest d <= bound whose total monomial count stays within budget."""
-    return _budget_cut(A.poincare_series(bound) if bound >= 0 else [], budget)
+    return fplin.budget_cut(A.poincare_series(bound) if bound >= 0 else [], budget)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,20 @@ def _print_csv(result) -> None:
 
 def cmd_steenrod(args, config) -> int:
     sub = args.steenrod_cmd
-    if sub == "basis":
+    if sub != "pair":
         spec = st.SubalgebraSpec.parse(args.subalgebra)
+        # the degree a basis is built through; past a finite top it is empty and free
+        need = args.degree if sub == "basis" else spec.top_degree() if spec.finite else -1
+        if spec.finite and need > spec.top_degree():
+            need = -1
+        counts = (st.admissible_count(d, d) for d in range(need + 1))
+        cut = fplin.budget_cut(counts, bk.VERIFY_BUDGET)
+        if cut < need:
+            print(f"error: subalgebra {spec.id} through degree {need} needs more than "
+                  f"{bk.VERIFY_BUDGET} admissible monomials; the largest degree within "
+                  f"budget is {cut}", file=sys.stderr)
+            return EXIT_USAGE
+    if sub == "basis":
         basis = st.steenrod_basis(spec, args.degree)
         result = [st.element_str(e) for e in basis]
         emit(envelope("steenrod basis",
@@ -138,12 +150,10 @@ def cmd_steenrod(args, config) -> int:
              args, config)
         return EXIT_OK
     if sub == "rank":
-        spec = st.SubalgebraSpec.parse(args.subalgebra)
         result = st.total_rank(spec)
         emit(envelope("steenrod rank", {"subalgebra": spec.id}, result), args, config)
         return EXIT_OK
     if sub == "quotient":
-        spec = st.SubalgebraSpec.parse(args.subalgebra)
         gens = [st.parse_element(s) for s in args.ideal.split(",")]
         module = st.quotient_module(spec, gens)
         result: dict = {"total_rank": module.total_rank()}
@@ -156,7 +166,6 @@ def cmd_steenrod(args, config) -> int:
              args, config)
         return EXIT_OK
     if sub == "kernel":
-        spec = st.SubalgebraSpec.parse(args.subalgebra)
         src = st.quotient_module(spec, [st.parse_element(s) for s in args.ideal.split(",")])
         tgt = st.quotient_module(spec, [st.parse_element(s) for s in args.target_ideal.split(",")])
         kernel, cok = st.module_map_kernel(st.parse_element(args.map), src, tgt)

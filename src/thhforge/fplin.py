@@ -28,6 +28,7 @@ __all__ = [
     "kernel_basis",
     "quotient_basis",
     "solve_in_span",
+    "budget_cut",
     "add_term",
     "mul",
     "tensor_monomial_mul",
@@ -298,6 +299,17 @@ def solve_in_span(
     if not kernel or k not in kernel[-1]:
         return None
     return [(-kernel[-1].get(i, 0)) % p for i in range(k)]
+
+
+def budget_cut(counts: Iterable[int], budget: int) -> int:
+    """The last degree whose running total of counts (one per degree from 0,
+    drawn lazily) stays within budget; 0 when degree 0 alone exceeds it."""
+    total, t = 0, -1
+    for t, n in enumerate(counts):
+        total += n
+        if total > budget:
+            return max(t - 1, 0)
+    return t
 
 
 # ---------------------------------------------------------------------------

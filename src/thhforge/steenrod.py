@@ -17,8 +17,6 @@ lives as long as its multiplier; there is no module-level product memo.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
@@ -196,6 +194,14 @@ def admissible_monomials(d: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def admissible_count(d: int, cap: int) -> int:
+    """len(_admissible_bounded(d, cap)), counted without building the words."""
+    if d == 0:
+        return 1
+    return sum(admissible_count(d - first, first // 2) for first in range(1, min(d, cap) + 1))
+
+
+@lru_cache(maxsize=None)
 def milnor_primitive(k: int) -> SteenrodElement:
     """Q_k in admissible form: Q_0 = Sq^1 and Q_k = [Sq^{2^k}, Q_{k-1}]."""
     if k == 0:
@@ -298,10 +304,6 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
     key = (spec.id, degree)
     if key in _basis_memo:
         return _basis_memo[key]
-    cached = _load_cached_basis(spec, degree)
-    if cached is not None:
-        _basis_memo[key] = cached
-        return cached
     if spec.kind == "E":
         out = []
         for mask in range(1 << len(spec.qs)):
@@ -313,13 +315,9 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
                 elt = steenrod_mul(elt, milnor_primitive(k))
             out.append(elt)
         out.sort(key=lambda e: sorted(e))
-        _basis_memo[key] = out
-        _store_cached_basis(spec, degree, out)
-        return out
-    # A_n by closure: degree-d span = sum of Sq^{2^i} * basis(d - 2^i)
-    if degree == 0:
+    elif degree == 0:
         out = [steenrod_one()]
-    else:
+    else:  # A_n by closure: degree-d span = sum of Sq^{2^i} * basis(d - 2^i)
         index = _amb_index(degree)
         span = fplin.Span(len(index), 2)
         for i in spec.generator_exponents():
@@ -331,55 +329,7 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
         inv = admissible_monomials(degree)
         out = [frozenset(inv[i] for i in row) for row in span.basis()]
     _basis_memo[key] = out
-    _store_cached_basis(spec, degree, out)
     return out
-
-
-def _cache_path(spec: SubalgebraSpec, degree: int) -> str | None:
-    """The basis file in the cache directory, the one cache setting; None when unset."""
-    cache_dir = os.environ.get("THHFORGE_CACHE")
-    if cache_dir is None:
-        return None
-    return os.path.join(cache_dir, f"p2_{spec.id}_d{degree}.json")
-
-
-def _load_cached_basis(spec, degree) -> list[SteenrodElement] | None:
-    path = _cache_path(spec, degree)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("degree") != degree:
-            raise ValueError("degree mismatch")
-        basis = [parse_element(label) for label in data["basis"]]
-        for elt in basis:
-            if element_degree(elt) not in (degree, None):
-                raise ValueError("bad cached element degree")
-        return basis
-    except Exception:
-        # corrupt cache files are derived data: recompute, and let the
-        # atomic store replace the file (it is not removed here, since
-        # another process may be replacing it already)
-        return None
-
-
-def _store_cached_basis(spec, degree, basis) -> None:
-    """Write the cache file atomically: a temporary file in the same
-    directory is renamed over the target, so readers never see a partial
-    file."""
-    path = _cache_path(spec, degree)
-    if path is None:
-        return
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"  # unique per writer; open() honours the umask
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "x") as fh:
-            json.dump({"degree": degree, "basis": [element_str(e) for e in basis]}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def total_rank(spec: SubalgebraSpec) -> int:

@@ -382,20 +382,17 @@ def test_hh_spectrum_refuses_bad_generators(tmp_path, capsys, gen):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
-    from thhforge import steenrod as st
-
-    monkeypatch.setenv("THHFORGE_CACHE", str(tmp_path))
-    st._basis_memo.clear()
-    assert cli.main(["steenrod", "rank", "--subalgebra", "A1"]) == 0
-    capsys.readouterr()
-    files = list(tmp_path.iterdir())
-    assert files
-    for f in files:
-        f.write_text("garbage")
-    st._basis_memo.clear()
-    assert cli.main(["steenrod", "rank", "--subalgebra", "A1"]) == 0
-    assert capsys.readouterr().out.strip() == "8"
+def test_cache_env_and_corruption(tmp_path):
+    # THHFORGE_CACHE is not read: a stale basis file (A(2) has two basis
+    # elements in degree 5) neither shortens the rank nor gets rewritten,
+    # and nothing is added beside it; a fresh process has no memo to hide it
+    (tmp_path / "p2_A2_d5.json").write_text('{"degree": 5, "basis": []}')
+    listing = sorted((f.name, f.read_text()) for f in tmp_path.iterdir())
+    proc = run_cli(["steenrod", "rank", "--subalgebra", "A2"],
+                   env={**os.environ, "THHFORGE_CACHE": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "64"
+    assert sorted((f.name, f.read_text()) for f in tmp_path.iterdir()) == listing
 
 
 @pytest.mark.parametrize(
@@ -404,14 +401,36 @@ def test_cache_env_and_corruption(tmp_path, capsys, monkeypatch):
      ["bokstedt", "run", "--spectrum", "j", "--p", "2", "--maxdeg", "20"]],
 )
 def test_thhforge_cache_is_the_one_cache_setting(tmp_path, argv):
-    # fresh processes, so no in-memory basis hides the disk cache
-    env = {**os.environ, "THHFORGE_CACHE": str(tmp_path / "cache")}
-    proc = run_cli(argv, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert any(f.name.startswith("p2_A2_") for f in (tmp_path / "cache").iterdir())
-    proc = run_cli(["--cache-dir", str(tmp_path / "flag"), *argv], env=env)
+    # there is no cache setting at all: a --cache-dir flag is a usage error
+    proc = run_cli(["--cache-dir", str(tmp_path / "flag"), *argv])
     assert proc.returncode == 2 and proc.stdout == ""
     assert not (tmp_path / "flag").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["steenrod", "rank", "--subalgebra", "E9"],
+     ["steenrod", "quotient", "--subalgebra", "E9", "--ideal", "Sq1"],
+     ["steenrod", "kernel", "--subalgebra", "A4", "--ideal", "Sq1", "--target-ideal", "Sq1",
+      "--map", "Sq4"],
+     ["steenrod", "basis", "--subalgebra", "A", "--degree", "156"]],
+)
+def test_steenrod_refuses_a_basis_over_the_monomial_budget(capsys, argv):
+    # E(Q9) reaches degree 1,023, where the admissible words number about
+    # 7.7e9 in all; the monomial budget of 200,000 first runs out in degree 156
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.rstrip().endswith("the largest degree within budget is 155")
+
+
+def test_steenrod_budget_keeps_what_fits(capsys):
+    assert cli.main(["steenrod", "basis", "--subalgebra", "A", "--degree", "155"]) == 0
+    assert capsys.readouterr().out.count("\n") == len(cli.st.admissible_monomials(155))
+    # a finite subalgebra past its top degree has the empty basis, over budget or not
+    assert cli.main(["steenrod", "basis", "--subalgebra", "E9", "--degree", "1024"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -457,8 +476,8 @@ def _argvs(draw):
     command = draw(hst.sampled_from(["steenrod", "hh", "bokstedt", "adams"]))
     if command == "steenrod":
         sub = draw(hst.sampled_from(["basis", "rank", "quotient"]))
-        algebra = draw(hst.sampled_from(["A", "A0", "A1", "A2", "E01", "E012", "E", "A-1", "B",
-                                         ""]))
+        algebra = draw(hst.sampled_from(["A", "A0", "A1", "A2", "E01", "E012", "E9", "E", "A-1",
+                                         "B", ""]))
         if sub == "basis":
             return ["steenrod", "basis", "--subalgebra", algebra, "--degree", draw(_DEGREES)]
         if sub == "rank":

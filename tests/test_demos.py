@@ -19,8 +19,8 @@ def test_there_are_demos():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    # a fresh interpreter on src/ with an empty basis cache
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "THHFORGE_CACHE": str(tmp_path)}
+    # a fresh interpreter on src/
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr

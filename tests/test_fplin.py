@@ -256,3 +256,17 @@ def test_sparse_mat_invariants():
         fplin.SparseMat(1, 1, ((0, 0, 2),), p=2)  # stored zero
     with pytest.raises(ValueError):
         fplin.SparseMat(1, 1, ((0, 0, 1), (0, 0, 1)), p=2)  # duplicate
+
+
+def test_budget_cut_stops_drawing_counts_past_the_budget():
+    drawn = []
+
+    def counts():
+        for n in (1, 2, 3, 4, 5):
+            drawn.append(n)
+            yield n
+
+    assert fplin.budget_cut(counts(), 6) == 2  # 1 + 2 + 3 fit, + 4 does not
+    assert drawn == [1, 2, 3, 4]
+    assert fplin.budget_cut([7], 6) == 0  # degree 0 alone is over budget
+    assert fplin.budget_cut([1, 1], 6) == 1 and fplin.budget_cut([], 6) == -1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -41,6 +39,21 @@ def test_admissible_enumeration():
     # degreewise dims of A agree with the Milnor side through 30
     for d in range(31):
         assert len(st.admissible_monomials(d)) == len(st.milnor_basis(2, d))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3, 200, 2500])
+def test_admissible_count_and_budget_match_the_words(budget):
+    # the budget counts admissible words without building them; here they
+    # are built, and the cut is the last degree whose running total fits
+    total, cut = 0, 40
+    for d in range(41):
+        words = st.admissible_monomials(d)
+        assert st.admissible_count(d, d) == len(words)
+        total += len(words)
+        if total > budget:
+            cut = max(d - 1, 0)
+            break
+    assert fplin.budget_cut((st.admissible_count(d, d) for d in range(41)), budget) == cut
 
 
 def test_subalgebra_ranks_and_bases():
@@ -252,38 +265,6 @@ def test_parse_milnor():
     assert st.parse_milnor("1", 2) == {MilnorMonomial(): 1}
     with pytest.raises(ValueError):
         st.parse_milnor("xi1 xibar2", 2)
-
-
-def test_basis_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("THHFORGE_CACHE", str(tmp_path))
-    spec = SubalgebraSpec.A(1)
-    st._basis_memo.clear()
-    b1 = st.steenrod_basis(spec, 5)
-    files = list(tmp_path.iterdir())
-    assert files, "cache file written"
-    st._basis_memo.clear()
-    b2 = st.steenrod_basis(spec, 5)
-    assert b1 == b2
-    # corrupt cache: recomputed, not trusted
-    for f in files:
-        f.write_text("{not json")
-    st._basis_memo.clear()
-    b3 = st.steenrod_basis(spec, 5)
-    assert b3 == b1
-
-
-def test_corrupt_cache_is_replaced_atomically(tmp_path, monkeypatch):
-    monkeypatch.setenv("THHFORGE_CACHE", str(tmp_path))
-    spec = SubalgebraSpec.A(1)
-    st._basis_memo.clear()
-    good = st.steenrod_basis(spec, 5)
-    (path,) = [f for f in tmp_path.iterdir() if f.name.endswith("_d5.json")]
-    path.write_text("{not json")
-    st._basis_memo.clear()
-    assert st.steenrod_basis(spec, 5) == good
-    # the recompute's store overwrote the corrupt file with a valid one
-    assert json.loads(path.read_text())["basis"] == [st.element_str(e) for e in good]
-    assert not [f for f in tmp_path.iterdir() if f.name.endswith(".tmp")]
 
 
 def _an_dimension(n: int, degree: int) -> int:
