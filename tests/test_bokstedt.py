@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from thhforge import bokstedt as bk
 from thhforge import fplin
@@ -166,6 +168,122 @@ def _kernel_primitives(page, s, d):
         return out
 
     return len(basis) - fplin.constraint_matrix(basis, [psi_bar, nu_bar], A.p).rank()
+
+
+def _full_page_dims(page, bound):
+    """The whole-page oracle: honest dims of d^r through bound, ranked on
+    every monomial of the page, with no split into support and cycles."""
+    A = page.algebra
+    p, r = A.p, A.p - 1
+    ranks = {}
+
+    def rank_of(s, d):
+        if (s, d) not in ranks:
+            src, dst = A.bigraded_basis(s, d), A.bigraded_basis(s - r, d - 1)
+            idx = {m: i for i, m in enumerate(dst)}
+            span = fplin.Span(len(dst), p)
+            for m in src:
+                img = bk.differential_on_monomial(page, m)
+                if img:
+                    span.add({idx[mm]: c for mm, c in img.items()})
+            ranks[(s, d)] = span.rank
+        return ranks[(s, d)]
+
+    honest = {}
+    for d in range(bound + 1):
+        for s in sorted({A.filtration(m) for m in A.monomial_basis(d)}):
+            n = len(A.bigraded_basis(s, d))
+            if h := n - rank_of(s, d) - rank_of(s + r, d + 1):
+                honest[(s, d)] = h
+    return honest
+
+
+def _reported_dims(new, info):
+    """The dims page_homology stands behind: the candidate's when accepted,
+    the honest raw dims otherwise."""
+    if new.algebra is None:
+        return new.raw_dims
+    bound = info["verified_to"]
+    return {k: v for k, v in new.algebra.bigraded_series(bound).items() if v and k[1] <= bound}
+
+
+@pytest.mark.parametrize("name,p,n", [
+    ("hz", 3, 60), ("hf", 5, 60), ("ell", 3, 60), ("ju", 3, 60), ("bp0", 3, 60), ("hf", 3, 48),
+])
+def test_page_homology_matches_the_full_page_oracle(name, p, n):
+    page = bk.apply_d_pminus1(bk.build_e2(spectrum(name, p, n), n))
+    assert page.differential
+    new, info = bk.page_homology(page)
+    assert info == {"verified_to": n - 1, "match": True}
+    assert _reported_dims(new, info) == _full_page_dims(page, n - 1)
+
+
+def _tower_gens(p, N, towers):
+    """Divided towers on s(x_k) of degree 2a_k, each with an exterior target z_k."""
+    gens = []
+    for k, a in enumerate(towers):
+        gens += [GeneratorSpec(f"z{k}", 2 * a * p - 1, "exterior", filtration=1)]
+        gens += expand_divided(f"s(x{k})", 2 * a, p, N, filtration=1, sigma_of=f"x{k}")
+    return gens
+
+
+def _tower_page(p, N, gens):
+    """The page on gens with d(gamma_{p^i} s(x_k)) = z_k gamma_{p^i - p} s(x_k);
+    every other generator is a d-cycle."""
+    A = AlgebraPresentation(p, gens, N)
+    page = bk.SSPage(None, 2, A, None, None, max_degree=N)
+    page.differential = {
+        g.name: A.el_mul({A.gen_monomial(f"z{g.sigma_of[1:]}"): 1},
+                         A.gamma(f"s({g.sigma_of})", g.gamma_power - p))
+        for g in A.gens if g.gamma_power >= p
+    }
+    return page
+
+
+def test_wrong_candidate_reports_the_full_page_dims():
+    # the differential on gamma_9 is dropped, so the candidate, which still
+    # cancels the whole tower above gamma_1 against z, is wrong; gamma_9 and
+    # w are d-cycles off the support
+    w = GeneratorSpec("w", 7, "exterior", filtration=2)
+    page = _tower_page(3, 40, [w] + _tower_gens(3, 40, [1]))
+    assert sorted(page.differential) == ["g3(s(x0))", "g9(s(x0))"]
+    del page.differential["g9(s(x0))"]
+    new, info = bk.page_homology(page)
+    assert new.algebra is None and info == {"verified_to": 39, "match": False}
+    assert new.raw_dims == _full_page_dims(page, 39)
+
+
+@hst.composite
+def tower_pages(draw):
+    p = draw(hst.sampled_from([3, 5]))
+    towers = draw(hst.lists(hst.integers(1, 2 if p == 3 else 1), min_size=1, max_size=2))
+    N = draw(hst.integers(2 * max(towers) * p, 30 if p == 3 else 24))
+    others = []
+    for k in range(draw(hst.integers(1, 3))):
+        kind = draw(hst.sampled_from(["polynomial", "exterior", "truncated"]))
+        deg = draw(hst.integers(1, 12))
+        if kind != "exterior":
+            deg += deg % 2  # odd degrees are exterior at odd p
+        others.append(GeneratorSpec(f"b{k}", deg, kind, height=draw(hst.integers(2, 4)),
+                                    filtration=draw(hst.integers(0, 2))))
+    page = _tower_page(p, N, draw(hst.permutations(others + _tower_gens(p, N, towers))))
+    # dropping a tower differential leaves a wrong candidate and moves the
+    # source off the support
+    keys = sorted(page.differential)
+    for name in draw(hst.lists(hst.sampled_from(keys), max_size=1 if len(keys) > 1 else 0)):
+        del page.differential[name]
+    return page
+
+
+@settings(max_examples=40, deadline=None)
+@given(tower_pages())
+def test_block_dims_equal_the_full_page_oracle(page):
+    """Random pages of one or two divided towers over exterior targets, among
+    d-cycles of any kind: the dims page_homology reports, from ranks on the
+    support tensored with the cycles' series, are the whole-page honest dims."""
+    new, info = bk.page_homology(page)
+    assert info["verified_to"] == page.max_degree - 1
+    assert _reported_dims(new, info) == _full_page_dims(page, page.max_degree - 1)
 
 
 @pytest.mark.parametrize("name,p,n", [

@@ -233,17 +233,30 @@ def test_bokstedt_warns_when_the_page_check_is_capped(capsys, monkeypatch, schem
     uncapped = json.loads(capsys.readouterr().out)
     assert uncapped["result"]["pages"][1]["verified_to"] == 30
     assert "warnings" not in uncapped["result"]
-    # 500 page monomials reach only degree 23 of hf at p = 3
-    monkeypatch.setattr(cli.bk, "VERIFY_BUDGET", 500)
+    # the check builds only the differential's support, whose first 10
+    # monomials reach degree 22 of hf at p = 3
+    monkeypatch.setattr(cli.bk, "VERIFY_BUDGET", 10)
     assert cli.main(argv) == 0
     capped = json.loads(capsys.readouterr().out)
     jsonschema.validate(capped, schema)
-    assert capped["result"]["pages"][1]["verified_to"] == 23
+    assert capped["result"]["pages"][1]["verified_to"] == 22
     (warning,) = capped["result"].pop("warnings")
-    assert "page r = 3" in warning and "degree 30" in warning and "degree 23" in warning
+    assert "page r = 3" in warning and "degree 30" in warning and "degree 22" in warning
     # the warning is the only change; the mathematics does not depend on the cap
     capped["result"]["pages"][1]["verified_to"] = 30
     assert capped == uncapped
+
+
+@pytest.mark.parametrize("maxdeg", [96, 128])
+def test_bokstedt_hf3_page_check_reaches_the_asked_degree(capsys, maxdeg):
+    # the check ranks d^3 on the differential's support alone, whose
+    # monomials stay far under the budget through degree 128
+    argv = ["bokstedt", "run", "--spectrum", "hf", "--p", "3", "--maxdeg", str(maxdeg),
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["pages"][1]["verified_to"] == maxdeg
+    assert "warnings" not in result
 
 
 def test_bokstedt_run_deterministic(tmp_path, schema):
