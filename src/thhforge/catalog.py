@@ -17,7 +17,10 @@ from . import steenrod as st
 from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec
 from .steenrod import MilnorMonomial, conjugate, milnor_coproduct, milnor_one
 
-__all__ = ["DyerLashofTable", "SpectrumData", "spectrum", "SPECTRUM_NAMES", "j_module_degrees"]
+__all__ = [
+    "DyerLashofTable", "SpectrumData", "spectrum", "SPECTRUM_NAMES", "j_module_degrees",
+    "UnsupportedSpectrumError",
+]
 
 SPECTRUM_NAMES = ["hf", "hz", "ku", "ko", "tmf", "ell", "ju", "j", "bp", "bp0", "bp1", "bp2", "bp3"]
 
@@ -363,8 +366,12 @@ def _j_spectrum(max_degree: int) -> SpectrumData:
     return data
 
 
+class UnsupportedSpectrumError(ValueError):
+    """The catalog does not serve this name at this prime."""
+
+
 def spectrum(name: str, p: int, max_degree: int) -> SpectrumData:
-    """Catalog lookup; raises ValueError for unknown names or bad primes."""
+    """Catalog lookup; raises UnsupportedSpectrumError for unknown names or bad primes."""
     name = name.lower()
     if name in ("l", "ell"):
         name = "ell"
@@ -390,18 +397,18 @@ def spectrum(name: str, p: int, max_degree: int) -> SpectrumData:
         return d
     if name == "ko":
         if p != 2:
-            raise ValueError("ko is a mod-2 catalog entry")
+            raise UnsupportedSpectrumError("ko is a mod-2 catalog entry")
         return _ko_tmf("ko", max_degree)
     if name == "tmf":
         if p != 2:
-            raise ValueError("tmf is a mod-2 catalog entry")
+            raise UnsupportedSpectrumError("tmf is a mod-2 catalog entry")
         return _ko_tmf("tmf", max_degree)
     if name == "ju":
         return _ju_even(max_degree) if p == 2 else _ju_odd(p, max_degree)
     if name == "j":
         if p != 2:
-            raise ValueError("j coincides with ju at odd primes; use ju")
+            raise UnsupportedSpectrumError("j coincides with ju at odd primes; use ju")
         return _j_spectrum(max_degree)
     if name == "ku":
-        raise ValueError("ku at odd primes has a non-flat initial term; out of range")
-    raise ValueError(f"unknown spectrum {name!r}")
+        raise UnsupportedSpectrumError("ku at odd primes has a non-flat initial term; out of range")
+    raise UnsupportedSpectrumError(f"unknown spectrum {name!r}")

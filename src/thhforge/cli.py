@@ -22,7 +22,7 @@ from . import adams as ad
 from . import bokstedt as bk
 from . import steenrod as st
 from .acceptance import CRITERIA
-from .catalog import SPECTRUM_NAMES, spectrum
+from .catalog import SPECTRUM_NAMES, UnsupportedSpectrumError, spectrum
 from .gca import AlgebraPresentation, GeneratorSpec
 # hh_homology stays importable here: the benchmark tracer's tests call cli.hh_homology
 from .hochschild import _bidegrees, hh_dims, hh_homology  # noqa: F401
@@ -293,7 +293,7 @@ def cmd_bokstedt(args, config) -> int:
         return EXIT_USAGE
     try:
         res = bk.thh_homology(args.spectrum, p, n)
-    except bk.CoactionBoundError as exc:
+    except (bk.CoactionBoundError, UnsupportedSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     emit(envelope("bokstedt run", {"spectrum": args.spectrum, "p": p, "maxdeg": n},

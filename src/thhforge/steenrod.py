@@ -2,10 +2,11 @@
 
 Admissible-form elements with Adem reduction live at p = 2 only; the
 dual side (Milnor monomials, coproduct, conjugation) is implemented at
-every prime.  Finite subalgebras A_n and exterior subalgebras on Milnor
-primitives Q_i are handled by brute-force degreewise closure of their
-generating sets, which also drives quotient-module, kernel and
-annihilator computations.
+every prime.  Finite subalgebras A_n are closed up degreewise from
+their generators, stopping once the span reaches the Milnor-basis
+dimension of A(n) in that degree; exterior subalgebras on the Milnor
+primitives Q_i are spanned by square-free products.  These bases drive
+the quotient-module, kernel and annihilator computations.
 
 Those computations multiply many elements by one fixed element g: the
 closure by each Sq^{2^i}, a quotient by each ideal generator, a kernel
@@ -83,6 +84,11 @@ def adem_reduce(word: Sequence[int]) -> SteenrodElement:
     """
     if any(i <= 0 for i in word):
         raise ValueError("Sq exponents must be positive (unit = empty word)")
+    return _adem_reduce(word)
+
+
+def _adem_reduce(word: Sequence[int]) -> SteenrodElement:
+    """adem_reduce without the exponent check, for words of positive exponents."""
     result: set = set()
     stack = [tuple(word)]
     while stack:
@@ -105,7 +111,7 @@ def steenrod_mul(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
     out: set = set()
     for u in a:
         for v in b:
-            out.symmetric_difference_update(adem_reduce(u + v) if u + v else {()})
+            out.symmetric_difference_update(_adem_reduce(u + v) if u + v else {()})
     return frozenset(out)
 
 
@@ -201,6 +207,22 @@ def admissible_count(d: int, cap: int) -> int:
     return sum(admissible_count(d - first, first // 2) for first in range(1, min(d, cap) + 1))
 
 
+def an_dimension(n: int, d: int) -> int:
+    """dim A(n)_d: the Milnor basis elements Sq(r_1, ..., r_{n+1}) with
+    r_j < 2^{n+2-j} and sum r_j (2^j - 1) = d."""
+    return _profile_count(n, d, 1)
+
+
+@lru_cache(maxsize=None)
+def _profile_count(n: int, d: int, j: int) -> int:
+    """The (r_j, ..., r_{n+1}) inside A(n)'s profile with sum r_i (2^i - 1) = d."""
+    if j > n + 1:
+        return int(d == 0)
+    step = 2 ** j - 1
+    return sum(_profile_count(n, d - r * step, j + 1)
+               for r in range(min(2 ** (n + 2 - j), d // step + 1)))
+
+
 @lru_cache(maxsize=None)
 def milnor_primitive(k: int) -> SteenrodElement:
     """Q_k in admissible form: Q_0 = Sq^1 and Q_k = [Sq^{2^k}, Q_{k-1}]."""
@@ -291,9 +313,12 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
 
     For the full algebra these are single admissible monomials.  For A_n
     the degreewise span is closed up from the generating set Sq^1, ...,
-    Sq^{2^n}; basis vectors are the reduced rows of that span, so some
-    are genuine sums (A_1 in degree 5 is spanned by Sq^5 + Sq^4 Sq^1).
-    For exterior specs the basis is the square-free products of the Q_i.
+    Sq^{2^n}, and the closure stops as soon as its rank is dim A(n)_d,
+    counted from the Milnor basis (an_dimension); if the products run out
+    below it, RuntimeError.  Basis vectors are the reduced rows of that
+    span, so some are genuine sums (A_1 in degree 5 is spanned by
+    Sq^5 + Sq^4 Sq^1).  For exterior specs the basis is the square-free
+    products of the Q_i.
     """
     if degree < 0:
         return []
@@ -320,12 +345,21 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
     else:  # A_n by closure: degree-d span = sum of Sq^{2^i} * basis(d - 2^i)
         index = _amb_index(degree)
         span = fplin.Span(len(index), 2)
+        # every product lies in A_n, so a span of rank dim A(n)_d is all of it
+        target = an_dimension(spec.n, degree)
         for i in spec.generator_exponents():
+            if span.rank == target:
+                break
             sq = _multiplier(frozenset({(i,)}), left=True)
             for b in steenrod_basis(spec, degree - i):
+                if span.rank == target:
+                    break
                 prod = sq(b)
                 if prod:
                     span.add(_to_vec(prod, index))
+        if span.rank != target:
+            raise RuntimeError(f"A_{spec.n} closure in degree {degree} reached rank "
+                               f"{span.rank}, but dim A({spec.n})_{degree} is {target}")
         inv = admissible_monomials(degree)
         out = [frozenset(inv[i] for i in row) for row in span.basis()]
     _basis_memo[key] = out

@@ -300,10 +300,15 @@ def test_config_precedence(tmp_path, capsys):
     assert code == 0 and payload["params"]["maxdeg"] == 12
 
 
-def test_bad_spectrum_exits_one(capsys):
-    code = cli.main(["bokstedt", "run", "--spectrum", "nope"])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("name, p", [("ko", 3), ("tmf", 5), ("j", 3), ("ku", 3), ("nope", 2)])
+def test_unsupported_catalog_name_exits_two(capsys, name, p):
+    # a name the catalog does not serve at this prime is a bad argument,
+    # not a failed computation
+    assert cli.main(["bokstedt", "run", "--spectrum", name, "--p", str(p), "--maxdeg", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert name in captured.err
 
 
 def test_bad_args_exit_two():

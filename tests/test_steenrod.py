@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from thhforge import fplin
+from thhforge import cli, fplin
 from thhforge import steenrod as st
 from thhforge.catalog import spectrum
 from thhforge.steenrod import MilnorMonomial, SubalgebraSpec
@@ -29,8 +29,11 @@ def test_adem_output_admissible_and_idempotent():
 
 
 def test_adem_rejects_zero_exponent():
+    # products reduce without this check, so both public entries keep it
     with pytest.raises(ValueError):
         st.adem_reduce((0, 1))
+    with pytest.raises(ValueError):
+        st.parse_element("Sq0Sq1")
 
 
 def test_admissible_enumeration():
@@ -312,6 +315,58 @@ def test_an_basis_is_the_annihilator_of_the_profile_ideal(n, top):
                 assert st.pairing(elt, m) == 0, (d, st.element_str(elt), str(m))
 
 
+def _uncut_closure(n: int, top: int) -> dict[int, list]:
+    """A(n) through degree top by the closure with no dimension to stop at:
+    every Sq^{2^i} times every basis element of degree d - 2^i goes into the
+    span, and the basis is its reduced rows."""
+    bases = {0: [st.steenrod_one()]}
+    for d in range(1, top + 1):
+        index = st._amb_index(d)
+        span = fplin.Span(len(index), 2)
+        for i in (2 ** k for k in range(n + 1)):
+            for b in bases.get(d - i, []):
+                prod = st.steenrod_mul(frozenset({(i,)}), b)
+                if prod:
+                    span.add({index[w]: 1 for w in prod})
+        words = st.admissible_monomials(d)
+        bases[d] = [frozenset(words[j] for j in row) for row in span.basis()]
+    return bases
+
+
+@pytest.mark.parametrize("n, top", [(1, None), (2, None), (3, None), (4, 40)])
+def test_an_closure_stopped_at_its_dimension_matches_the_uncut_closure(n, top):
+    spec = SubalgebraSpec.A(n)
+    top = spec.top_degree() if top is None else top
+    oracle = _uncut_closure(n, top)
+    for d in range(top + 1):
+        assert st.steenrod_basis(spec, d) == oracle[d], d
+
+
+def test_an_closure_short_of_its_dimension_is_an_error(monkeypatch, capsys):
+    # a target one too high is out of reach: the closure raises rather
+    # than return a short basis, and the command fails with one error line
+    real = st.an_dimension
+    monkeypatch.setattr(st, "an_dimension", lambda n, d: real(n, d) + 1)
+    monkeypatch.setattr(st, "_basis_memo", {})
+    assert cli.main(["steenrod", "basis", "--subalgebra", "A2", "--degree", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "dim A(2)_1 is 2" in captured.err
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_an_dimension_is_a_poincare_duality_series_of_the_right_total(n):
+    # facts about A(n) that neither the product formula nor the profile
+    # count states: it has 2^{(n+1)(n+2)/2} elements, and as a finite Hopf
+    # algebra it is a Poincare duality algebra with top class in top_degree()
+    top = SubalgebraSpec.A(n).top_degree()
+    dims = [st.an_dimension(n, d) for d in range(top + 1)]
+    assert sum(dims) == 2 ** ((n + 1) * (n + 2) // 2)
+    assert dims == dims[::-1]
+    assert [st.an_dimension(n, top + k) for k in (1, 2, 100)] == [0, 0, 0]
+
+
 @hst.composite
 def admissible_elements(draw, max_degree=20):
     """A nonzero homogeneous sum of admissible words of degree <= max_degree."""
@@ -329,3 +384,15 @@ def test_multiplier_is_steenrod_mul(g, xs, left):
     times_g = st._multiplier(g, left=left)
     for x in xs + xs[:1]:
         assert times_g(x) == (st.steenrod_mul(g, x) if left else st.steenrod_mul(x, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_elements(), admissible_elements())
+def test_steenrod_mul_is_adem_reduce_of_the_joined_words(x, y):
+    # steenrod_mul reduces joined admissible words without adem_reduce's
+    # exponent check; the checked entry must give the same product
+    expect: set = set()
+    for u in x:
+        for v in y:
+            expect.symmetric_difference_update(st.adem_reduce(u + v) if u + v else {()})
+    assert st.steenrod_mul(x, y) == frozenset(expect)
