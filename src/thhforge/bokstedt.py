@@ -372,9 +372,7 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
     # stops one short of the materialized bound
     asked = page.max_degree - 1
     bound = _verify_budget_bound(F, asked, VERIFY_BUDGET)
-    cand_dims = {
-        k: v for k, v in candidate.bigraded_series(bound).items() if v and k[1] <= bound
-    }
+    cand_dims = candidate.bigraded_series(bound)
     ranks: dict[tuple[int, int], int] = {}
 
     def rank_of(s: int, d: int) -> int:
@@ -702,16 +700,17 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
                     "scanned_to": max_degree}
     abutment, coact, relations = resolve_extensions(page, max_degree)
     series = abutment.poincare_series(max_degree)
+    e2_dims = _page_dims(e2, max_degree)
     return THHResult(
         data.name, p, max_degree,
-        e2_dims=_page_dims(e2, max_degree),
+        e2_dims=e2_dims,
         pages=pages_info,
         collapse=collapse,
         abutment=abutment,
         coaction=coact,
         relations=relations,
         series=series,
-        einf_dims=_page_dims(page, max_degree),
+        einf_dims=e2_dims if page.algebra is e2.algebra else _page_dims(page, max_degree),
         warnings=warnings,
     )
 
@@ -719,11 +718,7 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
 def _page_dims(page: SSPage, max_degree: int) -> dict[tuple[int, int], int]:
     if page.raw_dims is not None:
         return dict(page.raw_dims)
-    out = {}
-    for (s, d), v in page.algebra.bigraded_series(max_degree).items():
-        if v and d <= max_degree:
-            out[(s, d - s)] = out.get((s, d - s), 0) + v
-    return out
+    return {(s, d - s): v for (s, d), v in page.algebra.bigraded_series(max_degree).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,14 @@ def resolve(args, config: dict, key: str, default=None):
 
 
 def bad_bounds(maxdeg: int, p: int | None = None) -> bool:
-    """Print a one-line refusal for a negative degree bound or a non-prime p."""
+    """Print a one-line refusal for a degree bound outside 0..HARD_DEGREE_CAP
+    or a non-prime p."""
     if maxdeg < 0:
         print(f"error: --maxdeg must be nonnegative (got {maxdeg})", file=sys.stderr)
+        return True
+    if maxdeg > HARD_DEGREE_CAP:
+        print(f"error: --maxdeg must be at most {HARD_DEGREE_CAP} (got {maxdeg})",
+              file=sys.stderr)
         return True
     if p is not None and not fplin.is_prime(p):
         print(f"error: --p must be a prime (got {p})", file=sys.stderr)
@@ -127,10 +132,23 @@ def _print_csv(result) -> None:
 # ---------------------------------------------------------------------------
 # steenrod
 
+def _parse_ideal(text: str) -> list:
+    return [st.parse_element(s) for s in text.split(",")]
+
+
 def cmd_steenrod(args, config) -> int:
     sub = args.steenrod_cmd
-    if sub != "pair":
-        spec = st.SubalgebraSpec.parse(args.subalgebra)
+    try:  # every argument is parsed before any computation: a bad one exits 2
+        spec = None if sub == "pair" else st.SubalgebraSpec.parse(args.subalgebra)
+        ideal = _parse_ideal(args.ideal) if sub in ("quotient", "kernel") else None
+        if sub == "kernel":
+            target, fmap = _parse_ideal(args.target_ideal), st.parse_element(args.map)
+        if sub == "pair":
+            a, m = st.parse_element(args.element), parse_milnor(args.monomial, 2)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if spec is not None:
         # the degree a basis is built through; past a finite top it is empty and free
         need = args.degree if sub == "basis" else spec.top_degree() if spec.finite else -1
         if spec.finite and need > spec.top_degree():
@@ -154,8 +172,7 @@ def cmd_steenrod(args, config) -> int:
         emit(envelope("steenrod rank", {"subalgebra": spec.id}, result), args, config)
         return EXIT_OK
     if sub == "quotient":
-        gens = [st.parse_element(s) for s in args.ideal.split(",")]
-        module = st.quotient_module(spec, gens)
+        module = st.quotient_module(spec, ideal)
         result: dict = {"total_rank": module.total_rank()}
         if not args.total_rank:
             result["series"] = {str(d): n for d, n in module.poincare().items()}
@@ -166,9 +183,8 @@ def cmd_steenrod(args, config) -> int:
              args, config)
         return EXIT_OK
     if sub == "kernel":
-        src = st.quotient_module(spec, [st.parse_element(s) for s in args.ideal.split(",")])
-        tgt = st.quotient_module(spec, [st.parse_element(s) for s in args.target_ideal.split(",")])
-        kernel, cok = st.module_map_kernel(st.parse_element(args.map), src, tgt)
+        kernel, cok = st.module_map_kernel(
+            fmap, st.quotient_module(spec, ideal), st.quotient_module(spec, target))
         result = {
             "kernel_rank": kernel.total_rank(),
             "cokernel_rank": cok,
@@ -180,8 +196,6 @@ def cmd_steenrod(args, config) -> int:
                       result), args, config)
         return EXIT_OK
     if sub == "pair":
-        a = st.parse_element(args.element)
-        m = parse_milnor(args.monomial, 2)
         result = st.pairing(a, m, 2)
         emit(envelope("steenrod pair",
                       {"element": args.element, "monomial": args.monomial}, result),
@@ -236,7 +250,7 @@ def load_presentation(path: str) -> AlgebraPresentation:
 
 def cmd_hh(args, config) -> int:
     p = resolve(args, config, "p")
-    n = min(resolve(args, config, "maxdeg"), HARD_DEGREE_CAP)
+    n = resolve(args, config, "maxdeg")
     if bad_bounds(n, p):
         return EXIT_USAGE
     if args.spectrum:
@@ -288,7 +302,7 @@ def cmd_hh(args, config) -> int:
 
 def cmd_bokstedt(args, config) -> int:
     p = resolve(args, config, "p")
-    n = min(resolve(args, config, "maxdeg"), HARD_DEGREE_CAP)
+    n = resolve(args, config, "maxdeg")
     if bad_bounds(n, p):
         return EXIT_USAGE
     try:
@@ -302,7 +316,7 @@ def cmd_bokstedt(args, config) -> int:
 
 
 def cmd_adams(args, config) -> int:
-    n = min(resolve(args, config, "maxdeg"), HARD_DEGREE_CAP)
+    n = resolve(args, config, "maxdeg")
     if bad_bounds(n):
         return EXIT_USAGE
     target = args.target

@@ -293,58 +293,58 @@ class AlgebraPresentation:
         return self._reduced_zero
 
     def poincare_series(self, max_degree: int | None = None) -> list[int]:
-        """dim_d for 0 <= d <= bound, by generating-function convolution."""
+        """dim_d for 0 <= d <= bound ([] for a negative bound).
+
+        Each generator of degree d and exponent cap c multiplies the series
+        by (1 - x^{(c+1)d}) / (1 - x^d), in place; an idempotent doubles it.
+        """
         n = self.N if max_degree is None else max_degree
-        series = [0] * (n + 1)
-        series[0] = 1
+        if n < 0:
+            return []
+        series = [1] + [0] * n
         if self.square_zero:
             for g in self.gens:
                 if g.degree <= n:
                     series[g.degree] += 1
             return series
         for g in self.gens:
-            factor = [0] * (n + 1)
-            cap = g.max_exponent()
             if g.idempotent:
-                factor[0] = 2
-            else:
-                e = 0
-                while e * g.degree <= n and (cap is None or e <= cap):
-                    factor[e * g.degree] += 1
-                    if g.degree == 0:
-                        break
-                    e += 1
-            series = _convolve(series, factor, n)
+                series = [2 * v for v in series]
+                continue
+            d, cap = g.degree, g.max_exponent()
+            if cap is not None:
+                top = (cap + 1) * d
+                for t in range(n, top - 1, -1):
+                    series[t] -= series[t - top]
+            for t in range(d, n + 1):
+                series[t] += series[t - d]
         return series
 
     def bigraded_series(self, max_degree: int | None = None) -> dict[tuple[int, int], int]:
-        """dims indexed by (filtration, total degree), by convolution."""
-        n = self.N if max_degree is None else max_degree
-        series: dict[tuple[int, int], int] = {(0, 0): 1}
-        for g in self.gens:
-            factor: dict[tuple[int, int], int] = {}
-            cap = g.max_exponent()
-            if g.idempotent:
-                factor[(0, 0)] = 2
-            else:
-                e = 0
-                while e * g.degree <= n and (cap is None or e <= cap):
-                    factor[(e * g.filtration, e * g.degree)] = (
-                        factor.get((e * g.filtration, e * g.degree), 0) + 1
-                    )
-                    if g.degree == 0:
-                        break
-                    e += 1
-            new: dict[tuple[int, int], int] = {}
-            for (s1, t1), c1 in series.items():
-                for (s2, t2), c2 in factor.items():
-                    if t1 + t2 <= n:
-                        key = (s1 + s2, t1 + t2)
-                        new[key] = new.get(key, 0) + c1 * c2
-            series = new
+        """dims indexed by (filtration, total degree), zeros left out.
+
+        The recurrence of poincare_series on rows indexed by total degree,
+        each row a {filtration: count} dict; a generator of filtration f
+        shifts the filtration by f wherever it shifts the degree by d.
+        """
         if self.square_zero:
             raise ValueError("bigraded series not defined for square-zero presentations")
-        return series
+        n = self.N if max_degree is None else max_degree
+        if n < 0:
+            return {}
+        rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+        for g in self.gens:
+            if g.idempotent:
+                rows = [{s: 2 * v for s, v in row.items()} for row in rows]
+                continue
+            d, f, cap = g.degree, g.filtration, g.max_exponent()
+            if cap is not None:
+                top = (cap + 1) * d
+                for t in range(n, top - 1, -1):
+                    _shift_add(rows[t], rows[t - top], (cap + 1) * f, -1)
+            for t in range(d, n + 1):
+                _shift_add(rows[t], rows[t - d], f, 1)
+        return {(s, t): v for t, row in enumerate(rows) for s, v in row.items()}
 
     # -- divided powers --------------------------------------------------
     def gamma(self, base_name: str, j: int) -> Element:
@@ -377,15 +377,14 @@ def _is_power(e: int, p: int) -> bool:
     return e == 1
 
 
-def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j > n:
-                    break
-                out[i + j] += x * y
-    return out
+def _shift_add(row: dict[int, int], src: dict[int, int], shift: int, sign: int) -> None:
+    """row += sign * src with filtrations raised by shift; zeros are dropped."""
+    for s, c in src.items():
+        v = row.get(s + shift, 0) + sign * c
+        if v:
+            row[s + shift] = v
+        else:
+            del row[s + shift]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 
 from thhforge import bokstedt as bk
 from thhforge import fplin
-from thhforge.catalog import j_module_degrees, spectrum
+from thhforge.catalog import SPECTRUM_NAMES, j_module_degrees, spectrum
 from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec, expand_divided
 from thhforge.steenrod import milnor_one
 
@@ -441,3 +441,24 @@ def test_raw_cross_check_bound_is_budgeted():
     assert 4 <= bound < 15
     page = bk.build_e2(data, 30, cross_check_internal=bound)
     assert page.flat
+
+
+@pytest.mark.parametrize("name,p", [
+    (name, p) for name in SPECTRUM_NAMES for p in (2, 3)
+    if p == 2 or name not in ("ku", "ko", "tmf", "j")  # mod-2 catalog entries
+])
+def test_einf_dims_are_the_final_page_series(name, p):
+    # E-infinity dims are E2's only when no page replaced the E2 algebra
+    n = 40
+    res = bk.thh_homology(name, p, n)
+    e2 = bk.build_e2(spectrum(name, p, n + 1), n + 1)
+    if not e2.flat:
+        assert res.einf_dims is None
+        return
+    page = bk.apply_d_pminus1(e2)
+    assert page.differential or (name, p) != ("hz", 3)
+    if page.differential:
+        page, _ = bk.page_homology(page)
+        assert res.einf_dims != res.e2_dims
+    dims = {(s, d - s): v for (s, d), v in page.algebra.bigraded_series(n).items()}
+    assert res.einf_dims == dims

@@ -311,6 +311,46 @@ def test_unsupported_catalog_name_exits_two(capsys, name, p):
     assert name in captured.err
 
 
+@pytest.mark.parametrize("maxdeg", [128, 129, 300])
+@pytest.mark.parametrize("argv", [
+    ["bokstedt", "run", "--spectrum", "hf", "--p", "2"],
+    ["hh", "compute", "--preset", "exterior", "--p", "3", "--qmax", "2"],
+    ["adams", "run", "--target", "thh-ku-mod2"],
+])
+def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
+    # a bound past the cap is refused, never quietly lowered to it
+    code = cli.main([*argv, "--maxdeg", str(maxdeg), "--format", "json"])
+    captured = capsys.readouterr()
+    if maxdeg <= cli.HARD_DEGREE_CAP:
+        assert code == 0
+        assert json.loads(captured.out)["params"]["maxdeg"] == maxdeg
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "128" in captured.err and str(maxdeg) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["steenrod", "rank", "--subalgebra", "nope"],
+    ["steenrod", "basis", "--subalgebra", "A-1", "--degree", "3"],
+    ["steenrod", "rank", "--subalgebra", "E"],
+    ["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq0"],
+    ["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq1,Sqx"],
+    ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1", "--target-ideal", "Sq0",
+     "--map", "Sq1"],
+    ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1", "--target-ideal", "Sq2",
+     "--map", "Sqy"],
+    ["steenrod", "pair", "--element", "Sq1", "--monomial", "zeta"],
+    ["steenrod", "pair", "--element", "Sqz", "--monomial", "xi1"],
+])
+def test_steenrod_bad_arguments_exit_two(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_bad_args_exit_two():
     proc = run_cli(["steenrod", "basis"])  # missing --degree
     assert proc.returncode == 2
@@ -468,7 +508,7 @@ def test_bad_degree_or_prime_exits_two(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line", ["maxdeg = -2", "maxdeg = abc", "format = svg"])
+@pytest.mark.parametrize("line", ["maxdeg = -2", "maxdeg = 200", "maxdeg = abc", "format = svg"])
 def test_bad_config_value_exits_two(tmp_path, capsys, line):
     cfg = tmp_path / "cfg"
     cfg.write_text(line + "\n")

@@ -46,21 +46,21 @@ def test_square_zero_refuses_idempotents():
 
 
 @hst.composite
-def presentations(draw):
+def presentations(draw, square_zero=hst.booleans(), max_gen_degree=8):
     """Mixed polynomial/exterior/truncated generators with random
     filtrations, and optionally either idempotents or the square-zero
     relation (a square-zero presentation refuses idempotents)."""
     p = draw(hst.sampled_from([2, 3, 5]))
     gens = []
     for k in range(draw(hst.integers(1, 5))):
-        d = draw(hst.integers(1, 8))
+        d = draw(hst.integers(1, max_gen_degree))
         kind = "exterior" if p != 2 and d % 2 else draw(
             hst.sampled_from(["polynomial", "exterior", "truncated"])
         )
         height = draw(hst.integers(2, 4)) if kind == "truncated" else 0
         gens.append(GeneratorSpec(f"x{k}", d, kind, height=height,
                                   filtration=draw(hst.integers(0, 3))))
-    square_zero = draw(hst.booleans())
+    square_zero = draw(square_zero)
     for k in range(0 if square_zero else draw(hst.integers(0, 2))):
         gens.append(GeneratorSpec(f"u{k}", 0, "truncated", height=2, idempotent=True))
     return AlgebraPresentation(p, gens, draw(hst.integers(0, 24)), square_zero=square_zero)
@@ -69,8 +69,8 @@ def presentations(draw):
 @settings(max_examples=80, deadline=None)
 @given(presentations())
 def test_basis_index_against_series(A):
-    # the series are generating-function convolutions, independent of the
-    # enumerator they check
+    # the series are per-generator recurrences on counts, independent of
+    # the enumerator they check
     series = A.poincare_series()
     bigraded = None if A.square_zero else A.bigraded_series()
     for d in range(A.N + 1):
@@ -111,6 +111,56 @@ def test_series_is_convolution_of_factors():
     b = AlgebraPresentation(3, [E("y", 3)], 12).poincare_series()
     both = AlgebraPresentation(3, [P("x", 2), E("y", 3)], 12).poincare_series()
     assert [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(13)] == both
+
+
+def _factor_product_series(A, n):
+    """dims by (filtration, degree) through n, as the product of the
+    generators' factors, each multiplied out in full by quadratic
+    convolution: the oracle for both series of a presentation."""
+    series = {(0, 0): 1}
+    for g in A.gens:
+        factor = {}
+        if g.idempotent:
+            factor[(0, 0)] = 2
+        else:
+            cap = g.max_exponent()
+            e = 0
+            while e * g.degree <= n and (cap is None or e <= cap):
+                key = (e * g.filtration, e * g.degree)
+                factor[key] = factor.get(key, 0) + 1
+                e += 1
+        new = {}
+        for (s1, t1), c1 in series.items():
+            for (s2, t2), c2 in factor.items():
+                if t1 + t2 <= n:
+                    new[(s1 + s2, t1 + t2)] = new.get((s1 + s2, t1 + t2), 0) + c1 * c2
+        series = new
+    return series
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(square_zero=hst.just(False), max_gen_degree=12), hst.data())
+def test_series_equal_the_product_of_factors(A, data):
+    # the bound runs from negative through N, and often sits below the
+    # smallest generator degree
+    n = data.draw(hst.integers(-3, A.N), label="bound")
+    if n < 0:
+        assert A.poincare_series(n) == []
+        assert A.bigraded_series(n) == {}
+        return
+    oracle = _factor_product_series(A, n)
+    assert A.bigraded_series(n) == oracle
+    assert A.poincare_series(n) == [
+        sum(c for (_, t), c in oracle.items() if t == d) for d in range(n + 1)
+    ]
+
+
+def test_series_below_the_smallest_generator_degree():
+    A = AlgebraPresentation(3, [P("x", 4), E("y", 5)], 12)
+    assert A.poincare_series(3) == [1, 0, 0, 0]
+    assert A.bigraded_series(3) == {(0, 0): 1}
+    assert A.poincare_series(0) == [1]
+    assert A.poincare_series(-1) == [] and A.bigraded_series(-1) == {}
 
 
 def test_series_matches_enumeration():
