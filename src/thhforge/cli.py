@@ -266,6 +266,10 @@ def cmd_hh(args, config) -> int:
             return EXIT_USAGE
         p = pres.p
         qmax = resolve(args, config, "qmax")
+        if n > pres.N and (args.maxdeg is not None or "maxdeg" in config):
+            print(f"error: maxdeg {n} is above the presentation file's max_degree {pres.N}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         n = min(n, pres.N)
     elif args.preset:
         if args.preset not in PRESETS:

@@ -151,6 +151,7 @@ class AlgebraPresentation:
         self._tail_cache: dict[tuple[int, int], list[Monomial]] = {}
         self._filtration_cache: dict[int, dict[int, list[Monomial]]] = {}
         self._reduced_zero: list[Monomial] | None = None
+        self._products: dict[tuple[Monomial, Monomial], tuple[Monomial | None, int]] = {}
 
     # -- monomials -----------------------------------------------------
     def one(self) -> Monomial:
@@ -182,11 +183,24 @@ class AlgebraPresentation:
         return -1 if inv % 2 else 1
 
     def mul_monomials(self, m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
-        """Product with kind relations and Koszul sign; (None, 0) if zero."""
+        """Product with kind relations and Koszul sign; (None, 0) if zero.
+
+        Memoized on (m1, m2) for the life of the presentation.  That is
+        sound because nothing a product reads changes after __init__: p,
+        square_zero, the caps and the generator list are never reassigned
+        or mutated anywhere in the package, and GeneratorSpec is frozen.
+        """
         if not m1:
             return m2, 1
         if not m2:
             return m1, 1
+        key = (m1, m2)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = self._product(m1, m2)
+        return out
+
+    def _product(self, m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
         if self.square_zero and self.degree(m1) > 0 and self.degree(m2) > 0:
             return None, 0
         sign = self._sign(m1, m2)

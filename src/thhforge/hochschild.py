@@ -115,10 +115,13 @@ class HochschildComplex:
             if i > 0 and not prod:
                 continue  # normalized: unit in a reduced slot
             fplin.add_term(out, c[:i] + (prod,) + c[i + 2 :], (-1) ** i * s, p)
-        # cyclic last face, with the Koszul sign for moving the last slot front
-        eps = A.degree(c[q]) * sum(A.degree(m) for m in c[:q])
+        # cyclic last face, with the Koszul sign for moving the last slot
+        # front (a sign is 1 at p = 2, and eps is even when c[q] is)
         prod, s = A.mul_monomials(c[q], c[0])
         if prod is not None and s:
+            eps = 0
+            if p != 2 and A.degree(c[q]) % 2:
+                eps = sum(A.degree(m) for m in c[:q])
             fplin.add_term(out, (prod,) + c[1:q], (-1) ** (q + eps) * s, p)
         return out
 
@@ -141,12 +144,23 @@ class HochschildComplex:
         return src, dst, cols
 
     def rank(self, q: int, t: int) -> int:
-        """Rank of the boundary C_q,t -> C_{q-1},t (zero at q = 0), memoized."""
+        """Rank of the boundary C_q,t -> C_{q-1},t (zero at q = 0), memoized.
+
+        The target chains are indexed in descending order, so the pivot of
+        each column (the Span's least index) is its lexicographically
+        largest chain: the d0 face (m1, ..., mq) of a chain (1, m1, ..., mq).
+        That is the contracting-homotopy matching of algebraic Morse theory
+        (Skoldberg 2006), and it keeps the elimination's fill-in small.
+        Rank does not depend on the order; boundary_matrix and homology()
+        keep the ascending one, whose kernel vectors are representatives.
+        """
         if (q, t) not in self._ranks:
-            _, dst, cols = self.boundary_matrix(q, t) if q > 0 else ((), (), ())
+            src = self.basis(q, t) if q > 0 else []
+            dst = self.basis(q - 1, t) if src else []
+            idx = {c: i for i, c in enumerate(reversed(dst))}
             span = fplin.Span(len(dst), self.A.p)
-            for col in cols:
-                span.add(col)
+            for c in src:
+                span.add(self._vec(self.boundary_chain(c), idx))
             self._ranks[(q, t)] = span.rank
         return self._ranks[(q, t)]
 

@@ -427,6 +427,31 @@ def test_hh_spectrum_refuses_a_disagreeing_prime(tmp_path, capsys, via_config):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_hh_spectrum_refuses_a_maxdeg_above_the_file(tmp_path, capsys, via_config):
+    # the bound was once lowered silently to the file's max_degree, exit 0
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"p": 3, "max_degree": 10, "generators": [
+        {"name": "y", "degree": 1, "kind": "exterior"}]}))
+    path = str(path)
+    argv = ["hh", "compute", "--spectrum", path, "--qmax", "2"]
+    if via_config:
+        cfg = tmp_path / "cfg"
+        cfg.write_text("maxdeg = 40\n")
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--maxdeg", "40"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "40" in captured.err and "10" in captured.err
+    # the file's own bound, asked for or left implicit, still computes
+    for bound in (["--maxdeg", "10"], []):
+        assert cli.main(["hh", "compute", "--spectrum", path, "--format", "json"] + bound) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["maxdeg"] == 10
+
+
 @pytest.mark.parametrize(
     "gen",
     [{"kind": "polynomail"}, {"kind": "truncated"}, {"kind": "truncated", "height": 1},

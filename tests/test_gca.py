@@ -218,6 +218,38 @@ def test_graded_commutativity_and_associativity():
         assert lhs == rhs
 
 
+def reference_product(A, m1, m2):
+    """m1 * m2 from the letters: exponents add, caps kill, idempotents
+    collapse, and each inversion of two odd letters costs a sign."""
+    word = [i for m in (m1, m2) for i, e in m for _ in range(e)]
+    odd = [i for i in word if A.gens[i].degree % 2]
+    inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+    out = []
+    for i in sorted(set(word)):
+        g, e = A.gens[i], word.count(i)
+        if g.idempotent:
+            e = 1
+        elif g.kind == "exterior" and e > 1 or g.kind == "truncated" and e >= g.height:
+            return None, 0
+        out.append((i, e))
+    return tuple(out), (-1) ** inversions % A.p
+
+
+@pytest.mark.parametrize("A", [
+    AlgebraPresentation(2, [E("a", 1), P("b", 2), GeneratorSpec("c", 3, "truncated", height=3),
+                            GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 9),
+    AlgebraPresentation(3, [P("x", 2), E("y", 1), E("z", 3),
+                            GeneratorSpec("w", 4, "truncated", height=3),
+                            GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 9),
+], ids=["p2", "p3"])
+def test_memoized_product_matches_the_letter_reference(A):
+    monos = [m for d in range(A.N + 1) for m in A.monomial_basis(d)]
+    for repeat in range(2):  # the first call fills the memo, the second reads it
+        for m1 in monos:
+            for m2 in monos:
+                assert A.mul_monomials(m1, m2) == reference_product(A, m1, m2), (repeat, m1, m2)
+
+
 def test_idempotent_generator():
     U = AlgebraPresentation(
         2, [GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 4

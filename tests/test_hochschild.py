@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
+from test_fplin import dense_rref
 from test_gca import presentations
 from thhforge import bokstedt as bk
 from thhforge import fplin
@@ -134,6 +135,41 @@ def test_dims_from_ranks_count_the_classes(A, qmax):
         for q in range(qmax + 2):
             for c in cx.basis(q, t):
                 assert cx.boundary(cx.boundary_chain(c)) == {}
+
+
+@hst.composite
+def small_presentations(draw):
+    """One or two polynomial, exterior or truncated generators, p in {2, 3, 5}."""
+    p = draw(hst.sampled_from([2, 3, 5]))
+    gens = []
+    for k in range(draw(hst.integers(1, 2))):
+        d = draw(hst.integers(1, 6))
+        kind = "exterior" if p != 2 and d % 2 else draw(
+            hst.sampled_from(["polynomial", "exterior", "truncated"]))
+        height = draw(hst.integers(2, 4)) if kind == "truncated" else 0
+        gens.append(GeneratorSpec(f"x{k}", d, kind, height=height))
+    return AlgebraPresentation(p, gens, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations())
+@example(AlgebraPresentation(3, [P("x", 2), E("y", 3)], 10))
+@example(AlgebraPresentation(2, [GeneratorSpec("x", 1, "truncated", height=3)], 10))
+def test_rank_is_the_dense_rank_of_the_ascending_boundary_matrix(A):
+    # rank() indexes the target chains in descending order; the oracle is
+    # textbook elimination on boundary_matrix's ascending-order columns,
+    # for every boundary with at most 60 source and 60 target chains, t <= 10
+    cx = HochschildComplex(A)
+    checked = 0
+    for t in range(11):
+        for q in range(1, t + 2):
+            src, dst, cols = cx.boundary_matrix(q, t)
+            if not src or len(src) > 60 or len(dst) > 60:
+                continue
+            rows = [[col.get(j, 0) for j in range(len(dst))] for col in cols]
+            assert cx.rank(q, t) == len(dense_rref(rows, A.p)), (q, t)
+            checked += 1
+    assert checked
 
 
 @settings(max_examples=100, deadline=None)
