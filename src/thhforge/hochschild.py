@@ -136,31 +136,27 @@ class HochschildComplex:
         return {index[c]: v for c, v in elt.items()}
 
     def boundary_matrix(self, q: int, t: int) -> tuple[list[Chain], list[Chain], list[dict[int, int]]]:
-        """Bases of C_q,t and C_{q-1},t (empty when C_q,t is) and the boundary's columns."""
+        """Bases of C_q,t and C_{q-1},t (empty when C_q,t is) and the boundary's columns.
+
+        The columns index the target chains in descending order, so the
+        pivot of each (the Span's least index) is its lexicographically
+        largest chain: the d0 face (m1, ..., mq) of a chain (1, m1, ..., mq).
+        That is the contracting-homotopy matching of algebraic Morse theory
+        (Skoldberg 2006), and it keeps the elimination's fill-in small.
+        """
         src = self.basis(q, t)
         dst = self.basis(q - 1, t) if src else []
-        idx = {c: i for i, c in enumerate(dst)}
+        idx = {c: i for i, c in enumerate(reversed(dst))}
         cols = [self._vec(self.boundary_chain(c), idx) for c in src]
         return src, dst, cols
 
     def rank(self, q: int, t: int) -> int:
-        """Rank of the boundary C_q,t -> C_{q-1},t (zero at q = 0), memoized.
-
-        The target chains are indexed in descending order, so the pivot of
-        each column (the Span's least index) is its lexicographically
-        largest chain: the d0 face (m1, ..., mq) of a chain (1, m1, ..., mq).
-        That is the contracting-homotopy matching of algebraic Morse theory
-        (Skoldberg 2006), and it keeps the elimination's fill-in small.
-        Rank does not depend on the order; boundary_matrix and homology()
-        keep the ascending one, whose kernel vectors are representatives.
-        """
+        """Rank of the boundary C_q,t -> C_{q-1},t (zero at q = 0), memoized."""
         if (q, t) not in self._ranks:
-            src = self.basis(q, t) if q > 0 else []
-            dst = self.basis(q - 1, t) if src else []
-            idx = {c: i for i, c in enumerate(reversed(dst))}
+            _, dst, cols = self.boundary_matrix(q, t) if q > 0 else ((), (), ())
             span = fplin.Span(len(dst), self.A.p)
-            for c in src:
-                span.add(self._vec(self.boundary_chain(c), idx))
+            for col in cols:
+                span.add(col)
             self._ranks[(q, t)] = span.rank
         return self._ranks[(q, t)]
 
