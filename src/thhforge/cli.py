@@ -277,23 +277,25 @@ def cmd_hh(args, config) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         pres, qmax = PRESETS[args.preset](p, n)
-        n = min(n, pres.N)
         qmax = resolve(args, config, "qmax", qmax)
     else:
         print("error: hh compute needs --preset or --spectrum", file=sys.stderr)
         return EXIT_USAGE
+    # a preset may live below the asked bound (the idempotent one sits in
+    # degree 0): compute through its top and report the bound asked for
+    top = min(n, pres.N)
     try:
-        _bidegrees(pres, n, qmax)
+        _bidegrees(pres, top, qmax)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cut = bk._budgeted_bound(pres, n, bk.CHAIN_BUDGET, qmax)
-    if cut < n:
-        print(f"error: the Hochschild complex through t = {n} has more than "
+    cut = bk._budgeted_bound(pres, top, bk.CHAIN_BUDGET, qmax)
+    if cut < top:
+        print(f"error: the Hochschild complex through t = {top} has more than "
               f"{bk.CHAIN_BUDGET} chains; the largest degree within budget is "
               f"t = {cut} (--maxdeg {cut})", file=sys.stderr)
         return EXIT_USAGE
-    dims = hh_dims(pres, n, qmax=qmax)
+    dims = hh_dims(pres, top, qmax=qmax)
     result = {f"{q},{t}": v for (q, t), v in sorted(dims.items())}
     emit(envelope("hh compute",
                   {"p": p, "maxdeg": n, "preset": args.preset, "qmax": qmax}, result),

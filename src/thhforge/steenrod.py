@@ -2,18 +2,17 @@
 
 Admissible-form elements with Adem reduction live at p = 2 only; the
 dual side (Milnor monomials, coproduct, conjugation) is implemented at
-every prime.  Finite subalgebras A_n are closed up degreewise from
-their generators, stopping once the span reaches the Milnor-basis
-dimension of A(n) in that degree; exterior subalgebras on the Milnor
-primitives Q_i are spanned by square-free products.  These bases drive
-the quotient-module, kernel and annihilator computations.
+every prime.  Finite subalgebras A_n are closed up degreewise from the
+lower degrees a request reaches, stopping once the span reaches the
+Milnor-basis dimension of A(n) in that degree; exterior subalgebras on
+the Milnor primitives Q_i are spanned by square-free products.  These
+bases drive the quotient-module, kernel and annihilator computations.
 
-Those computations multiply many elements by one fixed element g: the
-closure by each Sq^{2^i}, a quotient by each ideal generator, a kernel
-by its map.  Each goes through a multiplier that keeps an image table,
-admissible word -> reduced g w (or w g), so a word is Adem-reduced once
-per multiplier and a product is the XOR of cached images.  A table
-lives as long as its multiplier; there is no module-level product memo.
+Every product goes through steenrod_mul.  A joined word keeps its
+longest admissible suffix, and the letters left of it are prepended one
+at a time through one memoized kernel, Sq^a w for an admissible word w
+with a < 2 w[0].  That memo is module-level and keyed on integer tuples,
+so it cannot go stale; it lives as long as the process.
 """
 
 from __future__ import annotations
@@ -88,19 +87,40 @@ def adem_reduce(word: Sequence[int]) -> SteenrodElement:
 
 
 def _adem_reduce(word: Sequence[int]) -> SteenrodElement:
-    """adem_reduce without the exponent check, for words of positive exponents."""
-    result: set = set()
-    stack = [tuple(word)]
-    while stack:
-        w = stack.pop()
-        for j in range(len(w) - 1):
-            if w[j] < 2 * w[j + 1]:
-                for t in _adem_pair(w[j], w[j + 1]):
-                    stack.append(w[:j] + t + w[j + 2 :])
-                break
-        else:
-            result.symmetric_difference_update({w})
-    return frozenset(result)
+    """adem_reduce without the exponent check, for words of positive exponents.
+
+    The longest admissible suffix stays as it is; the letters left of it
+    are prepended one at a time, from the right, through _sq_times.
+    """
+    word = tuple(word)
+    k = max(len(word) - 1, 0)
+    while k and word[k - 1] >= 2 * word[k]:
+        k -= 1
+    return _prepend(word[:k], frozenset({word[k:]}))
+
+
+def _prepend(letters: tuple[int, ...], elt: SteenrodElement) -> SteenrodElement:
+    """Sq^{letters[0]} ... Sq^{letters[-1]} times an admissible element."""
+    for a in reversed(letters):
+        out: set = set()
+        for w in elt:
+            out.symmetric_difference_update(
+                _sq_times(a, w) if w and a < 2 * w[0] else ((a,) + w,))
+        elt = out
+    return frozenset(elt)
+
+
+@lru_cache(maxsize=None)
+def _sq_times(a: int, w: tuple[int, ...]) -> SteenrodElement:
+    """Sq^a w in admissible form, for an admissible word w with a < 2 w[0].
+
+    The one product memo: an Adem relation on Sq^a Sq^{w[0]}, then its
+    terms are prepended to the admissible rest of w.
+    """
+    out: set = set()
+    for t in _adem_pair(a, w[0]):
+        out.symmetric_difference_update(_prepend(t, frozenset({w[1:]})))
+    return frozenset(out)
 
 
 def steenrod_one() -> SteenrodElement:
@@ -111,30 +131,8 @@ def steenrod_mul(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
     out: set = set()
     for u in a:
         for v in b:
-            out.symmetric_difference_update(_adem_reduce(u + v) if u + v else {()})
+            out.symmetric_difference_update(_adem_reduce(u + v))
     return frozenset(out)
-
-
-def _multiplier(g: SteenrodElement, left: bool) -> Callable[[SteenrodElement], SteenrodElement]:
-    """x -> g x (left) or x -> x g for a fixed element g.
-
-    The image of each admissible word is Adem-reduced once and kept in a
-    table that lives as long as the multiplier; a product is the XOR of
-    the images of its words.
-    """
-    images: dict[tuple[int, ...], SteenrodElement] = {}
-
-    def multiply(x: SteenrodElement) -> SteenrodElement:
-        out: set = set()
-        for w in x:
-            img = images.get(w)
-            if img is None:
-                word = frozenset({w})
-                img = images[w] = steenrod_mul(g, word) if left else steenrod_mul(word, g)
-            out.symmetric_difference_update(img)
-        return frozenset(out)
-
-    return multiply
 
 
 def steenrod_add(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
@@ -312,10 +310,12 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
     """F_2 basis of the subalgebra in one degree, in admissible coordinates.
 
     For the full algebra these are single admissible monomials.  For A_n
-    the degreewise span is closed up from the generating set Sq^1, ...,
-    Sq^{2^n}, and the closure stops as soon as its rank is dim A(n)_d,
-    counted from the Milnor basis (an_dimension); if the products run out
-    below it, RuntimeError.  Basis vectors are the reduced rows of that
+    the degreewise span is closed up from the right products b Sq^{2^i},
+    b in the basis of degree d - 2^i, trying Sq^{2^n} first and Sq^1
+    last, so the recursion builds only the lower degrees it reaches.  The
+    closure stops as soon as its rank is dim A(n)_d, counted from the
+    Milnor basis (an_dimension); if the products run out below it,
+    RuntimeError.  Basis vectors are the reduced rows of that
     span, so some are genuine sums (A_1 in degree 5 is spanned by
     Sq^5 + Sq^4 Sq^1).  For exterior specs the basis is the square-free
     products of the Q_i.
@@ -342,19 +342,19 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
         out.sort(key=lambda e: sorted(e))
     elif degree == 0:
         out = [steenrod_one()]
-    else:  # A_n by closure: degree-d span = sum of Sq^{2^i} * basis(d - 2^i)
+    else:  # A_n by closure: degree-d span = sum of basis(d - 2^i) * Sq^{2^i}
         index = _amb_index(degree)
         span = fplin.Span(len(index), 2)
         # every product lies in A_n, so a span of rank dim A(n)_d is all of it
         target = an_dimension(spec.n, degree)
-        for i in spec.generator_exponents():
+        for i in reversed(spec.generator_exponents()):
             if span.rank == target:
                 break
-            sq = _multiplier(frozenset({(i,)}), left=True)
+            sq = frozenset({(i,)})
             for b in steenrod_basis(spec, degree - i):
                 if span.rank == target:
                     break
-                prod = sq(b)
+                prod = steenrod_mul(b, sq)
                 if prod:
                     span.add(_to_vec(prod, index))
         if span.rank != target:
@@ -437,8 +437,9 @@ class GradedModulePresentation:
 def _subalgebra_coords(spec: SubalgebraSpec):
     """Per-degree coordinate system on a finite subalgebra.
 
-    Returns lookup(d) -> (elements, pivots, amb_index); the basis rows are
-    in RREF so subalgebra coordinates are read off at the pivot columns.
+    Returns lookup(d) -> (elements, pivot_pos, amb_index, span); the basis
+    rows are in RREF so subalgebra coordinates are read off at the pivot
+    columns, and pivot_pos maps each pivot column to its row.
     """
     memo: dict[int, tuple] = {}
 
@@ -453,7 +454,7 @@ def _subalgebra_coords(spec: SubalgebraSpec):
             rows = span.basis()
             inv = admissible_monomials(d)
             elts = [frozenset(inv[i] for i in row) for row in rows]
-            memo[d] = (elts, span.pivots, index, span)
+            memo[d] = (elts, {piv: j for j, piv in enumerate(span.pivots)}, index, span)
         return memo[d]
 
     return lookup
@@ -466,49 +467,48 @@ def quotient_module(
     """Quotient of a finite subalgebra by the left ideal on the given generators."""
     if not spec.finite:
         raise ValueError("quotient modules need a finite subalgebra")
-    gens = [(element_degree(g), _multiplier(g, left=False)) for g in left_ideal_gens if g]
+    gens = [(element_degree(g), g) for g in left_ideal_gens if g]
     coords = _subalgebra_coords(spec)
     top = spec.top_degree()
 
     ideal_spans: dict[int, fplin.Span] = {}
-    rep_data: dict[int, tuple[list[SteenrodElement], list[int]]] = {}
+    # per degree: the representatives, and row index -> representative index
+    rep_data: dict[int, tuple[list[SteenrodElement], dict[int, int]]] = {}
     for d in range(top + 1):
-        elts, pivots, index, _ = coords(d)
+        elts, pivot_pos, index, _ = coords(d)
         if not elts:
             continue
         span = fplin.Span(len(elts), 2)
-        for dg, times_g in gens:
+        for dg, g in gens:
             if dg > d:
                 continue
             for b in steenrod_basis(spec, d - dg):
-                prod = times_g(b)
+                prod = steenrod_mul(b, g)
                 if prod:
-                    span.add(_coords_in(prod, pivots, index))
+                    span.add(_coords_in(prod, pivot_pos, index))
         ideal_spans[d] = span
         piv = set(span.pivots)
         reps = [j for j in range(len(elts)) if j not in piv]
-        rep_data[d] = ([elts[j] for j in reps], reps)
+        rep_data[d] = ([elts[j] for j in reps], {j: i for i, j in enumerate(reps)})
 
     def reduce_fn(elt: SteenrodElement, d: int) -> dict[int, int] | None:
         if d not in rep_data:
             return {} if d > top or d < 0 else None
-        elts, pivots, index, span = coords(d)
-        vec = _to_vec(elt, index)
-        if span.reduce(vec):
+        _, pivot_pos, index, span = coords(d)
+        if span.reduce(_to_vec(elt, index)):
             return None  # not inside the subalgebra
-        sub = _coords_in(elt, pivots, index)
-        residue = ideal_spans[d].reduce(sub)
-        reps = rep_data[d][1]
-        pos = {j: i for i, j in enumerate(reps)}
+        residue = ideal_spans[d].reduce(_coords_in(elt, pivot_pos, index))
+        pos = rep_data[d][1]
         return {pos[j]: v for j, v in residue.items()}
 
     basis_elements = {d: rep_data[d][0] for d in rep_data}
     return GradedModulePresentation(spec, basis_elements, reduce_fn)
 
 
-def _coords_in(elt: SteenrodElement, pivots: Sequence[int], index: Mapping[tuple, int]) -> dict[int, int]:
-    vec = _to_vec(elt, index)
-    return {j: 1 for j, piv in enumerate(pivots) if vec.get(piv)}
+def _coords_in(elt: SteenrodElement, pivot_pos: Mapping[int, int],
+               index: Mapping[tuple, int]) -> dict[int, int]:
+    """Coordinates of a span element: its entries at the pivot columns."""
+    return {pivot_pos[i]: 1 for i in map(index.__getitem__, elt) if i in pivot_pos}
 
 
 def module_map_kernel(
@@ -524,13 +524,12 @@ def module_map_kernel(
     df = element_degree(f)
     if df is None:
         raise ValueError("zero map: kernel is the whole source")
-    times_f = _multiplier(f, left=False)
     matrices: dict[int, list[dict[int, int]]] = {}
     total_rank_map = 0
     for d in source.degrees():
         cols = []
         for e in source.elements[d]:
-            img = times_f(e)
+            img = steenrod_mul(e, f)
             red = target.reduce_ambient(img, d + df)
             if red is None:
                 raise ValueError(f"map image leaves target span in degree {d + df}")
@@ -545,7 +544,7 @@ def module_map_kernel(
                 if c % 2:
                     for i, v in cols[j].items():
                         fplin.add_term(expect, i, v, 2)
-            actual = target.reduce_ambient(times_f(e), d + df)
+            actual = target.reduce_ambient(steenrod_mul(e, f), d + df)
             if actual != expect:
                 raise ValueError(f"right multiplication is not well defined in degree {d}")
 

@@ -76,6 +76,17 @@ def test_hh_idempotent_preset(capsys, schema):
     assert payload["result"] == {"0,0": 2}
 
 
+def test_hh_preset_reports_the_asked_bound(capsys):
+    # the idempotent algebra lives in degree 0, so the answer through 40 is
+    # the degree-0 one; the envelope still names the bound that was asked
+    code = cli.main(["hh", "compute", "--preset", "idempotent", "--maxdeg", "40",
+                     "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["maxdeg"] == 40
+    assert payload["result"] == {"0,0": 2}
+
+
 def test_hh_squarezero_preset(capsys):
     code = cli.main(["hh", "compute", "--preset", "squarezero", "--maxdeg", "6",
                      "--format", "json"])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -10,6 +13,44 @@ from thhforge import cli, fplin
 from thhforge import steenrod as st
 from thhforge.catalog import spectrum
 from thhforge.steenrod import MilnorMonomial, SubalgebraSpec
+
+
+def _adem_reference(word) -> frozenset:
+    """Adem reduction letter by letter: the rightmost inadmissible pair
+    Sq^a Sq^b (a < 2b) becomes sum_c binom(b-c-1, a-2c) Sq^{a+b-c} Sq^c,
+    until every word is admissible.  A rewrite keeps the letters left of
+    the pair and raises the first of it, so each new word is larger as a
+    tuple; taking words smallest first meets each one once, with its
+    final parity."""
+    parity = {tuple(word): 1}
+    heap = [tuple(word)]
+    out = set()
+    while heap:
+        w = heapq.heappop(heap)
+        if not parity.pop(w):
+            continue
+        for j in reversed(range(len(w) - 1)):
+            a, b = w[j], w[j + 1]
+            if a < 2 * b:
+                for c in range(a // 2 + 1):
+                    if math.comb(b - c - 1, a - 2 * c) % 2:
+                        v = w[:j] + ((a + b - c, c) if c else (a + b,)) + w[j + 2:]
+                        if v not in parity:
+                            parity[v] = 0
+                            heapq.heappush(heap, v)
+                        parity[v] ^= 1
+                break
+        else:
+            out.add(w)
+    return frozenset(out)
+
+
+def _product_reference(x, y) -> frozenset:
+    out: set = set()
+    for u in x:
+        for v in y:
+            out.symmetric_difference_update(_adem_reference(u + v))
+    return frozenset(out)
 
 
 def test_adem_instances():
@@ -317,15 +358,16 @@ def test_an_basis_is_the_annihilator_of_the_profile_ideal(n, top):
 
 def _uncut_closure(n: int, top: int) -> dict[int, list]:
     """A(n) through degree top by the closure with no dimension to stop at:
-    every Sq^{2^i} times every basis element of degree d - 2^i goes into the
-    span, and the basis is its reduced rows."""
+    every Sq^{2^i} times every basis element of degree d - 2^i, reduced by
+    the letter reference, goes into the span, and the basis is its reduced
+    rows."""
     bases = {0: [st.steenrod_one()]}
     for d in range(1, top + 1):
         index = st._amb_index(d)
         span = fplin.Span(len(index), 2)
         for i in (2 ** k for k in range(n + 1)):
             for b in bases.get(d - i, []):
-                prod = st.steenrod_mul(frozenset({(i,)}), b)
+                prod = _product_reference(frozenset({(i,)}), b)
                 if prod:
                     span.add({index[w]: 1 for w in prod})
         words = st.admissible_monomials(d)
@@ -340,6 +382,14 @@ def test_an_closure_stopped_at_its_dimension_matches_the_uncut_closure(n, top):
     oracle = _uncut_closure(n, top)
     for d in range(top + 1):
         assert st.steenrod_basis(spec, d) == oracle[d], d
+
+
+def test_an_closure_from_a_cold_memo_matches_the_full_sweep(monkeypatch):
+    # the closure builds only the lower degrees its right products reach;
+    # started with nothing memoized, it must still meet the full sweep
+    monkeypatch.setattr(st, "_basis_memo", {})
+    assert st.steenrod_basis(SubalgebraSpec.A(4), 40) == _uncut_closure(4, 40)[40]
+    assert len(st._basis_memo) < 41
 
 
 def test_an_closure_short_of_its_dimension_is_an_error(monkeypatch, capsys):
@@ -378,12 +428,18 @@ def admissible_elements(draw, max_degree=20):
 @settings(max_examples=60, deadline=None)
 @given(admissible_elements(), hst.lists(admissible_elements(), min_size=1, max_size=4),
        hst.booleans())
-def test_multiplier_is_steenrod_mul(g, xs, left):
-    # one multiplier serves every x in turn, so later products read images
-    # cached by earlier ones
-    times_g = st._multiplier(g, left=left)
+def test_products_by_one_element_match_the_letter_reference(g, xs, left):
+    # one g multiplies every x in turn, so later products read kernel
+    # entries memoized by earlier ones
     for x in xs + xs[:1]:
-        assert times_g(x) == (st.steenrod_mul(g, x) if left else st.steenrod_mul(x, g))
+        got = st.steenrod_mul(g, x) if left else st.steenrod_mul(x, g)
+        assert got == (_product_reference(g, x) if left else _product_reference(x, g))
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.lists(hst.integers(1, 64), max_size=6))
+def test_adem_reduce_matches_the_letter_reference(word):
+    assert st.adem_reduce(word) == _adem_reference(word)
 
 
 @settings(max_examples=60, deadline=None)
