@@ -160,6 +160,12 @@ def cmd_steenrod(args, config) -> int:
                   f"{bk.VERIFY_BUDGET} admissible monomials; the largest degree within "
                   f"budget is {cut}", file=sys.stderr)
             return EXIT_USAGE
+        given = (ideal or []) + (target + [fmap] if sub == "kernel" else [])
+        outside = [e for e in given if not st.in_subalgebra(spec, e)]
+        if outside:
+            print(f"error: {st.element_str(outside[0])} is not in the subalgebra {spec.id}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     if sub == "basis":
         basis = st.steenrod_basis(spec, args.degree)
         result = [st.element_str(e) for e in basis]

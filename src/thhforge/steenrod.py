@@ -5,8 +5,14 @@ dual side (Milnor monomials, coproduct, conjugation) is implemented at
 every prime.  Finite subalgebras A_n are closed up degreewise from the
 lower degrees a request reaches, stopping once the span reaches the
 Milnor-basis dimension of A(n) in that degree; exterior subalgebras on
-the Milnor primitives Q_i are spanned by square-free products.  These
-bases drive the quotient-module, kernel and annihilator computations.
+the Milnor primitives Q_i are spanned by square-free products.  Each
+(subalgebra, degree) is built once into one memo: the basis as RREF rows,
+the admissible index of that degree and the span.  That is the one
+coordinate system of every module over the subalgebra, a subquotient U/I
+held as data, and of the check that an element lies in the subalgebra.
+Right multiplication by f is well defined when g f lies in the target's
+ideal for each generator g of the source ideal, since (a g) f = a (g f);
+the kernel checks exactly that.
 
 Every product goes through steenrod_mul.  A joined word keeps its
 longest admissible suffix, and the letters left of it are prepended one
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import fplin
 
@@ -32,6 +38,7 @@ __all__ = [
     "steenrod_mul",
     "steenrod_basis",
     "total_rank",
+    "in_subalgebra",
     "quotient_module",
     "module_map_kernel",
     "cyclic_and_annihilator_check",
@@ -295,15 +302,55 @@ class SubalgebraSpec:
         raise ValueError(f"unknown subalgebra {text!r}")
 
 
-def _amb_index(d: int) -> dict[tuple[int, ...], int]:
-    return {w: i for i, w in enumerate(admissible_monomials(d))}
+class _Degree(NamedTuple):
+    """A finite subalgebra B in one degree d, in admissible coordinates."""
+
+    basis: list[SteenrodElement]  # the RREF rows of B_d, in increasing pivot order
+    index: dict[tuple[int, ...], int]  # admissible word of degree d -> column
+    span: fplin.Span  # B_d
+    row_of: dict[int, int]  # pivot column -> position in basis
 
 
-def _to_vec(elt: SteenrodElement, index: Mapping[tuple, int]) -> dict[int, int]:
-    return {index[w]: 1 for w in elt}
+# (subalgebra id, degree) -> _Degree: the one coordinate system of B_d,
+# shared by the closure, every module over B and the membership check
+_basis_memo: dict[tuple[str, int], _Degree] = {}
 
 
-_basis_memo: dict[tuple[str, int], list[SteenrodElement]] = {}
+def _degree(spec: SubalgebraSpec, degree: int) -> _Degree:
+    key = (spec.id, degree)
+    if key in _basis_memo:
+        return _basis_memo[key]
+    words = admissible_monomials(degree)
+    index = {w: i for i, w in enumerate(words)}
+    span = fplin.Span(len(words), 2)
+    if spec.kind == "E":
+        for mask in range(1 << len(spec.qs)):
+            picked = [spec.qs[i] for i in range(len(spec.qs)) if (mask >> i) & 1]
+            if sum(2 ** (k + 1) - 1 for k in picked) == degree:
+                elt = steenrod_one()
+                for k in picked:
+                    elt = steenrod_mul(elt, milnor_primitive(k))
+                span.add({index[w]: 1 for w in elt})
+    elif degree == 0:
+        span.add({index[()]: 1})
+    else:  # A_n by closure: degree-d span = sum of basis(d - 2^i) * Sq^{2^i}
+        # every product lies in A_n, so a span of rank dim A(n)_d is all of it
+        target = an_dimension(spec.n, degree)
+        for i in reversed(spec.generator_exponents()):
+            if span.rank == target:
+                break
+            sq = frozenset({(i,)})
+            for b in steenrod_basis(spec, degree - i):
+                if span.rank == target:
+                    break
+                span.add({index[w]: 1 for w in steenrod_mul(b, sq)})
+        if span.rank != target:
+            raise RuntimeError(f"A_{spec.n} closure in degree {degree} reached rank "
+                               f"{span.rank}, but dim A({spec.n})_{degree} is {target}")
+    basis = [frozenset(words[i] for i in row) for row in span.basis()]
+    out = _basis_memo[key] = _Degree(basis, index, span,
+                                     {piv: j for j, piv in enumerate(span.pivots)})
+    return out
 
 
 def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
@@ -315,55 +362,45 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
     last, so the recursion builds only the lower degrees it reaches.  The
     closure stops as soon as its rank is dim A(n)_d, counted from the
     Milnor basis (an_dimension); if the products run out below it,
-    RuntimeError.  Basis vectors are the reduced rows of that
-    span, so some are genuine sums (A_1 in degree 5 is spanned by
-    Sq^5 + Sq^4 Sq^1).  For exterior specs the basis is the square-free
-    products of the Q_i.
+    RuntimeError.  For exterior specs the span is that of the square-free
+    products of the Q_i.  Basis vectors are the reduced rows of the span,
+    so some are genuine sums (A_1 in degree 5 is spanned by
+    Sq^5 + Sq^4 Sq^1).
     """
     if degree < 0:
         return []
     if spec.kind == "A":
         return [frozenset({w}) for w in admissible_monomials(degree)]
-    if spec.finite and degree > spec.top_degree():
+    if degree > spec.top_degree():
         return []
-    key = (spec.id, degree)
-    if key in _basis_memo:
-        return _basis_memo[key]
-    if spec.kind == "E":
-        out = []
-        for mask in range(1 << len(spec.qs)):
-            picked = [spec.qs[i] for i in range(len(spec.qs)) if (mask >> i) & 1]
-            if sum(2 ** (k + 1) - 1 for k in picked) != degree:
-                continue
-            elt = steenrod_one()
-            for k in picked:
-                elt = steenrod_mul(elt, milnor_primitive(k))
-            out.append(elt)
-        out.sort(key=lambda e: sorted(e))
-    elif degree == 0:
-        out = [steenrod_one()]
-    else:  # A_n by closure: degree-d span = sum of basis(d - 2^i) * Sq^{2^i}
-        index = _amb_index(degree)
-        span = fplin.Span(len(index), 2)
-        # every product lies in A_n, so a span of rank dim A(n)_d is all of it
-        target = an_dimension(spec.n, degree)
-        for i in reversed(spec.generator_exponents()):
-            if span.rank == target:
-                break
-            sq = frozenset({(i,)})
-            for b in steenrod_basis(spec, degree - i):
-                if span.rank == target:
-                    break
-                prod = steenrod_mul(b, sq)
-                if prod:
-                    span.add(_to_vec(prod, index))
-        if span.rank != target:
-            raise RuntimeError(f"A_{spec.n} closure in degree {degree} reached rank "
-                               f"{span.rank}, but dim A({spec.n})_{degree} is {target}")
-        inv = admissible_monomials(degree)
-        out = [frozenset(inv[i] for i in row) for row in span.basis()]
-    _basis_memo[key] = out
-    return out
+    return _degree(spec, degree).basis
+
+
+def _coordinates(spec: SubalgebraSpec, elt: SteenrodElement, d: int) -> dict[int, int] | None:
+    """Coordinates of elt in the basis of B_d, or None if elt is not in B_d.
+
+    The basis rows are in RREF, so an element of the span has its entries
+    at the pivot columns as coordinates.
+    """
+    if not elt:
+        return {}
+    if not 0 <= d <= spec.top_degree():
+        return None
+    deg = _degree(spec, d)
+    cols = [deg.index.get(w) for w in elt]
+    if None in cols or deg.span.reduce(dict.fromkeys(cols, 1)):
+        return None
+    return {deg.row_of[i]: 1 for i in cols if i in deg.row_of}
+
+
+def in_subalgebra(spec: SubalgebraSpec, elt: SteenrodElement) -> bool:
+    """True iff the homogeneous element elt lies in the subalgebra."""
+    return not spec.finite or _coordinates(spec, elt, element_degree(elt)) is not None
+
+
+def _require_in(spec: SubalgebraSpec, elt: SteenrodElement) -> None:
+    if not in_subalgebra(spec, elt):
+        raise ValueError(f"{element_str(elt)} is not in the subalgebra {spec.id}")
 
 
 def total_rank(spec: SubalgebraSpec) -> int:
@@ -376,22 +413,41 @@ def total_rank(spec: SubalgebraSpec) -> int:
 # ---------------------------------------------------------------------------
 # graded modules over a finite subalgebra
 
-class GradedModulePresentation:
-    """A degreewise-finite left module over a finite subalgebra of A.
+def _sum(sets: Iterable[frozenset]) -> frozenset:
+    """The F_2 sum of sets of words or of coordinates."""
+    out: set = set()
+    for x in sets:
+        out.symmetric_difference_update(x)
+    return frozenset(out)
 
-    Carries per-degree bases with ambient representatives inside the
-    subalgebra, and reduces ambient elements to module coordinates.
+
+class GradedModulePresentation:
+    """A left module U/I over a finite subalgebra B, held as data.
+
+    Everything is in the coordinates of B_d's RREF basis, kept once per
+    (subalgebra, degree).  I is the left ideal on the generators in
+    `ideal`, and relations[d] is its span I_d.  vectors[d] maps a lead
+    coordinate to a basis vector of U_d mod I_d, a set of coordinates
+    that holds its lead while the other vectors of that degree do not.
+    A quotient B/I has the unit vectors off I_d's pivots; a kernel of
+    right multiplication has the standard kernel combinations of its
+    source's vectors, over the same I.  elements[d] holds the ambient
+    representatives of vectors[d], in order.
     """
 
     def __init__(
         self,
         spec: SubalgebraSpec,
-        basis_elements: dict[int, list[SteenrodElement]],
-        reduce_fn: Callable[[SteenrodElement, int], dict[int, int] | None],
+        ideal: Iterable[SteenrodElement],
+        relations: dict[int, fplin.Span],
+        vectors: dict[int, dict[int, frozenset[int]]],
     ):
         self.spec = spec
-        self.elements = {d: list(v) for d, v in basis_elements.items() if v}
-        self._reduce_fn = reduce_fn
+        self.ideal = tuple(ideal)
+        self.relations = relations
+        self.vectors = {d: v for d, v in vectors.items() if v}
+        self.elements = {d: [_sum(steenrod_basis(spec, d)[j] for j in vec) for vec in v.values()]
+                         for d, v in self.vectors.items()}
 
     # -- structure ---------------------------------------------------
     def degrees(self) -> list[int]:
@@ -410,54 +466,35 @@ class GradedModulePresentation:
         return sum(len(v) for v in self.elements.values())
 
     def reduce_ambient(self, elt: SteenrodElement, d: int) -> dict[int, int] | None:
-        """Coordinates of an ambient subalgebra element in this module.
+        """Coordinates of an ambient element in this module, or None.
 
-        Returns None when the element does not lie in the subalgebra span
-        for that degree.
+        The element's coordinates in B_d (None outside B) are reduced mod
+        I_d; the residue's entries at the leads are the coordinates, and
+        None if they do not recombine to the residue (outside U).
         """
-        if not elt:
-            return {}
-        return self._reduce_fn(elt, d)
-
-    def is_zero(self, elt: SteenrodElement, d: int) -> bool:
-        coords = self.reduce_ambient(elt, d)
-        if coords is None:
-            raise ValueError("element not in module's ambient span")
-        return not coords
+        coords = _coordinates(self.spec, elt, d)
+        if not coords:
+            return coords
+        residue = self.relations[d].reduce(coords)
+        vecs = self.vectors.get(d, {})
+        if _sum(v for lead, v in vecs.items() if lead in residue) != residue.keys():
+            return None
+        return {i: 1 for i, lead in enumerate(vecs) if lead in residue}
 
     def act(self, gen_exp: int, d: int, coords: Mapping[int, int]) -> dict[int, int]:
         """Coordinates of Sq^{gen_exp} applied to the element with these coordinates."""
-        elt: SteenrodElement = frozenset()
-        for j, c in coords.items():
-            if c % 2:
-                elt = steenrod_add(elt, self.elements[d][j])
+        elt = _sum(self.elements[d][j] for j, c in coords.items() if c % 2)
         return self.reduce_ambient(steenrod_mul(frozenset({(gen_exp,)}), elt), d + gen_exp) or {}
 
 
-def _subalgebra_coords(spec: SubalgebraSpec):
-    """Per-degree coordinate system on a finite subalgebra.
-
-    Returns lookup(d) -> (elements, pivot_pos, amb_index, span); the basis
-    rows are in RREF so subalgebra coordinates are read off at the pivot
-    columns, and pivot_pos maps each pivot column to its row.
-    """
-    memo: dict[int, tuple] = {}
-
-    def lookup(d: int):
-        if d not in memo:
-            elts = steenrod_basis(spec, d)
-            index = _amb_index(d)
-            span = fplin.Span(len(index), 2)
-            for e in elts:
-                span.add(_to_vec(e, index))
-            # reorder elements to match RREF rows (pivot order)
-            rows = span.basis()
-            inv = admissible_monomials(d)
-            elts = [frozenset(inv[i] for i in row) for row in rows]
-            memo[d] = (elts, {piv: j for j, piv in enumerate(span.pivots)}, index, span)
-        return memo[d]
-
-    return lookup
+def _ideal_span(spec: SubalgebraSpec, gens: Iterable[SteenrodElement], d: int) -> fplin.Span:
+    """The degree-d part of the left ideal B{gens}, spanned by every b g
+    with b in B's basis, in B_d's coordinates."""
+    span = fplin.Span(len(steenrod_basis(spec, d)), 2)
+    for g in gens:
+        for b in steenrod_basis(spec, d - element_degree(g)):
+            span.add(_coordinates(spec, steenrod_mul(b, g), d))
+    return span
 
 
 def quotient_module(
@@ -467,48 +504,14 @@ def quotient_module(
     """Quotient of a finite subalgebra by the left ideal on the given generators."""
     if not spec.finite:
         raise ValueError("quotient modules need a finite subalgebra")
-    gens = [(element_degree(g), g) for g in left_ideal_gens if g]
-    coords = _subalgebra_coords(spec)
-    top = spec.top_degree()
-
-    ideal_spans: dict[int, fplin.Span] = {}
-    # per degree: the representatives, and row index -> representative index
-    rep_data: dict[int, tuple[list[SteenrodElement], dict[int, int]]] = {}
-    for d in range(top + 1):
-        elts, pivot_pos, index, _ = coords(d)
-        if not elts:
-            continue
-        span = fplin.Span(len(elts), 2)
-        for dg, g in gens:
-            if dg > d:
-                continue
-            for b in steenrod_basis(spec, d - dg):
-                prod = steenrod_mul(b, g)
-                if prod:
-                    span.add(_coords_in(prod, pivot_pos, index))
-        ideal_spans[d] = span
-        piv = set(span.pivots)
-        reps = [j for j in range(len(elts)) if j not in piv]
-        rep_data[d] = ([elts[j] for j in reps], {j: i for i, j in enumerate(reps)})
-
-    def reduce_fn(elt: SteenrodElement, d: int) -> dict[int, int] | None:
-        if d not in rep_data:
-            return {} if d > top or d < 0 else None
-        _, pivot_pos, index, span = coords(d)
-        if span.reduce(_to_vec(elt, index)):
-            return None  # not inside the subalgebra
-        residue = ideal_spans[d].reduce(_coords_in(elt, pivot_pos, index))
-        pos = rep_data[d][1]
-        return {pos[j]: v for j, v in residue.items()}
-
-    basis_elements = {d: rep_data[d][0] for d in rep_data}
-    return GradedModulePresentation(spec, basis_elements, reduce_fn)
-
-
-def _coords_in(elt: SteenrodElement, pivot_pos: Mapping[int, int],
-               index: Mapping[tuple, int]) -> dict[int, int]:
-    """Coordinates of a span element: its entries at the pivot columns."""
-    return {pivot_pos[i]: 1 for i in map(index.__getitem__, elt) if i in pivot_pos}
+    gens = [g for g in left_ideal_gens if g]
+    for g in gens:
+        _require_in(spec, g)
+    relations = {d: _ideal_span(spec, gens, d) for d in range(spec.top_degree() + 1)
+                 if steenrod_basis(spec, d)}
+    vectors = {d: {j: frozenset({j}) for j in sorted(set(range(span.ncols)) - set(span.pivots))}
+               for d, span in relations.items()}
+    return GradedModulePresentation(spec, gens, relations, vectors)
 
 
 def module_map_kernel(
@@ -518,71 +521,39 @@ def module_map_kernel(
 ) -> tuple[GradedModulePresentation, int]:
     """Kernel of right multiplication by f, plus the cokernel rank.
 
-    Right multiplication [u] -> [u f] is a left-module homomorphism;
-    well-definedness on the quotients is asserted degreewise.
+    Right multiplication [u] -> [u f] is a left-module homomorphism when
+    I f lies in the target's ideal J.  Since (a g) f = a (g f) and J is a
+    left ideal, that is checked exactly on the source's ideal generators:
+    each g f must be zero in the target.
     """
     df = element_degree(f)
     if df is None:
         raise ValueError("zero map: kernel is the whole source")
-    matrices: dict[int, list[dict[int, int]]] = {}
-    total_rank_map = 0
+    _require_in(source.spec, f)
+    for g in source.ideal:
+        gf = steenrod_mul(g, f)
+        if target.reduce_ambient(gf, element_degree(g) + df) != {}:
+            raise ValueError(f"right multiplication by {element_str(f)} is not well defined: "
+                             f"{element_str(g)} times it is {element_str(gf)}, "
+                             f"not zero in the target")
+    image_rank = 0
+    kernel_vectors: dict[int, dict[int, frozenset[int]]] = {}
     for d in source.degrees():
         cols = []
         for e in source.elements[d]:
-            img = steenrod_mul(e, f)
-            red = target.reduce_ambient(img, d + df)
+            red = target.reduce_ambient(steenrod_mul(e, f), d + df)
             if red is None:
                 raise ValueError(f"map image leaves target span in degree {d + df}")
             cols.append(red)
-        matrices[d] = cols
-        # well-definedness: [u f] must only depend on [u], checked on the
-        # whole subalgebra in this degree
-        for e in steenrod_basis(source.spec, d):
-            coords = source.reduce_ambient(e, d)
-            expect: dict[int, int] = {}
-            for j, c in (coords or {}).items():
-                if c % 2:
-                    for i, v in cols[j].items():
-                        fplin.add_term(expect, i, v, 2)
-            actual = target.reduce_ambient(steenrod_mul(e, f), d + df)
-            if actual != expect:
-                raise ValueError(f"right multiplication is not well defined in degree {d}")
-
-    kernel_elements: dict[int, list[SteenrodElement]] = {}
-    kernel_vecs: dict[int, list[dict[int, int]]] = {}
-    for d in source.degrees():
-        kvecs = fplin.kernel_basis(fplin.SparseMat.from_columns(matrices[d], 2))
-        total_rank_map += source.dim(d) - len(kvecs)
-        if kvecs:
-            elts = []
-            for kv in kvecs:
-                acc: SteenrodElement = frozenset()
-                for j, c in kv.items():
-                    if c % 2:
-                        acc = steenrod_add(acc, source.elements[d][j])
-                elts.append(acc)
-            kernel_elements[d] = elts
-            kernel_vecs[d] = kvecs
-
-    cokernel_rank = sum(target.dim(d) for d in target.degrees()) - total_rank_map
-
-    def reduce_fn(elt: SteenrodElement, d: int) -> dict[int, int] | None:
-        # each kernel vector is 1 at its own free column max(kv) and 0 at
-        # the others, so the coordinates are amb's entries there
-        amb = source.reduce_ambient(elt, d)
-        if amb is None:
-            return None
-        kvecs = kernel_vecs.get(d, [])
-        coords = {i: 1 for i, kv in enumerate(kvecs) if amb.get(max(kv), 0) % 2}
-        combo: dict[int, int] = {}
-        for i in coords:
-            for j, v in kvecs[i].items():
-                fplin.add_term(combo, j, v, 2)
-        if combo != {j: 1 for j, v in amb.items() if v % 2}:
-            return None  # in the module but not in the kernel
-        return coords
-
-    return GradedModulePresentation(source.spec, kernel_elements, reduce_fn), cokernel_rank
+        kvecs = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, 2))
+        image_rank += len(cols) - len(kvecs)
+        # a standard kernel vector is 1 at its free column max(kv) and 0 at
+        # the other free columns, so it holds that column's lead alone
+        vecs = list(source.vectors[d].items())
+        kernel_vectors[d] = {vecs[max(kv)][0]: _sum(vecs[j][1] for j in kv) for kv in kvecs}
+    kernel = GradedModulePresentation(source.spec, source.ideal, source.relations,
+                                      kernel_vectors)
+    return kernel, target.total_rank() - image_rank
 
 
 def cyclic_and_annihilator_check(
@@ -593,41 +564,19 @@ def cyclic_and_annihilator_check(
 ) -> bool:
     """True iff generator's orbit spans m, the candidates kill it, and the
     candidate quotient has m's Poincare series (shifted by the generator)."""
-    coords = m.reduce_ambient(generator, generator_degree)
-    if coords is None or not coords:
+    if not m.reduce_ambient(generator, generator_degree):
         return False
-    # orbit closure under the algebra generators
-    spans: dict[int, fplin.Span] = {}
-    frontier: list[tuple[int, dict[int, int]]] = [(generator_degree, coords)]
-    spans[generator_degree] = fplin.Span(m.dim(generator_degree), 2)
-    spans[generator_degree].add(coords)
-    while frontier:
-        d, vec = frontier.pop()
-        for g in m.spec.generator_exponents():
-            img = m.act(g, d, vec)
-            if not img:
-                continue
-            dd = d + g
-            if dd not in spans:
-                spans[dd] = fplin.Span(m.dim(dd), 2)
-            if spans[dd].add(img):
-                frontier.append((dd, img))
-    orbit_dims = {d: sp.rank for d, sp in spans.items() if sp.rank}
-    if orbit_dims != m.poincare():
+    # the orbit B x inside U/I, spanned like the ideal: (B x + I_d) / I_d
+    if any(_ideal_span(m.spec, [generator, *m.ideal], d).rank != m.relations[d].rank + m.dim(d)
+           for d in m.degrees()):
         return False
-    # candidates annihilate the generator
-    cands = list(candidate_ann_gens)
-    for c in cands:
-        if not c:
-            continue
-        img = steenrod_mul(c, generator)
-        if img and not m.is_zero(img, generator_degree + element_degree(c)):
-            return False
-    # quotient by the candidates matches m degreewise
+    cands = [c for c in candidate_ann_gens if c]
+    if any(m.reduce_ambient(steenrod_mul(c, generator), generator_degree + element_degree(c))
+           != {} for c in cands):
+        return False
+    # the quotient by the candidates has m's series, shifted by the generator
     q = quotient_module(m.spec, cands)
-    shifted = {d + generator_degree: n for d, n in q.poincare().items()}
-    shifted = {d: n for d, n in shifted.items() if n}
-    return shifted == m.poincare()
+    return {d + generator_degree: n for d, n in q.poincare().items()} == m.poincare()
 
 
 # ---------------------------------------------------------------------------

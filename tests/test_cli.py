@@ -354,12 +354,37 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
      "--map", "Sqy"],
     ["steenrod", "pair", "--element", "Sq1", "--monomial", "zeta"],
     ["steenrod", "pair", "--element", "Sqz", "--monomial", "xi1"],
+    # elements outside the subalgebra: Sq4 is not in A(1), Sq8 not in A(2), Sq2 not in E(Q0, Q1)
+    ["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq4"],
+    ["steenrod", "quotient", "--subalgebra", "A2", "--ideal", "Sq1,Sq8"],
+    ["steenrod", "quotient", "--subalgebra", "E01", "--ideal", "Sq2"],
+    ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1", "--target-ideal", "Sq4",
+     "--map", "1"],
+    ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1,Sq2Sq3",
+     "--target-ideal", "Sq1,Sq2", "--map", "Sq4"],
 ])
 def test_steenrod_bad_arguments_exit_two(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_steenrod_names_the_element_outside_the_subalgebra(capsys):
+    assert cli.main(["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq1,Sq4"]) == 2
+    assert capsys.readouterr().err == "error: Sq4 is not in the subalgebra A1\n"
+
+
+def test_steenrod_kernel_refuses_a_map_that_is_not_well_defined(capsys):
+    # Sq2 Sq1 is not in A(1) Sq2, so right multiplication by Sq1 does not
+    # descend to A(1)/A(1)Sq2; the quotient is 0 in degree 2, where Sq2 lies
+    argv = ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq2", "--target-ideal", "Sq2",
+            "--map", "Sq1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not well defined" in captured.err
 
 
 def test_bad_args_exit_two():
@@ -507,7 +532,8 @@ def test_thhforge_cache_is_the_one_cache_setting(tmp_path, argv):
      ["steenrod", "quotient", "--subalgebra", "E9", "--ideal", "Sq1"],
      ["steenrod", "kernel", "--subalgebra", "A4", "--ideal", "Sq1", "--target-ideal", "Sq1",
       "--map", "Sq4"],
-     ["steenrod", "basis", "--subalgebra", "A", "--degree", "156"]],
+     ["steenrod", "basis", "--subalgebra", "A", "--degree", "156"],
+     ["steenrod", "quotient", "--subalgebra", "E9", "--ideal", "Sq2"]],  # budget first
 )
 def test_steenrod_refuses_a_basis_over_the_monomial_budget(capsys, argv):
     # E(Q9) reaches degree 1,023, where the admissible words number about
@@ -569,15 +595,22 @@ def _argvs(draw):
     """Small or invalid argument lists for the four computing commands."""
     command = draw(hst.sampled_from(["steenrod", "hh", "bokstedt", "adams"]))
     if command == "steenrod":
-        sub = draw(hst.sampled_from(["basis", "rank", "quotient"]))
+        sub = draw(hst.sampled_from(["basis", "rank", "quotient", "kernel"]))
         algebra = draw(hst.sampled_from(["A", "A0", "A1", "A2", "E01", "E012", "E9", "E", "A-1",
                                          "B", ""]))
         if sub == "basis":
             return ["steenrod", "basis", "--subalgebra", algebra, "--degree", draw(_DEGREES)]
         if sub == "rank":
             return ["steenrod", "rank", "--subalgebra", algebra]
-        ideal = draw(hst.sampled_from(["Sq1", "Sq1,Sq2", "Sq2Sq3", "Sq0", "Sq", "Q1", "x", ""]))
-        return ["steenrod", "quotient", "--subalgebra", algebra, "--ideal", ideal]
+        # Sq2 is outside A0 and E01, Sq4 outside A1; over A1, Sq2 -> Sq2 by Sq1 is not
+        # well defined
+        ideals = hst.sampled_from(["Sq1", "Sq2", "Sq4", "Sq1,Sq2", "Sq2Sq3", "Sq0", "Sq", "Q1",
+                                   "x", ""])
+        if sub == "quotient":
+            return ["steenrod", "quotient", "--subalgebra", algebra, "--ideal", draw(ideals)]
+        fmap = draw(hst.sampled_from(["1", "Sq1", "Sq2", "Sq4", "Q1", "Sq0", "x", ""]))
+        return ["steenrod", "kernel", "--subalgebra", algebra, "--ideal", draw(ideals),
+                "--target-ideal", draw(ideals), "--map", fmap]
     if command == "hh":
         preset = draw(hst.sampled_from([*cli.PRESETS, "nope"]))
         return ["hh", "compute", "--preset", preset, "--p", draw(_PRIMES),

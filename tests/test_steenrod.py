@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from thhforge import cli, fplin
@@ -163,8 +164,9 @@ def test_quotient_of_an_exterior_subalgebra():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernel_coordinates_match_solve_in_span(n):
-    """The kernel's reduce_fn reads coordinates off the standard kernel
-    vectors; a solve over the same vectors must give the same answer."""
+    """The kernel's reduce_ambient reads coordinates at the leads of the
+    standard kernel vectors and checks that they recombine to the residue;
+    a solve over the same vectors must give the same answer."""
     spec = SubalgebraSpec.A(n)
     M = st.quotient_module(spec, [st.parse_element("Sq1"), st.parse_element("Sq2Sq3")])
     N = st.quotient_module(spec, [st.parse_element("Sq1"), st.parse_element("Sq2")])
@@ -206,6 +208,29 @@ def test_cyclic_and_annihilator():
     assert st.cyclic_and_annihilator_check(
         N, st.parse_element("1"), 0, [st.parse_element("Sq1"), st.parse_element("Sq2")]
     )
+
+
+def test_cyclic_check_on_an_exterior_quotient():
+    # E(Q0, Q1, Q2)/E.Q0 is cyclic on 1 with annihilator Q0 = Sq1; Q1 only
+    # reaches Q1 and Q1 Q2
+    M = st.quotient_module(SubalgebraSpec.E(0, 1, 2), [st.parse_element("Sq1")])
+    assert st.cyclic_and_annihilator_check(M, st.steenrod_one(), 0, [st.parse_element("Sq1")])
+    assert not st.cyclic_and_annihilator_check(
+        M, st.milnor_primitive(1), 3, [st.parse_element("Sq1")])
+
+
+def test_cyclic_check_needs_an_orbit_that_spans():
+    # K = {u in A(1) : u Sq2 in A(1) Sq5Sq1} has one class in each degree
+    # 3..6: Sq3, Sq3Sq1, Sq5+Sq4Sq1, Sq5Sq1.  The candidates kill Sq3 and
+    # their quotient has K's series shifted to degree 3, but Sq1 Sq3 = 0,
+    # so the orbit of Sq3 misses degree 4
+    A1 = SubalgebraSpec.A(1)
+    K, _ = st.module_map_kernel(st.parse_element("Sq2"), st.quotient_module(A1, []),
+                                st.quotient_module(A1, [st.parse_element("Sq5Sq1")]))
+    assert K.poincare() == {3: 1, 4: 1, 5: 1, 6: 1}
+    cands = [st.parse_element("Sq2Sq1"), st.parse_element("Sq5+Sq4Sq1")]
+    assert st.quotient_module(A1, cands).poincare() == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert not st.cyclic_and_annihilator_check(K, st.parse_element("Sq3"), 3, cands)
 
 
 def test_action_relations_spot_check():
@@ -363,14 +388,14 @@ def _uncut_closure(n: int, top: int) -> dict[int, list]:
     rows."""
     bases = {0: [st.steenrod_one()]}
     for d in range(1, top + 1):
-        index = st._amb_index(d)
+        words = st.admissible_monomials(d)
+        index = {w: i for i, w in enumerate(words)}
         span = fplin.Span(len(index), 2)
         for i in (2 ** k for k in range(n + 1)):
             for b in bases.get(d - i, []):
                 prod = _product_reference(frozenset({(i,)}), b)
                 if prod:
                     span.add({index[w]: 1 for w in prod})
-        words = st.admissible_monomials(d)
         bases[d] = [frozenset(words[j] for j in row) for row in span.basis()]
     return bases
 
@@ -452,3 +477,62 @@ def test_steenrod_mul_is_adem_reduce_of_the_joined_words(x, y):
         for v in y:
             expect.symmetric_difference_update(st.adem_reduce(u + v) if u + v else {()})
     assert st.steenrod_mul(x, y) == frozenset(expect)
+
+
+def _left_ideal(spec, gens, d) -> list:
+    """A spanning set of the degree-d part of B{gens}: every b g, b in B's basis."""
+    return [st.steenrod_mul(b, g)
+            for g in gens for b in st.steenrod_basis(spec, d - st.element_degree(g))]
+
+
+@hst.composite
+def module_maps(draw):
+    """A(1) or A(2), one- or two-generator source and target ideals on basis
+    elements of degrees 1..6, and f a sum of basis elements of one degree <= 3."""
+    spec = SubalgebraSpec.A(draw(hst.sampled_from([1, 2])))
+
+    def element(low, high):
+        basis = st.steenrod_basis(spec, draw(hst.integers(low, high)))
+        return functools.reduce(st.steenrod_add, draw(hst.sets(hst.sampled_from(basis),
+                                                              min_size=1)))
+
+    def ideal():
+        return [element(1, 6) for _ in range(draw(hst.integers(1, 2)))]
+
+    return spec, ideal(), ideal(), element(0, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(module_maps())
+@example((SubalgebraSpec.A(1), [st.parse_element("Sq2")], [st.parse_element("Sq2")],
+          st.parse_element("Sq1")))
+@example((SubalgebraSpec.A(2), [st.parse_element("Sq1")], [st.parse_element("Sq1")],
+          st.parse_element("Sq2")))
+def test_module_map_kernel_accepts_exactly_the_well_defined_maps(data):
+    # brute force over every degree 0..top, the quotient's zero degrees
+    # included: each element of the source ideal, times f, must lie in the
+    # target ideal, tested by a rank count over words
+    spec, gens, target_gens, f = data
+    df = st.element_degree(f)
+    top = spec.top_degree()
+    targets = {d: _left_ideal(spec, target_gens, d) for d in range(top + 1)}
+    well_defined = all(
+        _gf2_rank(targets.get(d + df, []) + [st.steenrod_mul(x, f)])
+        == _gf2_rank(targets.get(d + df, []))
+        for d in range(top + 1) for x in _left_ideal(spec, gens, d))
+    source = st.quotient_module(spec, gens)
+    target = st.quotient_module(spec, target_gens)
+    try:
+        kernel, cok = st.module_map_kernel(f, source, target)
+    except ValueError as exc:
+        assert not well_defined and "not well defined" in str(exc)
+        return
+    assert well_defined
+    # the image of B_d f in B/J, counted on all of B_d
+    image_rank = sum(
+        _gf2_rank(targets.get(d + df, []) + [st.steenrod_mul(b, f)
+                                              for b in st.steenrod_basis(spec, d)])
+        - _gf2_rank(targets.get(d + df, []))
+        for d in range(top + 1))
+    assert kernel.total_rank() + image_rank == source.total_rank()
+    assert cok == target.total_rank() - image_rank
