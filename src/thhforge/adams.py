@@ -3,10 +3,10 @@
 After change-of-rings the Adams initial terms for THH(ku) smashed with
 the mod-2 Moore spectrum, and THH(ko) smashed with the four-cell complex
 that kills 2 and eta, are Ext over the exterior Hopf algebra on one
-degree-3 class.  That Ext is the kernel/homology closed form of a
-square-zero operator q.  cobar_ext_dims is meant as its cross-check, but
-its differential is q at every level, so it repeats the closed form's
-computation and is not yet an independent oracle.
+degree-3 class.  The comodule is read off the Bokstedt abutment: its
+basis is the monomials in the suspension classes, and q is the
+xibar_2-component of their coaction.  That Ext is the kernel/homology
+closed form of the square-zero operator q.
 The differential schedules are data with a rigid degree identity; run_ss
 pushes them through honestly and emits the homotopy P(v1)-module tables.
 """
@@ -14,9 +14,10 @@ pushes them through honestly and emits the homotopy P(v1)-module tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import fplin
+from . import bokstedt, fplin
+from .gca import CoactionTable
+from .steenrod import MilnorMonomial
 
 __all__ = [
     "ExteriorComodule",
@@ -24,8 +25,8 @@ __all__ = [
     "DifferentialSchedule",
     "PModulePresentation",
     "build_comodule",
+    "comodule_from_coaction",
     "ext_over_exterior",
-    "cobar_ext_dims",
     "schedule",
     "run_ss",
     "einf_closed_form_dims",
@@ -65,51 +66,36 @@ class ExteriorComodule:
         return True
 
 
-def _monomials(maxdeg: int, lam_degs: Sequence[int], mu_deg: int):
-    """Monomials e1^{a}..ek^{b} mu^c as (frozenset of lambda indices, c)."""
-    out = []
-    for mask in range(1 << len(lam_degs)):
-        base = sum(lam_degs[i] for i in range(len(lam_degs)) if (mask >> i) & 1)
-        c = 0
-        while base + c * mu_deg <= maxdeg:
-            out.append((mask, c, base + c * mu_deg))
-            c += 1
-    return out
+_XIBAR2 = MilnorMonomial((0, 1))
+_ABUTMENTS = {"thh-ku-mod2": "ku", "thh-ko-y": "ko"}
 
 
 def build_comodule(target: str, tmax: int) -> ExteriorComodule:
-    """The exterior-Hopf-algebra comodule of the lambda/mu tensor factor.
-
-    For ku smashed with the Moore spectrum everything is primitive; for
-    ko smashed with Y the class mu coacts through lambda_1 and q extends
-    as a derivation (mu^2 is primitive).
-    """
-    if target == "thh-ku-mod2":
-        lam_degs = (3, 7)
-        qmu = False
-    elif target == "thh-ko-y":
-        lam_degs = (5, 7)
-        qmu = True
-    else:
+    """The exterior-Hopf-algebra comodule of the lambda/mu tensor factor,
+    read off the p = 2 Bokstedt abutment of THH(ku) or THH(ko)."""
+    if target not in _ABUTMENTS:
         raise ValueError(f"unknown target {target!r}")
-    mu_deg = 8
-    monos = _monomials(tmax, lam_degs, mu_deg)
-    labels = []
-    for mask, c, d in monos:
-        parts = [f"l{i + 1}" for i in range(len(lam_degs)) if (mask >> i) & 1]
-        if c:
-            parts.append(f"mu^{c}" if c > 1 else "mu")
-        labels.append(("".join(parts) or "1", d))
-    index = {m[:2]: i for i, m in enumerate(monos)}
+    return comodule_from_coaction(bokstedt.thh_homology(_ABUTMENTS[target], 2, tmax).coaction,
+                                  tmax)
+
+
+def comodule_from_coaction(coact: CoactionTable, tmax: int) -> ExteriorComodule:
+    """The monomials through tmax in the positive-filtration (sigma)
+    generators of coact's algebra, with q the xibar_2-component of their
+    coaction; ValueError if a xibar_2-term leaves the sigma-monomials."""
+    A = coact.A
+    monos = [m for d in range(tmax + 1) for m in A.monomial_basis(d)
+             if all(A.gens[i].filtration for i, _ in m)]
+    index = {m: j for j, m in enumerate(monos)}
     q: dict[int, dict[int, int]] = {}
-    if qmu:
-        for j, (mask, c, d) in enumerate(monos):
-            # derivation: q(mu^c) = c mu^{c-1} lambda_1, q(lambda_i) = 0
-            if c % 2 == 1 and not (mask & 1):
-                tgt = (mask | 1, c - 1)
-                if tgt in index:
-                    q[j] = {index[tgt]: 1}
-    return ExteriorComodule(labels, q)
+    for j, m in enumerate(monos):
+        for (a, tgt), c in coact.nu_monomial(m).items():
+            if a == _XIBAR2:
+                if tgt not in index:
+                    raise ValueError(f"the xibar2-term of {A.monomial_str(m)} lands on "
+                                     f"{A.monomial_str(tgt)}, outside the sigma-monomials")
+                q.setdefault(j, {})[index[tgt]] = c
+    return ExteriorComodule([(A.monomial_str(m), A.degree(m)) for m in monos], q)
 
 
 @dataclass
@@ -135,8 +121,7 @@ def ext_over_exterior(m: ExteriorComodule, smax: int, tmax: int) -> ExtPage:
     kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, 2))
     img = fplin.Span(n, 2)
     for col in cols:
-        if col:
-            img.add(col)
+        img.add(col)
     homology = [vec for vec in kernel if img.add(vec)]
     degs = m.degrees()
     dims: dict[tuple[int, int], int] = {}
@@ -146,51 +131,6 @@ def ext_over_exterior(m: ExteriorComodule, smax: int, tmax: int) -> ExtPage:
             if t <= tmax:
                 dims[(s, t)] = dims.get((s, t), 0) + 1
     return ExtPage(dims)
-
-
-def cobar_ext_dims(m: ExteriorComodule, smax: int, tmax: int) -> dict[tuple[int, int], int]:
-    """Brute-force Ext via the cobar complex of E(xi_2).
-
-    C^s = (reduced coalgebra)^{(x) s} (x) M; since the reduced coalgebra
-    is one-dimensional on the primitive xi_2, every cochain level is a
-    copy of M (shifted by 3s) and the insertion terms of the cobar
-    differential vanish, leaving the reduced-coaction term.  Kernel and
-    image ranks are taken independently at every cohomological level,
-    but the differential is q at each of them, so this repeats
-    ext_over_exterior's computation rather than checking it
-    independently.
-    """
-    n = len(m.basis)
-    degs = m.degrees()
-
-    def differential_cols(s: int) -> list[dict[int, int]]:
-        cols = []
-        for j in range(n):
-            out: dict[int, int] = {}
-            # insertion terms at the s cobar slots: psi-bar(xi_2) = 0
-            # contributes nothing; the module slot coacts through q
-            for i, c in m.q.get(j, {}).items():
-                fplin.add_term(out, i, c, 2)
-            cols.append(out)
-        return cols
-
-    dims: dict[tuple[int, int], int] = {}
-    for s in range(smax + 1):
-        cols = differential_cols(s)
-        kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, 2))
-        if s == 0:
-            chosen = kernel
-        else:
-            img = fplin.Span(n, 2)
-            for col in differential_cols(s - 1):
-                if col:
-                    img.add(col)
-            chosen = [vec for vec in kernel if img.add(vec)]
-        for vec in chosen:
-            t = degs[min(vec)] + V1_DEG * s
-            if t <= tmax:
-                dims[(s, t)] = dims.get((s, t), 0) + 1
-    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,9 @@ def cmd_steenrod(args, config) -> int:
             target, fmap = _parse_ideal(args.target_ideal), st.parse_element(args.map)
         if sub == "pair":
             a, m = st.parse_element(args.element), parse_milnor(args.monomial, 2)
+        given = (ideal or []) + (target + [fmap] if sub == "kernel" else [])
+        for e in given:
+            st.element_degree(e)  # an inhomogeneous element raises
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -160,7 +163,6 @@ def cmd_steenrod(args, config) -> int:
                   f"{bk.VERIFY_BUDGET} admissible monomials; the largest degree within "
                   f"budget is {cut}", file=sys.stderr)
             return EXIT_USAGE
-        given = (ideal or []) + (target + [fmap] if sub == "kernel" else [])
         outside = [e for e in given if not st.in_subalgebra(spec, e)]
         if outside:
             print(f"error: {st.element_str(outside[0])} is not in the subalgebra {spec.id}",

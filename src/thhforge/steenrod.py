@@ -489,11 +489,14 @@ class GradedModulePresentation:
 
 def _ideal_span(spec: SubalgebraSpec, gens: Iterable[SteenrodElement], d: int) -> fplin.Span:
     """The degree-d part of the left ideal B{gens}, spanned by every b g
-    with b in B's basis, in B_d's coordinates."""
-    span = fplin.Span(len(steenrod_basis(spec, d)), 2)
+    with b in B's basis, in B_d's coordinates.  The gens lie in B, so each
+    b g lies in B_d and its coordinates are its entries at B_d's pivots."""
+    deg = _degree(spec, d)
+    span = fplin.Span(len(deg.basis), 2)
     for g in gens:
         for b in steenrod_basis(spec, d - element_degree(g)):
-            span.add(_coordinates(spec, steenrod_mul(b, g), d))
+            cols = (deg.index[w] for w in steenrod_mul(b, g))
+            span.add({deg.row_of[i]: 1 for i in cols if i in deg.row_of})
     return span
 
 

@@ -1,4 +1,5 @@
-"""Adams machinery: comodules, Ext closed form vs cobar, schedules, charts."""
+"""Adams machinery: comodules from the abutment, Ext closed form vs rank counts,
+schedules, charts."""
 
 from __future__ import annotations
 
@@ -6,7 +7,11 @@ import random
 
 import pytest
 
+from test_fplin import dense_rref
+
 from thhforge import adams as ad
+from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec
+from thhforge.steenrod import MilnorMonomial
 
 
 def free_dims(lams, smax, tmax):
@@ -27,17 +32,34 @@ def test_comodule_ku_all_primitive():
     m = ad.build_comodule("thh-ku-mod2", 40)
     assert m.q == {}
     assert m.verify_square_zero()
+    assert [lab for lab, d in m.basis if d <= 8] == [
+        "1", "s(xibar1^2)", "s(xibar2^2)", "s(xibar3)"]
 
 
 def test_comodule_ko_derivation():
     m = ad.build_comodule("thh-ko-y", 40)
     assert m.verify_square_zero()
     labels = {lab: i for i, (lab, d) in enumerate(m.basis)}
-    # q(mu) = l1, q(mu^2) = 0, q(l1 mu) = 0, q(mu^3) = l1 mu^2
-    assert m.q[labels["mu"]] == {labels["l1"]: 1}
-    assert labels["mu^2"] not in m.q
-    assert labels["l1mu"] not in m.q
-    assert m.q[labels["mu^3"]] == {labels["l1mu^2"]: 1}
+    # q(mu) = l1, q(mu^2) = 0, q(l1 mu) = 0, q(mu^3) = l1 mu^2, with
+    # l1 = s(xibar1^4) and mu = s(xibar3)
+    assert m.q[labels["s(xibar3)"]] == {labels["s(xibar1^4)"]: 1}
+    assert labels["s(xibar3)^2"] not in m.q
+    assert labels["s(xibar1^4) s(xibar3)"] not in m.q
+    assert m.q[labels["s(xibar3)^3"]] == {labels["s(xibar1^4) s(xibar3)^2"]: 1}
+
+
+def test_comodule_refuses_a_xibar2_term_outside_the_sigma_part():
+    # s(xibar3) coacts through the filtration-0 class x5, not a sigma-monomial
+    A = AlgebraPresentation(2, [
+        GeneratorSpec("x5", 5, "exterior"),
+        GeneratorSpec("s(xibar3)", 8, "polynomial", filtration=1, sigma_of="xibar3"),
+    ], 16)
+    coact = CoactionTable(A)
+    coact.set_primitive("x5")
+    coact.set_gen("s(xibar3)", [({MilnorMonomial(): 1}, A.gen_monomial("s(xibar3)")),
+                                ({MilnorMonomial((0, 1)): 1}, A.gen_monomial("x5"))])
+    with pytest.raises(ValueError, match="s\\(xibar3\\) lands on x5, outside the sigma"):
+        ad.comodule_from_coaction(coact, 16)
 
 
 def test_ext_ku_matches_free_form():
@@ -65,7 +87,25 @@ def test_ext_requires_square_zero():
         ad.ext_over_exterior(bad, 2, 10)
 
 
-def test_cobar_oracle_agreement():
+def rank_count_dims(m, smax, tmax):
+    """Ext from dense ranks of q: n_t - rk(q out of t) at s = 0, less
+    rk(q into t) above; shares no code with ext_over_exterior or fplin."""
+    degs = m.degrees()
+    n = len(degs)
+    cols = [[m.q.get(j, {}).get(i, 0) for i in range(n)] for j in range(n)]
+    dims = {}
+    for t in set(degs):
+        rk_out = len(dense_rref([c for c, d in zip(cols, degs) if d == t], 2))
+        rk_in = len(dense_rref([[v if degs[i] == t else 0 for i, v in enumerate(c)]
+                                for c in cols], 2))
+        for s in range(smax + 1):
+            v = degs.count(t) - rk_out - (rk_in if s else 0)
+            if v and t + 3 * s <= tmax:
+                dims[(s, t + 3 * s)] = v
+    return dims
+
+
+def test_rank_count_oracle_agreement():
     rng = random.Random(99)
     done = 0
     while done < 50:
@@ -82,8 +122,11 @@ def test_cobar_oracle_agreement():
             continue
         done += 1
         a = {k: v for k, v in ad.ext_over_exterior(M, 4, 24).dims.items() if v}
-        b = {k: v for k, v in ad.cobar_ext_dims(M, 4, 24).items() if v}
-        assert a == b
+        assert a == rank_count_dims(M, 4, 24)
+    for target in ad.TARGETS:
+        M = ad.build_comodule(target, 46)
+        a = {k: v for k, v in ad.ext_over_exterior(M, 12, 46).dims.items() if v}
+        assert a == rank_count_dims(M, 12, 46)
 
 
 def test_schedules():

@@ -362,6 +362,10 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
      "--map", "1"],
     ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1,Sq2Sq3",
      "--target-ideal", "Sq1,Sq2", "--map", "Sq4"],
+    # inhomogeneous elements
+    ["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq1+Sq2"],
+    ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1", "--target-ideal", "Sq2",
+     "--map", "Sq1+Sq2"],
 ])
 def test_steenrod_bad_arguments_exit_two(capsys, argv):
     assert cli.main(argv) == 2
@@ -604,11 +608,12 @@ def _argvs(draw):
             return ["steenrod", "rank", "--subalgebra", algebra]
         # Sq2 is outside A0 and E01, Sq4 outside A1; over A1, Sq2 -> Sq2 by Sq1 is not
         # well defined
-        ideals = hst.sampled_from(["Sq1", "Sq2", "Sq4", "Sq1,Sq2", "Sq2Sq3", "Sq0", "Sq", "Q1",
-                                   "x", ""])
+        ideals = hst.sampled_from(["Sq1", "Sq2", "Sq4", "Sq1,Sq2", "Sq2Sq3", "Sq1+Sq2", "Sq0",
+                                   "Sq", "Q1", "x", ""])
         if sub == "quotient":
             return ["steenrod", "quotient", "--subalgebra", algebra, "--ideal", draw(ideals)]
-        fmap = draw(hst.sampled_from(["1", "Sq1", "Sq2", "Sq4", "Q1", "Sq0", "x", ""]))
+        fmap = draw(hst.sampled_from(["1", "Sq1", "Sq2", "Sq4", "Sq1+Sq2", "Q1", "Sq0", "x",
+                                      ""]))
         return ["steenrod", "kernel", "--subalgebra", algebra, "--ideal", draw(ideals),
                 "--target-ideal", draw(ideals), "--map", fmap]
     if command == "hh":
