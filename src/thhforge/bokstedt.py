@@ -11,7 +11,7 @@ Dyer-Lashof operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from . import fplin
@@ -20,7 +20,6 @@ from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData
 from .hochschild import (
     closed_form_hh,
     fiberwise_hopf,
-    hh_dims,
     hh_squarezero,
     presentation_dims_internal,
     sigma_name,
@@ -34,6 +33,7 @@ __all__ = [
     "page_homology",
     "collapse_check",
     "CoactionBoundError",
+    "PageCheckBudgetError",
     "obstruction_scan",
     "resolve_extensions",
     "thh_homology",
@@ -157,13 +157,12 @@ CHAIN_BUDGET = 20000  # chains in a normalized Hochschild complex built on reque
 VERIFY_BUDGET = 200000  # monomials of a page check's support, or of a steenrod basis
 
 
-def build_e2(data: SpectrumData, max_degree: int, cross_check_internal: int | None = None) -> SSPage:
+def build_e2(data: SpectrumData, max_degree: int) -> SSPage:
     """Initial term of the spectral sequence from the homology presentation.
 
     Flat entries get the closed-form Hochschild presentation with
     filtrations; the non-flat square-zero case returns bigraded dims
-    only.  An optional raw cross-check recomputes the homology from the
-    normalized complex through a budget-limited internal degree.
+    only.
     """
     if not data.flat:
         poly_part, _ = closed_form_hh(data.homology, max_degree)
@@ -179,30 +178,7 @@ def build_e2(data: SpectrumData, max_degree: int, cross_check_internal: int | No
         return SSPage(data, 2, None, None, None, flat=False, raw_dims=dims,
                       max_degree=max_degree)
     alg, hopf = closed_form_hh(data.homology, max_degree)
-    page = SSPage(
-        data,
-        2,
-        alg,
-        hopf,
-        _page_coaction(data, alg),
-        flat=True,
-        max_degree=max_degree,
-    )
-    if cross_check_internal is not None:
-        bound = _budgeted_bound(data.homology, min(cross_check_internal, max_degree // 2),
-                                CHAIN_BUDGET)
-        raw = hh_dims(data.homology, bound)
-        closed = {
-            k: v
-            for k, v in presentation_dims_internal(alg, bound).items()
-            if v
-        }
-        if raw != closed:
-            raise AssertionError(
-                f"closed-form initial term disagrees with the normalized complex "
-                f"through internal degree {bound}"
-            )
-    return page
+    return SSPage(data, 2, alg, hopf, _page_coaction(data, alg), max_degree=max_degree)
 
 
 def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int, qmax: int | None = None) -> int:
@@ -285,17 +261,7 @@ def apply_d_pminus1(page: SSPage) -> SSPage:
             val = A.el_mul(target, lower)
             if val:
                 diff[g.name] = val
-    out = SSPage(
-        page.spectrum,
-        page.r,
-        A,
-        page.hopf,
-        page.coaction,
-        differential=diff,
-        flat=page.flat,
-        max_degree=page.max_degree,
-    )
-    return out
+    return replace(page, differential=diff)
 
 
 def differential_on_monomial(page: SSPage, m: tuple) -> dict:
@@ -330,8 +296,8 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
     Degreewise kernels/images of d^r on its support F, tensored with the
     series of the cycles off F, confirm the candidate bigraded dims through
     degree max_degree - 1; on mismatch the raw dims are returned.  The
-    info dict holds verified_to and match, and budget_capped_from (the
-    bound asked for) when F holds over VERIFY_BUDGET monomials through it.
+    info dict holds verified_to and match.  PageCheckBudgetError refuses
+    a check whose support F holds over VERIFY_BUDGET monomials through it.
     """
     if not page.differential:
         return page, {"verified_to": page.max_degree, "trivial": True}
@@ -372,6 +338,10 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
     # stops one short of the materialized bound
     asked = page.max_degree - 1
     bound = _verify_budget_bound(F, asked, VERIFY_BUDGET)
+    if bound < asked:
+        raise PageCheckBudgetError(
+            f"page r = {p}: the honest check asked for degree {asked} reaches only degree "
+            f"{bound} within {VERIFY_BUDGET} monomials of the differential's support")
     cand_dims = candidate.bigraded_series(bound)
     ranks: dict[tuple[int, int], int] = {}
 
@@ -403,8 +373,6 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
                 honest[(s + s2, d + d2)] = honest.get((s + s2, d + d2), 0) + n * h
     ok = honest == cand_dims
     info = {"verified_to": bound, "match": ok}
-    if bound < asked:
-        info["budget_capped_from"] = asked
     if not ok:
         return (
             SSPage(page.spectrum, p, None, None, None, flat=page.flat,
@@ -422,6 +390,10 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
         max_degree=page.max_degree,
     )
     return newpage, info
+
+
+class PageCheckBudgetError(ValueError):
+    """A page check whose support is over budget through the degree asked for."""
 
 
 def _verify_budget_bound(A: AlgebraPresentation, bound: int, budget: int) -> int:
@@ -602,7 +574,6 @@ class THHResult:
     series: list[int]
     einf_dims: dict[tuple[int, int], int] | None = None
     nonflat: bool = False
-    warnings: list[str] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
         out = {
@@ -637,8 +608,6 @@ class THHResult:
         if self.coaction and (missing := [g.name for i, g in enumerate(self.abutment.gens)
                                           if i not in self.coaction.entries]):
             out["coaction_missing"] = missing
-        if self.warnings:
-            out["warnings"] = self.warnings
         return out
 
 
@@ -676,17 +645,11 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
             series=series, nonflat=True,
         )
     pages_info: list[dict] = [{"r": 2, "generators": len(e2.generators())}]
-    warnings: list[str] = []
     page = apply_d_pminus1(e2)
     if page.differential:
         page, info = page_homology(page)
         if page.algebra is None:
             raise RuntimeError(f"stage page_homology: recognition failed ({info})")
-        if (asked := info.pop("budget_capped_from", None)) is not None:
-            warnings.append(
-                f"page r = {p}: the honest check was asked for degree {asked} and "
-                f"verified degree {info['verified_to']}; the differential's support "
-                f"past it has more than {VERIFY_BUDGET} monomials")
         pages_info.append({"r": p, "generators": len(page.generators()), **info})
     if collapse_check(page):
         collapse = {"method": "generator-filtrations", "page": page.r}
@@ -711,7 +674,6 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
         relations=relations,
         series=series,
         einf_dims=e2_dims if page.algebra is e2.algebra else _page_dims(page, max_degree),
-        warnings=warnings,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count, takewhile
 
 from . import steenrod as st
 from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec
@@ -154,116 +155,72 @@ def _build_subalgebra_spectrum(
     p: int,
     max_degree: int,
     gen_list: list[tuple[str, MilnorMonomial, str]],
-    dl: DyerLashofTable,
-    extra_gens: list[GeneratorSpec] | None = None,
-    gamma_square_zero: frozenset = frozenset(),
+    extra_gens: tuple[GeneratorSpec, ...] = (),
 ) -> SpectrumData:
-    specs = []
-    values: dict[str, MilnorMonomial] = {}
-    for gname, m, kind in gen_list:
-        specs.append(GeneratorSpec(gname, m.degree(p), kind))
-        values[gname] = m
-    for g in extra_gens or []:
-        specs.append(g)
-    H = AlgebraPresentation(p, specs, max_degree)
+    specs = [GeneratorSpec(gname, m.degree(p), kind) for gname, m, kind in gen_list]
+    values = {gname: m for gname, m, _ in gen_list}
+    H = AlgebraPresentation(p, specs + list(extra_gens), max_degree)
     coact = CoactionTable(H)
     recognize = _recognizer(values, H, p)
     for gname, m, kind in gen_list:
         coact.set_gen(gname, _psi_coaction(m, recognize, p))
-    return SpectrumData(
-        name=name,
-        p=p,
-        max_degree=max_degree,
-        homology=H,
-        coaction=coact,
-        milnor_values=values,
-        dl=dl,
-        gamma_square_zero=gamma_square_zero,
-    )
+    return SpectrumData(name=name, p=p, max_degree=max_degree, homology=H, coaction=coact,
+                        milnor_values=values, dl=DyerLashofTable())
 
 
-def _squaring_chain(data: SpectrumData, k: int) -> None:
-    """Q^{2^k}(xibar_k) = xibar_{k+1} up the unsquared generators from xibar_k;
-    entries whose target lies beyond the bound are invisible below it and
-    stay absent."""
-    H = data.homology
-    while _xibname(k, 1) in H.index:
-        nxt = _xibname(k + 1, 1)
-        if nxt in H.index:
-            data.dl.entries[(_xibname(k, 1), 2 ** k)] = {H.gen_monomial(nxt): 1}
-        k += 1
+# p = 2: the exponents of xibar_1, xibar_2, ... below the first unsquared
+# generator; BP squares them all
+_MOD2_HEADS = {
+    "hf": [], "hz": [2], "ku": [2, 2], "bp2": [2] * 3, "bp3": [2] * 4,
+    "ko": [4, 2], "tmf": [8, 4, 2], "ju": [4, 2], "j": [8, 4, 2], "bp": None,
+}
 
 
-def _bp_family(p: int, m: int | None, name: str, max_degree: int) -> SpectrumData:
-    """BP<m-1>-type spectra: m = None means BP itself (all squares at 2)."""
-    dl = DyerLashofTable()
-    if p == 2:
-        if m is None:
-            head: list[int] = []
-            gen_list = []
-            k = 1
-            while _xib(k, 2).degree(2) <= max_degree:
-                gen_list.append((_xibname(k, 2), _xib(k, 2), "polynomial"))
-                k += 1
-        else:
-            head = [2] * m
-            gen_list = _xi_power_family(2, head, max_degree)
-        data = _build_subalgebra_spectrum(name, 2, max_degree, gen_list, dl)
-        if m is not None:
-            _squaring_chain(data, m + 1)
-    else:
-        gen_list = []
-        k = 1
-        while _xib(k).degree(p) <= max_degree:
-            gen_list.append((_xibname(k, 1), _xib(k), "polynomial"))
-            k += 1
-        if m is not None:
-            k = m
-            while _taub(k).degree(p) <= max_degree:
-                gen_list.append((f"taubar{k}", _taub(k), "exterior"))
-                k += 1
-        data = _build_subalgebra_spectrum(name, p, max_degree, gen_list, dl)
-        if m is not None:
-            k = m
-            while f"taubar{k}" in data.homology.index:
-                nxt = f"taubar{k + 1}"
-                if nxt in data.homology.index:
-                    dl.entries[(f"taubar{k}", p ** k)] = {data.homology.gen_monomial(nxt): 1}
-                dl.bockstein[f"taubar{k}"] = (
-                    {data.homology.gen_monomial(_xibname(k, 1)): 1}
-                    if _xibname(k, 1) in data.homology.index
-                    else {}
-                )
-                k += 1
-    return data
-
-
-def _ko_tmf(name: str, max_degree: int) -> SpectrumData:
-    head = [4, 2] if name == "ko" else [8, 4, 2]
+def _mod2_spectrum(name: str, max_degree: int) -> SpectrumData:
+    head = _MOD2_HEADS[name]
+    if head is None:
+        # xibar_k^2 has degree >= 2^k, over max_degree from k = bit_length on
+        head = [2] * max_degree.bit_length()
     gen_list = _xi_power_family(2, head, max_degree)
-    data = _build_subalgebra_spectrum(name, 2, max_degree, gen_list, DyerLashofTable())
-    _squaring_chain(data, len(head) + 1)
+    b = (GeneratorSpec("b", 3, "exterior"),) if name == "ju" else ()
+    data = _build_subalgebra_spectrum(name, 2, max_degree, gen_list, b)
+    H, dl = data.homology, data.dl
+    if b:  # ju's fibre class: primitive, squares to zero
+        data.gamma_square_zero = frozenset({"b"})
+        data.coaction.set_primitive("b")
+        dl.entries.update({("b", 4): {}, (_xibname(1, 4), 5): {}, (_xibname(2, 2), 7): {}})
+    # Q^{2^k}(xibar_k) = xibar_{k+1} up the unsquared generators; entries
+    # whose target lies beyond the bound are invisible below it
+    k = len(head) + 1
+    while _xibname(k + 1, 1) in H.index:
+        dl.entries[(_xibname(k, 1), 2 ** k)] = {H.gen_monomial(_xibname(k + 1, 1)): 1}
+        k += 1
+    if name == "j":
+        data.flat = False
+        data.squarezero_factor = tuple(
+            (f"k{i}", d) for i, d in enumerate(j_module_degrees()) if d <= max_degree
+        )
     return data
 
 
-def _ju_even(max_degree: int) -> SpectrumData:
-    gen_list = _xi_power_family(2, [4, 2], max_degree)
-    dl = DyerLashofTable()
-    b = GeneratorSpec("b", 3, "exterior")
-    data = _build_subalgebra_spectrum(
-        "ju",
-        2,
-        max_degree,
-        gen_list,
-        dl,
-        extra_gens=[b],
-        gamma_square_zero=frozenset({"b"}),
-    )
-    data.coaction.set_primitive("b")
-    dl.entries[("b", 4)] = {}
-    dl.entries[(_xibname(1, 4), 5)] = {}
-    dl.entries[(_xibname(2, 2), 7)] = {}
-    _squaring_chain(data, 3)
+# odd p: BP<m-1> carries taubar_k from k = m on, with Q^{p^k}(taubar_k) =
+# taubar_{k+1} and Bockstein taubar_k -> xibar_k; BP carries none
+_ODD_FIRST_TAU = {"hf": 0, "hz": 1, "ell": 2, "bp2": 3, "bp3": 4, "bp": None}
+
+
+def _odd_spectrum(name: str, p: int, max_degree: int) -> SpectrumData:
+    first = _ODD_FIRST_TAU[name]
+    taus = [] if first is None else list(
+        takewhile(lambda k: _taub(k).degree(p) <= max_degree, count(first)))
+    gen_list = _xi_power_family(p, [], max_degree)
+    gen_list += [(f"taubar{k}", _taub(k), "exterior") for k in taus]
+    data = _build_subalgebra_spectrum(name, p, max_degree, gen_list)
+    H, dl = data.homology, data.dl
+    for k in taus:
+        if k + 1 in taus:
+            dl.entries[(f"taubar{k}", p ** k)] = {H.gen_monomial(f"taubar{k + 1}"): 1}
+        xk = _xibname(k, 1)
+        dl.bockstein[f"taubar{k}"] = {H.gen_monomial(xk): 1} if xk in H.index else {}
     return data
 
 
@@ -354,61 +311,30 @@ def j_module_degrees() -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _j_spectrum(max_degree: int) -> SpectrumData:
-    head = [8, 4, 2]
-    gen_list = _xi_power_family(2, head, max_degree)
-    dl = DyerLashofTable()
-    data = _build_subalgebra_spectrum("j", 2, max_degree, gen_list, dl)
-    data.flat = False
-    data.squarezero_factor = tuple(
-        (f"k{i}", d) for i, d in enumerate(j_module_degrees()) if d <= max_degree
-    )
-    return data
-
-
 class UnsupportedSpectrumError(ValueError):
     """The catalog does not serve this name at this prime."""
 
 
+_ALIASES = {"l": "ell", "bp1": "ell", "bp0": "hz", "hf2": "hf", "hfp": "hf", "hf3": "hf"}
+_ODD_REFUSALS = {
+    "ku": "ku at odd primes has a non-flat initial term; out of range",
+    "ko": "ko is a mod-2 catalog entry",
+    "tmf": "tmf is a mod-2 catalog entry",
+    "j": "j coincides with ju at odd primes; use ju",
+}
+
+
 def spectrum(name: str, p: int, max_degree: int) -> SpectrumData:
     """Catalog lookup; raises UnsupportedSpectrumError for unknown names or bad primes."""
-    name = name.lower()
-    if name in ("l", "ell"):
-        name = "ell"
-    if name in ("hf2", "hfp", "hf3"):
-        name = "hf"
-    if name == "hf":
-        return _bp_family(p, 0, "hf", max_degree)
-    if name in ("hz", "bp0"):
-        return _bp_family(p, 1, "hz", max_degree)
-    if name in ("ku", "bp1") and p == 2:
-        return _bp_family(2, 2, "ku", max_degree)
-    if name in ("ell", "bp1"):
-        if p == 2:
-            return _bp_family(2, 2, "ku", max_degree)
-        return _bp_family(p, 2, "ell", max_degree)
-    if name == "bp2":
-        return _bp_family(p, 3, "bp2", max_degree)
-    if name == "bp3":
-        return _bp_family(p, 4, "bp3", max_degree)
-    if name == "bp":
-        d = _bp_family(p, None, "bp", max_degree)
-        d.commutative = False  # only an E4 ring spectrum; skip Hopf-level checks
-        return d
-    if name == "ko":
-        if p != 2:
-            raise UnsupportedSpectrumError("ko is a mod-2 catalog entry")
-        return _ko_tmf("ko", max_degree)
-    if name == "tmf":
-        if p != 2:
-            raise UnsupportedSpectrumError("tmf is a mod-2 catalog entry")
-        return _ko_tmf("tmf", max_degree)
-    if name == "ju":
-        return _ju_even(max_degree) if p == 2 else _ju_odd(p, max_degree)
-    if name == "j":
-        if p != 2:
-            raise UnsupportedSpectrumError("j coincides with ju at odd primes; use ju")
-        return _j_spectrum(max_degree)
-    if name == "ku":
-        raise UnsupportedSpectrumError("ku at odd primes has a non-flat initial term; out of range")
-    raise UnsupportedSpectrumError(f"unknown spectrum {name!r}")
+    name = _ALIASES.get(name.lower(), name.lower())
+    if p == 2:
+        name = "ku" if name == "ell" else name  # BP<1> at p = 2 is ku
+    elif name in _ODD_REFUSALS:
+        raise UnsupportedSpectrumError(_ODD_REFUSALS[name])
+    elif name == "ju":
+        return _ju_odd(p, max_degree)
+    if name not in (_MOD2_HEADS if p == 2 else _ODD_FIRST_TAU):
+        raise UnsupportedSpectrumError(f"unknown spectrum {name!r}")
+    data = _mod2_spectrum(name, max_degree) if p == 2 else _odd_spectrum(name, p, max_degree)
+    data.commutative = name != "bp"  # BP is only E4; skip Hopf-level checks
+    return data

@@ -321,7 +321,7 @@ def cmd_bokstedt(args, config) -> int:
         return EXIT_USAGE
     try:
         res = bk.thh_homology(args.spectrum, p, n)
-    except (bk.CoactionBoundError, UnsupportedSpectrumError) as exc:
+    except (bk.CoactionBoundError, bk.PageCheckBudgetError, UnsupportedSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     emit(envelope("bokstedt run", {"spectrum": args.spectrum, "p": p, "maxdeg": n},

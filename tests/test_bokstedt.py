@@ -8,8 +8,9 @@ from hypothesis import strategies as hst
 
 from thhforge import bokstedt as bk
 from thhforge import fplin
-from thhforge.catalog import SPECTRUM_NAMES, j_module_degrees, spectrum
+from thhforge.catalog import SPECTRUM_NAMES, UnsupportedSpectrumError, j_module_degrees, spectrum
 from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec, expand_divided
+from thhforge.hochschild import hh_dims, presentation_dims_internal
 from thhforge.steenrod import milnor_one
 
 
@@ -34,13 +35,27 @@ def coaction_set(res, gen):
 
 def test_catalog_names_and_guards():
     assert spectrum("ku", 2, 20).name == "ku"
-    assert spectrum("bp1", 3, 20).name == "ell"
-    with pytest.raises(ValueError):
-        spectrum("ko", 3, 20)
-    with pytest.raises(ValueError):
-        spectrum("ku", 3, 20)
-    with pytest.raises(ValueError):
-        spectrum("nope", 2, 20)
+    # l, ell and bp1 name BP<1>, which is ku at p = 2
+    aliases = {"l": "ell", "ell": "ell", "bp1": "ell", "bp0": "hz",
+               "hf2": "hf", "hfp": "hf", "hf3": "hf"}
+    for alias, name in aliases.items():
+        assert spectrum(alias, 2, 20).name == ("ku" if name == "ell" else name), alias
+        assert spectrum(alias.upper(), 3, 20).name == name, alias
+    refusals = {
+        "ku": "ku at odd primes has a non-flat initial term; out of range",
+        "ko": "ko is a mod-2 catalog entry",
+        "tmf": "tmf is a mod-2 catalog entry",
+        "j": "j coincides with ju at odd primes; use ju",
+    }
+    for name, message in [*refusals.items(), ("NoPe", "unknown spectrum 'nope'")]:
+        for p in (3, 5) if name in refusals else (2, 3):
+            with pytest.raises(UnsupportedSpectrumError) as exc:
+                spectrum(name, p, 20)
+            assert str(exc.value) == message
+    # BP is only an E4 ring spectrum: the one entry without Hopf-level checks
+    served = [(name, p) for name in SPECTRUM_NAMES for p in (2, 3)
+              if p == 2 or name not in refusals]
+    assert [key for key in served if not spectrum(*key, 20).commutative] == [("bp", 2), ("bp", 3)]
 
 
 def test_catalog_homology_series():
@@ -81,10 +96,18 @@ def test_coaction_counit_and_coassociativity():
             }, (name, p, gname)
 
 
+def assert_closed_form_matches_the_complex(data, page, bound):
+    closed = {k: v for k, v in presentation_dims_internal(page.algebra, bound).items() if v}
+    assert hh_dims(data.homology, bound) == closed
+
+
 def test_build_e2_cross_check():
     data = spectrum("ku", 2, 24)
-    page = bk.build_e2(data, 24, cross_check_internal=10)
+    page = bk.build_e2(data, 24)
     assert page.flat and page.algebra is not None
+    bound = bk._budgeted_bound(data.homology, 10, bk.CHAIN_BUDGET)
+    assert bound == 10
+    assert_closed_form_matches_the_complex(data, page, bound)
     sigma_names = [g.name for g in page.generators() if g.filtration == 1]
     assert "s(xibar1^2)" in sigma_names and "s(xibar3)" in sigma_names
 
@@ -358,17 +381,28 @@ def test_d_pminus1_zero_on_b_tower():
 
 
 def test_differential_squares_to_zero():
-    data = spectrum("ell", 3, 40)
-    page = bk.apply_d_pminus1(bk.build_e2(data, 40))
+    # on hz at p = 3 the page differential moves the tower over s(taubar1)
+    # from degree 18 on (ell has none through 40); d^2 = 0 cannot see the
+    # Koszul sign there, the Leibniz rule over every moving monomial does
+    page = bk.apply_d_pminus1(bk.build_e2(spectrum("hz", 3, 40), 40))
     A = page.algebra
-    for d in range(41):
-        for m in A.monomial_basis(d):
-            dm = bk.differential_on_monomial(page, m)
-            dd: dict = {}
-            for mm, c in dm.items():
-                for m3, c3 in bk.differential_on_monomial(page, mm).items():
-                    dd[m3] = (dd.get(m3, 0) + c * c3) % 3
-            assert not any(dd.values())
+    d = {m: bk.differential_on_monomial(page, m) for t in range(41) for m in A.monomial_basis(t)}
+    moving = [m for m, dm in d.items() if dm]
+    assert len(moving) == 54
+    for dm in d.values():
+        dd: dict = {}
+        for mm, c in dm.items():
+            for m3, c3 in d[mm].items():
+                fplin.add_term(dd, m3, c * c3, 3)
+        assert not dd
+    for m1 in d:
+        for m2 in moving:
+            prod, s = A.mul_monomials(m1, m2)
+            if prod is None or s == 0 or prod not in d:
+                continue
+            rhs = A.el_add(A.el_mul(d[m1], {m2: 1}), A.el_mul({m1: 1}, d[m2]),
+                           coeff=(-1) ** A.degree(m1) % 3)
+            assert {k: s * v % 3 for k, v in d[prod].items()} == rhs, (m1, m2)
 
 
 @pytest.mark.parametrize(
@@ -439,8 +473,9 @@ def test_raw_cross_check_bound_is_budgeted():
     # the budget must clamp the raw comparison to something feasible
     bound = bk._budgeted_bound(data.homology, 15, 3000)
     assert 4 <= bound < 15
-    page = bk.build_e2(data, 30, cross_check_internal=bound)
+    page = bk.build_e2(data, 30)
     assert page.flat
+    assert_closed_form_matches_the_complex(data, page, bound)
 
 
 @pytest.mark.parametrize("name,p", [

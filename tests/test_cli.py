@@ -237,25 +237,19 @@ def test_bokstedt_names_the_generators_without_a_coaction(capsys):
     assert missing == {"50": None, "51": ["xitilde3"], "96": ["xitilde3", "tautilde3"]}
 
 
-def test_bokstedt_warns_when_the_page_check_is_capped(capsys, monkeypatch, schema):
+def test_bokstedt_refuses_an_over_budget_page_check(capsys, monkeypatch):
     argv = ["bokstedt", "run", "--spectrum", "hf", "--p", "3", "--maxdeg", "30",
             "--format", "json"]
     assert cli.main(argv) == 0
-    uncapped = json.loads(capsys.readouterr().out)
-    assert uncapped["result"]["pages"][1]["verified_to"] == 30
-    assert "warnings" not in uncapped["result"]
+    assert json.loads(capsys.readouterr().out)["result"]["pages"][1]["verified_to"] == 30
     # the check builds only the differential's support, whose first 10
-    # monomials reach degree 22 of hf at p = 3
+    # monomials reach degree 22 of hf at p = 3, so the check is refused
     monkeypatch.setattr(cli.bk, "VERIFY_BUDGET", 10)
-    assert cli.main(argv) == 0
-    capped = json.loads(capsys.readouterr().out)
-    jsonschema.validate(capped, schema)
-    assert capped["result"]["pages"][1]["verified_to"] == 22
-    (warning,) = capped["result"].pop("warnings")
-    assert "page r = 3" in warning and "degree 30" in warning and "degree 22" in warning
-    # the warning is the only change; the mathematics does not depend on the cap
-    capped["result"]["pages"][1]["verified_to"] = 30
-    assert capped == uncapped
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "degree 30" in line and "degree 22" in line
 
 
 @pytest.mark.parametrize("maxdeg", [96, 128])
