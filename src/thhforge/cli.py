@@ -25,7 +25,7 @@ from .acceptance import CRITERIA
 from .catalog import SPECTRUM_NAMES, UnsupportedSpectrumError, spectrum
 from .gca import AlgebraPresentation, GeneratorSpec
 # hh_homology stays importable here: the benchmark tracer's tests call cli.hh_homology
-from .hochschild import _bidegrees, hh_dims, hh_homology  # noqa: F401
+from .hochschild import _bidegrees, _factors, hh_dims, hh_homology  # noqa: F401
 from .steenrod import parse_milnor
 
 EXIT_OK = 0
@@ -153,8 +153,8 @@ def cmd_steenrod(args, config) -> int:
         return EXIT_USAGE
     if spec is not None:
         # the degree a basis is built through; past a finite top it is empty and free
-        need = args.degree if sub == "basis" else spec.top_degree() if spec.finite else -1
-        if spec.finite and need > spec.top_degree():
+        need = args.degree if sub == "basis" else spec.top_degree if spec.finite else -1
+        if spec.finite and need > spec.top_degree:
             need = -1
         counts = (st.admissible_count(d, d) for d in range(need + 1))
         cut = fplin.budget_cut(counts, bk.VERIFY_BUDGET)
@@ -297,9 +297,11 @@ def cmd_hh(args, config) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cut = bk._budgeted_bound(pres, top, bk.CHAIN_BUDGET, qmax)
+    # hh_dims builds one complex per factor, and each must fit the budget
+    cut = min((bk._budgeted_bound(f, top, bk.CHAIN_BUDGET, qmax) for f in _factors(pres)),
+              default=top)
     if cut < top:
-        print(f"error: the Hochschild complex through t = {top} has more than "
+        print(f"error: a Hochschild complex through t = {top} has more than "
               f"{bk.CHAIN_BUDGET} chains; the largest degree within budget is "
               f"t = {cut} (--maxdeg {cut})", file=sys.stderr)
         return EXIT_USAGE

@@ -1,14 +1,17 @@
 """Hochschild homology of presented graded-commutative algebras.
 
 The normalized complex has q-chains m0 (x) m1 (x) ... (x) mq with m0 any
-basis monomial and the remaining slots augmentation-reduced.  Homology,
-the shuffle product, the chain-level coproduct into C (x)_Lambda C, the
-bar-resolution roundtrip and the two closed-form shortcuts (sigma/divided
-power generators, square-zero algebras) all live here.
+basis monomial and the remaining slots augmentation-reduced.  hh_dims
+reads dims off the honest complexes of the one-generator factors by
+Kunneth; square-zero and degree-0 presentations, and hh_homology, use
+the whole complex.  The shuffle product, the chain-level coproduct into
+C (x)_Lambda C, the bar-resolution roundtrip and the closed forms
+(sigma/divided power generators, square-zero algebras) also live here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
@@ -218,14 +221,30 @@ def hh_homology(
     return out
 
 
+def _factors(algebra: AlgebraPresentation) -> list[AlgebraPresentation]:
+    """One-generator factors of a connected, not square-zero presentation; else itself."""
+    if algebra.square_zero or any(g.idempotent for g in algebra.gens):
+        return [algebra]
+    return [AlgebraPresentation(algebra.p, [g], algebra.N) for g in algebra.gens]
+
+
 def hh_dims(
     algebra: AlgebraPresentation,
     max_degree: int,
     qmax: int | None = None,
 ) -> dict[tuple[int, int], int]:
-    """The nonzero bigraded dims of hh_homology, from boundary ranks alone."""
-    cx = HochschildComplex(algebra)
-    return {(q, t): d for q, t in _bidegrees(algebra, max_degree, qmax) if (d := cx.dim(q, t))}
+    """The nonzero bigraded dims of hh_homology: boundary ranks in the honest
+    complex of each of _factors, convolved by Kunneth (Loday, Thm 4.2.5)."""
+    dims = Counter({(0, 0): 1})
+    for f in _factors(algebra):
+        cx, step = HochschildComplex(f), Counter()
+        for q, t in _bidegrees(f, max_degree, qmax):
+            if d := cx.dim(q, t):
+                for (q1, t1), d1 in dims.items():
+                    if t1 + t <= max_degree:
+                        step[q1 + q, t1 + t] += d1 * d
+        dims = step
+    return {(q, t): d for q, t in _bidegrees(algebra, max_degree, qmax) if (d := dims[q, t])}
 
 
 def presentation_dims_internal(

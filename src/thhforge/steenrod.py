@@ -24,7 +24,7 @@ so it cannot go stale; it lives as long as the process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import fplin
@@ -267,7 +267,7 @@ class SubalgebraSpec:
     def finite(self) -> bool:
         return self.kind != "A"
 
-    @property
+    @cached_property
     def id(self) -> str:
         if self.kind == "A":
             return "A"
@@ -280,6 +280,7 @@ class SubalgebraSpec:
             raise ValueError("generator exponents only defined for A_n")
         return [2 ** i for i in range(self.n + 1)]
 
+    @cached_property
     def top_degree(self) -> int:
         if self.kind == "An":
             # dual is P(xi_j)/(xi_j^{2^{n+2-j}}), 1 <= j <= n+1
@@ -371,7 +372,7 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
         return []
     if spec.kind == "A":
         return [frozenset({w}) for w in admissible_monomials(degree)]
-    if degree > spec.top_degree():
+    if degree > spec.top_degree:
         return []
     return _degree(spec, degree).basis
 
@@ -384,7 +385,7 @@ def _coordinates(spec: SubalgebraSpec, elt: SteenrodElement, d: int) -> dict[int
     """
     if not elt:
         return {}
-    if not 0 <= d <= spec.top_degree():
+    if not 0 <= d <= spec.top_degree:
         return None
     deg = _degree(spec, d)
     cols = [deg.index.get(w) for w in elt]
@@ -407,7 +408,7 @@ def total_rank(spec: SubalgebraSpec) -> int:
     """F_2 dimension of a finite subalgebra (A_n or exterior)."""
     if not spec.finite:
         raise ValueError("total rank of the full Steenrod algebra is infinite")
-    return sum(len(steenrod_basis(spec, d)) for d in range(spec.top_degree() + 1))
+    return sum(len(steenrod_basis(spec, d)) for d in range(spec.top_degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +511,7 @@ def quotient_module(
     gens = [g for g in left_ideal_gens if g]
     for g in gens:
         _require_in(spec, g)
-    relations = {d: _ideal_span(spec, gens, d) for d in range(spec.top_degree() + 1)
+    relations = {d: _ideal_span(spec, gens, d) for d in range(spec.top_degree + 1)
                  if steenrod_basis(spec, d)}
     vectors = {d: {j: frozenset({j}) for j in sorted(set(range(span.ncols)) - set(span.pivots))}
                for d, span in relations.items()}

@@ -149,11 +149,15 @@ def test_run_ss_matches_closed_form():
 
 
 def test_degree_identity_guards_schedule_data():
-    sched = ad.schedule("thh-ku-mod2", 8)
-    assert sched.degree_identity_holds(8)
-    broken = ad.DifferentialSchedule("thh-ku-mod2", 1, dict(sched.r), dict(sched.s))
-    broken.r[3] += 1
-    assert not broken.degree_identity_holds(8)
+    # criterion 12 and run_ss rely on schedule() raising when the identity
+    # fails, so the identity must catch one wrong r(n) at every n
+    for target in ad.TARGETS:
+        sched = ad.schedule(target, 8)
+        assert sched.degree_identity_holds(8)
+        for n in range(1, 9):
+            broken = ad.DifferentialSchedule(target, sched.first_n,
+                                             {**sched.r, n: sched.r[n] + 1}, sched.s)
+            assert not broken.degree_identity_holds(8), (target, n)
 
 
 def test_one_free_tower():

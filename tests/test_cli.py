@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from thhforge import bokstedt as bk
 from thhforge import cli
 from thhforge.catalog import SPECTRUM_NAMES
+from thhforge.gca import AlgebraPresentation, GeneratorSpec
+from thhforge.hochschild import closed_form_hh, presentation_dims_internal
 
 SCHEMA_PATH = os.path.join(os.path.dirname(cli.__file__), "schemas", "result.schema.json")
 
@@ -160,6 +163,21 @@ def test_hh_chain_budget_counts_idempotent_letters(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.err.rstrip().endswith("t = 2 (--maxdeg 2)")
+
+
+def test_hh_chain_budget_counts_the_factors_built(tmp_path, capsys):
+    # the whole complex of P(x2) (x) E(y3) at p = 3 passes the budget after
+    # t = 19, but hh compute builds only each generator's own complex, and
+    # both fit through t = 24
+    gens = [GeneratorSpec("x", 2, "polynomial"), GeneratorSpec("y", 3, "exterior")]
+    assert bk._budgeted_bound(AlgebraPresentation(3, gens, 24), 24, bk.CHAIN_BUDGET) == 19
+    path = _write_generators(tmp_path, 3, [
+        {"name": g.name, "degree": g.degree, "kind": g.kind} for g in gens], max_degree=24)
+    argv = ["hh", "compute", "--spectrum", path, "--maxdeg", "24", "--format", "json"]
+    assert cli.main(argv) == 0
+    closed, _ = closed_form_hh(AlgebraPresentation(3, gens, 48))
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        f"{q},{t}": v for (q, t), v in presentation_dims_internal(closed, 24).items() if v}
 
 
 def test_hh_refuses_a_square_zero_presentation_with_idempotents(tmp_path, capsys):

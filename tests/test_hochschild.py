@@ -24,6 +24,13 @@ def E(name, d):
     return GeneratorSpec(name, d, "exterior")
 
 
+def whole_complex_dims(A, n, qmax=None):
+    """The nonzero dims dim C - rank d_q - rank d_{q+1} of A's whole complex,
+    which hh_dims builds only for presentations it does not factor."""
+    cx = HochschildComplex(A)
+    return {(q, t): d for q, t in hh._bidegrees(A, n, qmax) if (d := cx.dim(q, t))}
+
+
 def idempotent_algebra():
     return AlgebraPresentation(
         2, [GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 0
@@ -95,7 +102,7 @@ def test_closed_form_rejects_truncated_input():
 
 def test_kunneth_on_two_generators():
     A = AlgebraPresentation(2, [P("x", 2), E("y", 1)], 16)
-    raw = hh.hh_dims(A, 8)
+    raw = whole_complex_dims(A, 8)
     cf, _ = hh.closed_form_hh(A, 16)
     closed = {k: v for k, v in hh.presentation_dims_internal(cf, 8).items() if v}
     assert raw == closed
@@ -135,6 +142,27 @@ def test_dims_from_ranks_count_the_classes(A, qmax):
         for q in range(qmax + 2):
             for c in cx.basis(q, t):
                 assert cx.boundary(cx.boundary_chain(c)) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(square_zero=hst.just(False)), hst.integers(0, 3))
+@example(AlgebraPresentation(2, [P("x", 2), P("y", 2)], 8), 1)
+@example(AlgebraPresentation(3, [P("x", 2), E("y", 3), E("z", 1)], 8), 2)
+def test_factored_dims_equal_the_whole_complex(A, qmax):
+    # Kunneth over the one-generator factors against the complex of the
+    # whole tensor product, through the last degree n > qmax whose complex
+    # (q <= qmax + 1) has at most 600 chains
+    A = AlgebraPresentation(A.p, [g for g in A.gens if not g.idempotent], A.N)
+    assume(len(A.gens) > 1)
+    cx = HochschildComplex(A)
+    chains, n = 0, -1
+    while n < min(A.N, 10):
+        chains += sum(len(cx.basis(q, n + 1)) for q in range(qmax + 2))
+        if chains > 600:
+            break
+        n += 1
+    assume(n > qmax)
+    assert hh.hh_dims(A, n, qmax) == whole_complex_dims(A, n, qmax)
 
 
 @settings(max_examples=60, deadline=None)

@@ -370,7 +370,7 @@ def test_an_basis_is_the_annihilator_of_the_profile_ideal(n, top):
     # every basis element pairs to zero with each of them, and there are
     # as many independent ones as monomials inside the profile
     spec = SubalgebraSpec.A(n)
-    for d in range(1 + (spec.top_degree() if top is None else top)):
+    for d in range(1 + (spec.top_degree if top is None else top)):
         basis = st.steenrod_basis(spec, d)
         assert len(basis) == _gf2_rank(basis) == _an_dimension(n, d), d
         outside = [m for m in st.milnor_basis(2, d, conjugated=False)
@@ -403,7 +403,7 @@ def _uncut_closure(n: int, top: int) -> dict[int, list]:
 @pytest.mark.parametrize("n, top", [(1, None), (2, None), (3, None), (4, 40)])
 def test_an_closure_stopped_at_its_dimension_matches_the_uncut_closure(n, top):
     spec = SubalgebraSpec.A(n)
-    top = spec.top_degree() if top is None else top
+    top = spec.top_degree if top is None else top
     oracle = _uncut_closure(n, top)
     for d in range(top + 1):
         assert st.steenrod_basis(spec, d) == oracle[d], d
@@ -434,8 +434,8 @@ def test_an_closure_short_of_its_dimension_is_an_error(monkeypatch, capsys):
 def test_an_dimension_is_a_poincare_duality_series_of_the_right_total(n):
     # facts about A(n) that neither the product formula nor the profile
     # count states: it has 2^{(n+1)(n+2)/2} elements, and as a finite Hopf
-    # algebra it is a Poincare duality algebra with top class in top_degree()
-    top = SubalgebraSpec.A(n).top_degree()
+    # algebra it is a Poincare duality algebra with top class in top_degree
+    top = SubalgebraSpec.A(n).top_degree
     dims = [st.an_dimension(n, d) for d in range(top + 1)]
     assert sum(dims) == 2 ** ((n + 1) * (n + 2) // 2)
     assert dims == dims[::-1]
@@ -514,7 +514,7 @@ def test_module_map_kernel_accepts_exactly_the_well_defined_maps(data):
     # target ideal, tested by a rank count over words
     spec, gens, target_gens, f = data
     df = st.element_degree(f)
-    top = spec.top_degree()
+    top = spec.top_degree
     targets = {d: _left_ideal(spec, target_gens, d) for d in range(top + 1)}
     well_defined = all(
         _gf2_rank(targets.get(d + df, []) + [st.steenrod_mul(x, f)])
