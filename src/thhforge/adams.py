@@ -13,7 +13,7 @@ pushes them through honestly and emits the homotopy P(v1)-module tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bokstedt, fplin
 from .gca import CoactionTable
@@ -41,8 +41,7 @@ TARGETS = ["thh-ku-mod2", "thh-ko-y"]
 V1_DEG = 3  # internal degree of [xi_2]; bidegree (1, 3), so t - s steps by 2
 
 
-@dataclass
-class ExteriorComodule:
+class ExteriorComodule(NamedTuple):
     """A graded comodule over E(xi_2), encoded by its degree-3 operator q.
 
     q is the xi_2-component of the coaction; it squares to zero and acts
@@ -98,8 +97,7 @@ def comodule_from_coaction(coact: CoactionTable, tmax: int) -> ExteriorComodule:
     return ExteriorComodule([(A.monomial_str(m), A.degree(m)) for m in monos], q)
 
 
-@dataclass
-class ExtPage:
+class ExtPage(NamedTuple):
     """Bigraded F_2 page of dimensions, indexed by (s, t)."""
 
     dims: dict[tuple[int, int], int]
@@ -136,8 +134,7 @@ def ext_over_exterior(m: ExteriorComodule, smax: int, tmax: int) -> ExtPage:
 # ---------------------------------------------------------------------------
 # differential schedules
 
-@dataclass
-class DifferentialSchedule:
+class DifferentialSchedule(NamedTuple):
     """d^{r(n)}(mu^{2^{n-1}}) = v1^{r(n)} lambda_n, with the recurrences
     r(n) = 2^n + r(n-2) and s(n) = 2^n + s(n-2) and the degree identity
     2 r(n) + s(n) = 2^{n+2} - 1."""
@@ -171,8 +168,7 @@ def schedule(target: str, nmax: int) -> DifferentialSchedule:
     return sched
 
 
-@dataclass
-class PModulePresentation:
+class PModulePresentation(NamedTuple):
     """pi_* as a P(v1)-module: one free generator plus v1-torsion classes."""
 
     target: str

@@ -11,8 +11,7 @@ Dyer-Lashof operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import fplin
 from .catalog import SpectrumData, spectrum
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class SSPage:
     """One page of a multiplicative spectral sequence.
 
@@ -51,15 +49,19 @@ class SSPage:
     Non-flat initial terms come back in raw-dims mode with no algebra.
     """
 
-    spectrum: SpectrumData | None
-    r: int
-    algebra: AlgebraPresentation | None
-    hopf: HopfData | None
-    coaction: CoactionTable | None
-    differential: dict[str, dict] = field(default_factory=dict)
-    flat: bool = True
-    raw_dims: dict[tuple[int, int], int] | None = None
-    max_degree: int = 0
+    def __init__(self, spectrum: SpectrumData | None, r: int, algebra: AlgebraPresentation | None,
+                 hopf: HopfData | None, coaction: CoactionTable | None,
+                 differential: dict[str, dict] | None = None, flat: bool = True,
+                 raw_dims: dict[tuple[int, int], int] | None = None, max_degree: int = 0) -> None:
+        self.spectrum = spectrum
+        self.r = r
+        self.algebra = algebra
+        self.hopf = hopf
+        self.coaction = coaction
+        self.differential = {} if differential is None else differential
+        self.flat = flat
+        self.raw_dims = raw_dims
+        self.max_degree = max_degree
 
     def generators(self) -> list[GeneratorSpec]:
         return [] if self.algebra is None else self.algebra.gens
@@ -261,7 +263,8 @@ def apply_d_pminus1(page: SSPage) -> SSPage:
             val = A.el_mul(target, lower)
             if val:
                 diff[g.name] = val
-    return replace(page, differential=diff)
+    return SSPage(page.spectrum, page.r, page.algebra, page.hopf, page.coaction, diff, page.flat,
+                  page.raw_dims, page.max_degree)
 
 
 def differential_on_monomial(page: SSPage, m: tuple) -> dict:
@@ -560,8 +563,7 @@ def resolve_extensions(einf: SSPage, max_degree: int):
 # ---------------------------------------------------------------------------
 # the full pipeline
 
-@dataclass
-class THHResult:
+class THHResult(NamedTuple):
     spectrum: str
     p: int
     max_degree: int

@@ -10,7 +10,6 @@ second tensor factor is produced by the Steenrod-module machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, takewhile
 
@@ -26,7 +25,6 @@ __all__ = [
 SPECTRUM_NAMES = ["hf", "hz", "ku", "ko", "tmf", "ell", "ju", "j", "bp", "bp0", "bp1", "bp2", "bp3"]
 
 
-@dataclass
 class DyerLashofTable:
     """Q-operation values on homology generators, plus Bocksteins.
 
@@ -35,8 +33,9 @@ class DyerLashofTable:
     from instability and, at p = 2, from Q^odd(square) = 0.
     """
 
-    entries: dict[tuple[str, int], dict] = field(default_factory=dict)
-    bockstein: dict[str, dict] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.entries: dict[tuple[str, int], dict] = {}
+        self.bockstein: dict[str, dict] = {}
 
     def lookup(self, gen: str, k: int, is_even_power: bool, degree: int, p: int) -> dict | None:
         if (gen, k) in self.entries:
@@ -50,19 +49,21 @@ class DyerLashofTable:
         return None
 
 
-@dataclass
 class SpectrumData:
-    name: str
-    p: int
-    max_degree: int
-    homology: AlgebraPresentation
-    coaction: CoactionTable
-    milnor_values: dict[str, MilnorMonomial]
-    dl: DyerLashofTable
-    commutative: bool = True
-    gamma_square_zero: frozenset = frozenset()
-    flat: bool = True
-    squarezero_factor: tuple | None = None  # (label, degree) pairs for j
+    def __init__(self, name: str, p: int, max_degree: int, homology: AlgebraPresentation,
+                 coaction: CoactionTable, milnor_values: dict[str, MilnorMonomial],
+                 dl: DyerLashofTable, gamma_square_zero: frozenset = frozenset()) -> None:
+        self.name = name
+        self.p = p
+        self.max_degree = max_degree
+        self.homology = homology
+        self.coaction = coaction
+        self.milnor_values = milnor_values
+        self.dl = dl
+        self.commutative = True
+        self.gamma_square_zero = gamma_square_zero
+        self.flat = True
+        self.squarezero_factor: tuple | None = None  # (label, degree) pairs for j
 
     def is_even_power(self, gen_name: str) -> bool:
         m = self.milnor_values.get(gen_name)

@@ -16,8 +16,7 @@ power, and constraint maps over a basis are stacked by constraint_matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "PrimeField",
@@ -52,15 +51,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic mod a prime p; every nonzero element is invertible."""
-
+class _PrimeField(NamedTuple):
     p: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"not a prime: {self.p}")
+
+class PrimeField(_PrimeField):
+    """Arithmetic mod a prime p; every nonzero element is invertible."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int) -> PrimeField:
+        if not is_prime(p):
+            raise ValueError(f"not a prime: {p}")
+        return super().__new__(cls, p)
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -69,16 +72,20 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
-@dataclass(frozen=True)
-class SparseMat:
-    """Sparse matrix over F_p; (row, col) pairs distinct, scalars nonzero."""
-
+class _SparseMat(NamedTuple):
     nrows: int
     ncols: int
     entries: tuple[tuple[int, int, int], ...]
     p: int = 2
 
-    def __post_init__(self) -> None:
+
+class SparseMat(_SparseMat):
+    """Sparse matrix over F_p; (row, col) pairs distinct, scalars nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SparseMat:
+        self = super().__new__(cls, *args, **kwargs)
         PrimeField(self.p)
         seen = set()
         for r, c, v in self.entries:
@@ -89,6 +96,7 @@ class SparseMat:
             if (r, c) in seen:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             seen.add((r, c))
+        return self
 
     @staticmethod
     def from_rows(rows: Sequence[Mapping[int, int]], ncols: int, p: int = 2) -> "SparseMat":

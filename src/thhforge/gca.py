@@ -14,9 +14,8 @@ primitives it supports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import fplin
 from .steenrod import MilnorMonomial, milnor_mul, milnor_one
@@ -34,17 +33,7 @@ Monomial = tuple  # tuple[(gen_index, exponent), ...], sorted by index
 Element = dict    # dict[Monomial, int]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """One algebra generator.
-
-    kind is one of polynomial | exterior | truncated; divided power
-    input is expanded before reaching here (see expand_divided).  The
-    filtration field carries the homological filtration on spectral
-    sequence pages; sigma_of/gamma_power record how suspension classes
-    were produced so the extension-resolution rules can find them.
-    """
-
+class _GeneratorSpec(NamedTuple):
     name: str
     degree: int
     kind: str
@@ -54,7 +43,21 @@ class GeneratorSpec:
     sigma_of: str | None = None
     gamma_power: int = 0     # p^i for members of a divided tower, else 0
 
-    def __post_init__(self) -> None:
+
+class GeneratorSpec(_GeneratorSpec):
+    """One algebra generator.
+
+    kind is one of polynomial | exterior | truncated; divided power
+    input is expanded before reaching here (see expand_divided).  The
+    filtration field carries the homological filtration on spectral
+    sequence pages; sigma_of/gamma_power record how suspension classes
+    were produced so the extension-resolution rules can find them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GeneratorSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("polynomial", "exterior", "truncated"):
             raise ValueError(f"generator {self.name}: unknown kind {self.kind!r} "
                              "(polynomial, exterior or truncated)")
@@ -62,6 +65,7 @@ class GeneratorSpec:
             raise ValueError(f"generator {self.name}: truncated needs a height >= 2")
         if self.degree < 0:
             raise ValueError(f"generator {self.name}: negative degree {self.degree}")
+        return self
 
     def max_exponent(self) -> int | None:
         if self.idempotent:

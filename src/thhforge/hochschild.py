@@ -12,9 +12,8 @@ C (x)_Lambda C, the bar-resolution roundtrip and the closed forms
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import fplin
 from .gca import AlgebraPresentation, GeneratorSpec, HopfData, expand_divided
@@ -31,7 +30,6 @@ __all__ = [
     "bar_roundtrip_check",
     "closed_form_hh",
     "hh_squarezero",
-    "is_free_over_base",
 ]
 
 Chain = tuple      # tuple of monomials, length q+1
@@ -42,8 +40,7 @@ def sigma_name(base: str) -> str:
     return f"s({base})"
 
 
-@dataclass(frozen=True)
-class HHClass:
+class HHClass(NamedTuple):
     """A homology class with a chosen cycle representative."""
 
     q: int
@@ -405,8 +402,8 @@ def coproduct_on_class(
     the larger left internal degree come first, so base factors are
     reported on the left (x sigma x comes back as x sigma x (x) 1 +
     x (x) sigma x).  Requires HH free over the base through the relevant
-    degrees (see is_free_over_base); a failed projection signals
-    non-flatness and is refused with a diagnostic.
+    degrees; a failed projection signals non-flatness and is refused with
+    a diagnostic.
     """
     A = algebra
     p = A.p
@@ -626,16 +623,14 @@ def hh_squarezero(
     degs = [d for _, d in vee]
     n = max_degree if max_degree is not None else max(degs, default=0) * (qmax + 1)
 
-    def divisors(l: int, s: int) -> list[int]:
-        g = gcd(l, s)
-        return [k for k in range(1, g + 1) if g % k == 0]
-
+    # divisors[g] for every g = gcd(l, s) with l <= qmax + 1
+    divisors = [[k for k in range(1, g + 1) if g % k == 0] for g in range(qmax + 2)]
     # words[l][s], prim[l][s]: all and primitive words of length l, degree s
     words = [[1] + [0] * n]
     prim = [[0] * (n + 1)]
     for l in range(1, qmax + 2):
         words.append([sum(words[l - 1][s - d] for d in degs if d <= s) for s in range(n + 1)])
-        prim.append([words[l][s] - sum(prim[l // k][s // k] for k in divisors(l, s)[1:])
+        prim.append([words[l][s] - sum(prim[l // k][s // k] for k in divisors[gcd(l, s)][1:])
                      for s in range(n + 1)])
 
     def inv(q: int, t: int) -> int:
@@ -644,7 +639,7 @@ def hh_squarezero(
             return int(t == 0)
         return sum(
             prim[q // k][t // k] // (q // k)
-            for k in divisors(q, t)
+            for k in divisors[gcd(q, t)]
             if p == 2 or ((q // k) * (q + 1) + (t // k) * (k - 1)) % 2 == 0
         )
 
@@ -654,28 +649,3 @@ def hh_squarezero(
             if dim := inv(q, t) + inv(q + 1, t):
                 out[(q, t)] = dim
     return out
-
-
-def is_free_over_base(
-    bigraded_dims: Mapping[tuple[int, int], int],
-    base_series: Sequence[int],
-    max_degree: int,
-    qmax: int,
-) -> tuple[bool, dict[tuple[int, int], int]]:
-    """Series-division test for degreewise freeness over the base ring.
-
-    Divides each homological row by the base Poincare series; freeness
-    forces the quotient coefficients to be nonnegative integers.
-    """
-    fiber: dict[tuple[int, int], int] = {}
-    for q in range(qmax + 1):
-        for t in range(max_degree + 1):
-            v = bigraded_dims.get((q, t), 0)
-            for s in range(1, t + 1):
-                if s < len(base_series) and base_series[s]:
-                    v -= base_series[s] * fiber.get((q, t - s), 0)
-            if v < 0:
-                return False, {}
-            if v:
-                fiber[(q, t)] = v
-    return True, fiber

@@ -23,7 +23,6 @@ so it cannot go stale; it lives as long as the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -241,13 +240,16 @@ def milnor_primitive(k: int) -> SteenrodElement:
 # ---------------------------------------------------------------------------
 # subalgebras
 
-@dataclass(frozen=True)
-class SubalgebraSpec:
-    """A itself, A_n = <Sq^1 ... Sq^{2^n}>, or an exterior algebra on Q_i's."""
-
+class _SubalgebraSpec(NamedTuple):
     kind: str  # "A" | "An" | "E"
     n: int = -1
     qs: tuple[int, ...] = ()
+
+
+class SubalgebraSpec(_SubalgebraSpec):
+    """A itself, A_n = <Sq^1 ... Sq^{2^n}>, or an exterior algebra on Q_i's."""
+
+    # no __slots__: instances keep a __dict__ for the cached properties
 
     @staticmethod
     def full() -> "SubalgebraSpec":
@@ -586,25 +588,30 @@ def cyclic_and_annihilator_check(
 # ---------------------------------------------------------------------------
 # the dual Steenrod algebra (all primes)
 
-@dataclass(frozen=True, order=True)
-class MilnorMonomial:
+class _MilnorMonomial(NamedTuple):
+    xi: tuple[int, ...] = ()
+    tau: tuple[int, ...] = ()  # sorted, distinct
+    conjugated: bool = True
+
+
+class MilnorMonomial(_MilnorMonomial):
     """Monomial in the dual Steenrod algebra.
 
     xi holds exponents of xi_1, xi_2, ... (trailing zeros trimmed); tau
     is the set of indices of exterior generators tau_k (odd primes
     only).  The conjugated flag selects the antipode alphabet
-    xibar/taubar.
+    xibar/taubar.  Ordered and hashed as the tuple of its fields.
     """
 
-    xi: tuple[int, ...] = ()
-    tau: tuple[int, ...] = ()  # sorted, distinct
-    conjugated: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> MilnorMonomial:
+        self = super().__new__(cls, *args, **kwargs)
         if self.xi and self.xi[-1] == 0:
             raise ValueError("trailing zero xi exponent")
         if list(self.tau) != sorted(set(self.tau)):
             raise ValueError("tau indices must be sorted and distinct")
+        return self
 
     def degree(self, p: int) -> int:
         if p == 2:

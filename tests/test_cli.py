@@ -419,7 +419,7 @@ def test_verify_jobs_and_report(tmp_path, capsys, monkeypatch):
     from thhforge import acceptance
 
     monkeypatch.setattr(
-        cli, "CRITERIA", [acceptance.criterion_1, acceptance.criterion_3]
+        acceptance, "CRITERIA", [acceptance.criterion_1, acceptance.criterion_3]
     )
     report = tmp_path / "report.json"
     assert cli.main(["verify", "--report", str(report)]) == 0
@@ -438,8 +438,10 @@ def test_verify_jobs_is_a_usage_error(capsys):
 
 
 def test_verify_reports_failure_exit(monkeypatch, capsys):
+    from thhforge import acceptance
+
     monkeypatch.setattr(
-        cli, "CRITERIA",
+        acceptance, "CRITERIA",
         [lambda: {"id": "x", "description": "forced failure", "passed": False,
                   "elapsed": 0.0}],
     )

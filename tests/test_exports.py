@@ -1,4 +1,5 @@
-"""Every name a module exports in __all__ exists; the package needs no numpy."""
+"""Every name a module exports in __all__ exists; the package needs no numpy,
+and importing the CLI loads neither dataclasses nor the acceptance suite."""
 
 from __future__ import annotations
 
@@ -27,3 +28,14 @@ def test_src_does_not_import_numpy():
     code = f"import sys; {imports}; assert 'numpy' not in sys.modules, 'numpy imported'"
     src = os.path.dirname(os.path.dirname(thhforge.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_stays_cold_start_cheap():
+    # every CLI call pays this import: no dataclasses (nor the inspect it
+    # pulls in), and the acceptance suite only under verify
+    heavy = ["dataclasses", "inspect", "thhforge.acceptance"]
+    code = (f"import sys, thhforge.cli; loaded = [m for m in {heavy} if m in sys.modules]; "
+            "assert not loaded, loaded")
+    src = os.path.dirname(os.path.dirname(thhforge.__file__))
+    subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

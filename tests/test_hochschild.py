@@ -355,20 +355,6 @@ def test_co_leibniz():
                 assert lhs == rhs
 
 
-def test_flatness_detector():
-    # free module: P(x) (x) E(sx) over P(x)
-    A = AlgebraPresentation(2, [P("x", 2)], 24)
-    dims = hh.hh_dims(A, 12)
-    base = A.poincare_series(12)
-    free, fiber = hh.is_free_over_base(dims, base, 12, 6)
-    assert free and fiber[(1, 2)] == 1
-    # the square-zero example fails the division test
-    sz = hh.hh_squarezero([("x", 1), ("y", 1)], 4, p=2, max_degree=8)
-    base = [1, 2] + [0] * 7
-    free, _ = hh.is_free_over_base(sz, base, 8, 4)
-    assert not free
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     p=hst.sampled_from([2, 3, 5]),
