@@ -131,17 +131,18 @@ def _print_csv(result) -> None:
 # ---------------------------------------------------------------------------
 # steenrod
 
-def _parse_ideal(text: str) -> list:
-    return [st.parse_element(s) for s in text.split(",")]
+def _parse_ideal(text: str, top: int | None) -> list:
+    return [st.parse_element(s, top) for s in text.split(",")]
 
 
 def cmd_steenrod(args, config) -> int:
     sub = args.steenrod_cmd
     try:  # every argument is parsed before any computation: a bad one exits 2
         spec = None if sub == "pair" else st.SubalgebraSpec.parse(args.subalgebra)
-        ideal = _parse_ideal(args.ideal) if sub in ("quotient", "kernel") else None
+        top = spec.top_degree if spec is not None and spec.finite else None
+        ideal = _parse_ideal(args.ideal, top) if sub in ("quotient", "kernel") else None
         if sub == "kernel":
-            target, fmap = _parse_ideal(args.target_ideal), st.parse_element(args.map)
+            target, fmap = _parse_ideal(args.target_ideal, top), st.parse_element(args.map, top)
         if sub == "pair":
             a, m = st.parse_element(args.element), parse_milnor(args.monomial, 2)
         given = (ideal or []) + (target + [fmap] if sub == "kernel" else [])

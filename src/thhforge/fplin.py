@@ -144,12 +144,12 @@ def _subtract(out: dict[int, int], c: int, row: Mapping[int, int], p: int) -> No
 class Span:
     """Incremental RREF row space over F_p with membership queries.
 
-    Vectors go in and come out as {index: scalar} dicts.  The rows are
-    kept in a dict {pivot: row}, the pivot being the row's least index: a
-    bit mask at p = 2, a {col: coeff} dict with coefficient 1 at the pivot
-    at odd p.  At odd p the rows are kept fully reduced: an RREF row is
-    zero at every other pivot, so reducing a vector subtracts only the
-    rows of the pivots it hits.  At p = 2 the rows stay echelon (each zero
+    Vectors go in as {index: scalar} dicts (or int bit masks at p = 2) and
+    come out as dicts.  The rows are kept in a dict {pivot: row}, the pivot
+    being the row's least index: a bit mask at p = 2, a {col: coeff} dict
+    with coefficient 1 at the pivot at odd p.  At odd p the rows are kept
+    fully reduced: an RREF row is zero at every other pivot, so reducing a
+    vector subtracts only the rows of the pivots it hits.  At p = 2 the rows stay echelon (each zero
     at the pivots older than itself) until basis() back-substitutes them
     once, in descending pivot order; a residue re-reads the pivots it hits
     after each XOR, lowest first.  Either way the pivot set and the
@@ -164,11 +164,11 @@ class Span:
         self._rows: dict[int, int | dict[int, int]] = {}
         self._pivot_mask = 0  # p = 2: one bit per pivot
 
-    def _residue(self, vec: Mapping[int, int]) -> int | dict[int, int]:
+    def _residue(self, vec: Mapping[int, int] | int) -> int | dict[int, int]:
         """vec reduced against the rows, in the lane's row format."""
         rows = self._rows
         if self.p == 2:
-            mask = sum(1 << i for i, v in vec.items() if v % 2)
+            mask = vec if isinstance(vec, int) else sum(1 << i for i, v in vec.items() if v % 2)
             pivot_mask = self._pivot_mask
             hit = mask & pivot_mask
             while hit:
@@ -191,7 +191,7 @@ class Span:
             return out
         return dict(sorted(row.items()))
 
-    def add(self, vec: Mapping[int, int]) -> bool:
+    def add(self, vec: Mapping[int, int] | int) -> bool:
         """Add a vector; True if it enlarged the span."""
         new = self._residue(vec)
         if not new:
@@ -210,11 +210,11 @@ class Span:
         rows[piv] = new
         return True
 
-    def reduce(self, vec: Mapping[int, int]) -> dict[int, int]:
+    def reduce(self, vec: Mapping[int, int] | int) -> dict[int, int]:
         """Residue of vec after reduction against the span (RREF rows)."""
         return self._as_dict(self._residue(vec))
 
-    def contains(self, vec: Mapping[int, int]) -> bool:
+    def contains(self, vec: Mapping[int, int] | int) -> bool:
         return not self.reduce(vec)
 
     @property

@@ -5,25 +5,28 @@ dual side (Milnor monomials, coproduct, conjugation) is implemented at
 every prime.  Finite subalgebras A_n are closed up degreewise from the
 lower degrees a request reaches, stopping once the span reaches the
 Milnor-basis dimension of A(n) in that degree; exterior subalgebras on
-the Milnor primitives Q_i are spanned by square-free products.  Each
-(subalgebra, degree) is built once into one memo: the basis as RREF rows,
-the admissible index of that degree and the span.  That is the one
-coordinate system of every module over the subalgebra, a subquotient U/I
-held as data, and of the check that an element lies in the subalgebra.
-Right multiplication by f is well defined when g f lies in the target's
-ideal for each generator g of the source ideal, since (a g) f = a (g f);
-the kernel checks exactly that.
+the Milnor primitives Q_i are spanned by square-free products.  Such a
+subalgebra B is built once per degree d into one memo, the RREF basis
+and span of B_d over the admissible words of degree d; an element's bits
+at the pivot columns are its coordinates in every module over B, a
+subquotient U/I held as data.  Right multiplication by f is well defined
+when g f lies in the target's ideal for each generator g of the source
+ideal, since (a g) f = a (g f); the kernel checks exactly that.
 
-Every product goes through steenrod_mul.  A joined word keeps its
-longest admissible suffix, and the letters left of it are prepended one
-at a time through one memoized kernel, Sq^a w for an admissible word w
-with a < 2 w[0].  That memo is module-level and keyed on integer tuples,
-so it cannot go stale; it lives as long as the process.
+steenrod_mul works on sets of words in any degree: a joined word keeps
+its longest admissible suffix and takes the letters left of it through
+one memoized kernel, Sq^a w for an admissible w with a < 2 w[0].  Inside
+B a product is an int mask over its degree's admissible words in
+lexicographic order: Sq^a w is converted once from that kernel, and u v
+is Sq^{u[0]} on each word of the memoized u[1:] v.  The memos are keyed
+on integer tuples, so they cannot go stale; they last the process.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+import re
+from functools import cached_property, lru_cache, partial, reduce
+from operator import xor
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import fplin
@@ -129,6 +132,36 @@ def _sq_times(a: int, w: tuple[int, ...]) -> SteenrodElement:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _index(d: int) -> dict[tuple[int, ...], int]:
+    """Admissible word of degree d -> its bit, its place in admissible_monomials(d)."""
+    return {w: i for i, w in enumerate(_admissible_bounded(d, d))}
+
+
+@lru_cache(maxsize=None)
+def _word_mask(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """u v as a mask over the admissible words of its degree, for admissible u, v:
+    one bit if u v is admissible, Sq^a v (u = (a,)) converted once from
+    _sq_times, and for a longer u, Sq^{u[0]} on each word of u[1:] v."""
+    d = sum(u) + sum(v)
+    if not u or not v or u[-1] >= 2 * v[0]:
+        return 1 << _index(d)[u + v]
+    if len(u) == 1:
+        return sum(1 << _index(d)[t] for t in _sq_times(u[0], v))
+    rest, letter, out = _word_mask(u[1:], v), u[:1], 0
+    words = _admissible_bounded(d - u[0], d - u[0])
+    while rest:
+        low = rest & -rest
+        out ^= _word_mask(letter, words[low.bit_length() - 1])
+        rest ^= low
+    return out
+
+
+def _mask_mul(x: SteenrodElement, y: SteenrodElement) -> int:
+    """x y as a mask over the admissible words of degree |x| + |y|."""
+    return reduce(xor, (_word_mask(u, v) for u in x for v in y), 0)
+
+
 def steenrod_one() -> SteenrodElement:
     return frozenset({()})
 
@@ -163,17 +196,18 @@ def element_str(a: SteenrodElement) -> str:
     return "+".join(mono(w) for w in sorted(a))
 
 
-def parse_element(text: str) -> SteenrodElement:
-    """Parse sums of Sq words: 'Sq4Sq6+Sq6Sq4', 'Sq^2 Sq^1', '1', 'Q1'."""
-    out: set = set()
+def parse_element(text: str, max_degree: int | None = None) -> SteenrodElement:
+    """Parse sums of Sq words: 'Sq4Sq6+Sq6Sq4', 'Sq^2 Sq^1', '1', 'Q1'; a term
+    above max_degree raises ValueError before any Q_k or Adem reduction is built."""
+    terms: list = []  # the index k of a Q_k, or a word of Sq exponents
     for term in text.replace(" ", "").split("+"):
         if not term:
             continue
         if term == "1":
-            out.symmetric_difference_update({()})
+            terms.append(())
             continue
         if term.startswith("Q") and term[1:].isdigit():
-            out.symmetric_difference_update(milnor_primitive(int(term[1:])))
+            terms.append(int(term[1:]))
             continue
         word = []
         for piece in term.replace("^", "").split("Sq"):
@@ -183,8 +217,12 @@ def parse_element(text: str) -> SteenrodElement:
                 word.append(int(piece))
         if not word or not term.startswith("Sq"):
             raise ValueError(f"cannot parse term {term!r}")
-        out.symmetric_difference_update(adem_reduce(word))
-    return frozenset(out)
+        terms.append(tuple(word))
+    top = max((2 ** (t + 1) - 1 if isinstance(t, int) else sum(t) for t in terms), default=0)
+    if max_degree is not None and top > max_degree:
+        raise ValueError(f"{text.strip()} has a term of degree {top}, "
+                         f"above the top degree {max_degree}")
+    return _sum(milnor_primitive(t) if isinstance(t, int) else adem_reduce(t) for t in terms)
 
 
 @lru_cache(maxsize=None)
@@ -275,6 +313,8 @@ class SubalgebraSpec(_SubalgebraSpec):
             return "A"
         if self.kind == "An":
             return f"A{self.n}"
+        if max(self.qs, default=0) > 9:  # E(Q1,Q23), which E123 would misname
+            return "E(" + ",".join(f"Q{q}" for q in self.qs) + ")"
         return "E" + "".join(str(q) for q in self.qs)
 
     def generator_exponents(self) -> list[int]:
@@ -293,25 +333,26 @@ class SubalgebraSpec(_SubalgebraSpec):
 
     @staticmethod
     def parse(text: str) -> "SubalgebraSpec":
-        t = text.strip().upper().replace("(", "").replace(")", "").replace("Q", "")
+        """A, An or A(n); E(Qi,Qj,...) or E(QiQj...), or E01 with one digit per index."""
+        t = text.strip().upper().replace(" ", "")
         if t == "A":
             return SubalgebraSpec.full()
-        if t.startswith("A") and t[1:].isdigit():
-            return SubalgebraSpec.A(int(t[1:]))
-        if t.startswith("E") and (t[1:].isdigit() or t == "E"):
-            if t == "E":
-                raise ValueError("full exterior subalgebra is infinite; list the Q indices")
-            return SubalgebraSpec.E(*(int(c) for c in t[1:]))
+        inner = t[2:-1] if t[1:2] == "(" and t.endswith(")") else t[1:]
+        if t[:1] == "A" and inner.isdigit():
+            return SubalgebraSpec.A(int(inner))
+        if t[:1] == "E" and not inner:
+            raise ValueError("full exterior subalgebra is infinite; list the Q indices")
+        if t[:1] == "E" and re.fullmatch(r"\d+|(Q\d+,?)*Q\d+", inner):
+            return SubalgebraSpec.E(*map(int, re.findall(r"\d+", inner) if "Q" in inner else inner))
         raise ValueError(f"unknown subalgebra {text!r}")
 
 
 class _Degree(NamedTuple):
     """A finite subalgebra B in one degree d, in admissible coordinates."""
 
-    basis: list[SteenrodElement]  # the RREF rows of B_d, in increasing pivot order
-    index: dict[tuple[int, ...], int]  # admissible word of degree d -> column
-    span: fplin.Span  # B_d
-    row_of: dict[int, int]  # pivot column -> position in basis
+    basis: dict[int, SteenrodElement]  # pivot column -> RREF row of B_d, in increasing order
+    span: fplin.Span  # B_d, over the admissible words of degree d
+    pivot_mask: int  # one bit per pivot column
 
 
 # (subalgebra id, degree) -> _Degree: the one coordinate system of B_d,
@@ -323,8 +364,7 @@ def _degree(spec: SubalgebraSpec, degree: int) -> _Degree:
     key = (spec.id, degree)
     if key in _basis_memo:
         return _basis_memo[key]
-    words = admissible_monomials(degree)
-    index = {w: i for i, w in enumerate(words)}
+    words, index = _admissible_bounded(degree, degree), _index(degree)
     span = fplin.Span(len(words), 2)
     if spec.kind == "E":
         for mask in range(1 << len(spec.qs)):
@@ -346,13 +386,12 @@ def _degree(spec: SubalgebraSpec, degree: int) -> _Degree:
             for b in steenrod_basis(spec, degree - i):
                 if span.rank == target:
                     break
-                span.add({index[w]: 1 for w in steenrod_mul(b, sq)})
+                span.add(_mask_mul(b, sq))
         if span.rank != target:
             raise RuntimeError(f"A_{spec.n} closure in degree {degree} reached rank "
                                f"{span.rank}, but dim A({spec.n})_{degree} is {target}")
-    basis = [frozenset(words[i] for i in row) for row in span.basis()]
-    out = _basis_memo[key] = _Degree(basis, index, span,
-                                     {piv: j for j, piv in enumerate(span.pivots)})
+    basis = {piv: frozenset(words[i] for i in row) for piv, row in zip(span.pivots, span.basis())}
+    out = _basis_memo[key] = _Degree(basis, span, sum(1 << piv for piv in basis))
     return out
 
 
@@ -376,24 +415,25 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
         return [frozenset({w}) for w in admissible_monomials(degree)]
     if degree > spec.top_degree:
         return []
-    return _degree(spec, degree).basis
+    return list(_degree(spec, degree).basis.values())
 
 
-def _coordinates(spec: SubalgebraSpec, elt: SteenrodElement, d: int) -> dict[int, int] | None:
-    """Coordinates of elt in the basis of B_d, or None if elt is not in B_d.
+def _coordinates(spec: SubalgebraSpec, elt: SteenrodElement | int, d: int) -> int | None:
+    """Coordinates of elt (words, or a mask) in B_d's basis; None outside B_d.
 
-    The basis rows are in RREF, so an element of the span has its entries
-    at the pivot columns as coordinates.
+    The basis rows are in RREF, so an element of the span has its bits at
+    the pivot columns as coordinates.
     """
     if not elt:
-        return {}
+        return 0
     if not 0 <= d <= spec.top_degree:
         return None
-    deg = _degree(spec, d)
-    cols = [deg.index.get(w) for w in elt]
-    if None in cols or deg.span.reduce(dict.fromkeys(cols, 1)):
-        return None
-    return {deg.row_of[i]: 1 for i in cols if i in deg.row_of}
+    deg, index = _degree(spec, d), _index(d)
+    if not isinstance(elt, int):
+        if any(w not in index for w in elt):
+            return None
+        elt = sum(1 << index[w] for w in elt)
+    return elt & deg.pivot_mask if deg.span.contains(elt) else None
 
 
 def in_subalgebra(spec: SubalgebraSpec, elt: SteenrodElement) -> bool:
@@ -428,10 +468,10 @@ class GradedModulePresentation:
     """A left module U/I over a finite subalgebra B, held as data.
 
     Everything is in the coordinates of B_d's RREF basis, kept once per
-    (subalgebra, degree).  I is the left ideal on the generators in
-    `ideal`, and relations[d] is its span I_d.  vectors[d] maps a lead
-    coordinate to a basis vector of U_d mod I_d, a set of coordinates
-    that holds its lead while the other vectors of that degree do not.
+    (subalgebra, degree): the bits at its pivot columns.  I is the left
+    ideal on the generators in `ideal`, and relations[d] is its span I_d;
+    vectors[d] maps a lead coordinate to a basis vector of U_d mod I_d, a
+    set of coordinates holding its lead while the others in degree d do not.
     A quotient B/I has the unit vectors off I_d's pivots; a kernel of
     right multiplication has the standard kernel combinations of its
     source's vectors, over the same I.  elements[d] holds the ambient
@@ -449,7 +489,7 @@ class GradedModulePresentation:
         self.ideal = tuple(ideal)
         self.relations = relations
         self.vectors = {d: v for d, v in vectors.items() if v}
-        self.elements = {d: [_sum(steenrod_basis(spec, d)[j] for j in vec) for vec in v.values()]
+        self.elements = {d: [_sum(_degree(spec, d).basis[j] for j in vec) for vec in v.values()]
                          for d, v in self.vectors.items()}
 
     # -- structure ---------------------------------------------------
@@ -468,8 +508,8 @@ class GradedModulePresentation:
     def total_rank(self) -> int:
         return sum(len(v) for v in self.elements.values())
 
-    def reduce_ambient(self, elt: SteenrodElement, d: int) -> dict[int, int] | None:
-        """Coordinates of an ambient element in this module, or None.
+    def reduce_ambient(self, elt: SteenrodElement | int, d: int) -> dict[int, int] | None:
+        """Coordinates of an ambient element (a set of words or a mask) in this module, or None.
 
         The element's coordinates in B_d (None outside B) are reduced mod
         I_d; the residue's entries at the leads are the coordinates, and
@@ -477,7 +517,7 @@ class GradedModulePresentation:
         """
         coords = _coordinates(self.spec, elt, d)
         if not coords:
-            return coords
+            return None if coords is None else {}
         residue = self.relations[d].reduce(coords)
         vecs = self.vectors.get(d, {})
         if _sum(v for lead, v in vecs.items() if lead in residue) != residue.keys():
@@ -487,19 +527,18 @@ class GradedModulePresentation:
     def act(self, gen_exp: int, d: int, coords: Mapping[int, int]) -> dict[int, int]:
         """Coordinates of Sq^{gen_exp} applied to the element with these coordinates."""
         elt = _sum(self.elements[d][j] for j, c in coords.items() if c % 2)
-        return self.reduce_ambient(steenrod_mul(frozenset({(gen_exp,)}), elt), d + gen_exp) or {}
+        return self.reduce_ambient(_mask_mul(frozenset({(gen_exp,)}), elt), d + gen_exp) or {}
 
 
 def _ideal_span(spec: SubalgebraSpec, gens: Iterable[SteenrodElement], d: int) -> fplin.Span:
     """The degree-d part of the left ideal B{gens}, spanned by every b g
     with b in B's basis, in B_d's coordinates.  The gens lie in B, so each
-    b g lies in B_d and its coordinates are its entries at B_d's pivots."""
+    b g lies in B_d and its coordinates are its bits at B_d's pivots."""
     deg = _degree(spec, d)
-    span = fplin.Span(len(deg.basis), 2)
+    span = fplin.Span(deg.span.ncols, 2)
     for g in gens:
         for b in steenrod_basis(spec, d - element_degree(g)):
-            cols = (deg.index[w] for w in steenrod_mul(b, g))
-            span.add({deg.row_of[i]: 1 for i in cols if i in deg.row_of})
+            span.add(_mask_mul(b, g) & deg.pivot_mask)
     return span
 
 
@@ -515,7 +554,8 @@ def quotient_module(
         _require_in(spec, g)
     relations = {d: _ideal_span(spec, gens, d) for d in range(spec.top_degree + 1)
                  if steenrod_basis(spec, d)}
-    vectors = {d: {j: frozenset({j}) for j in sorted(set(range(span.ncols)) - set(span.pivots))}
+    vectors = {d: {j: frozenset({j})
+                   for j in sorted(_degree(spec, d).basis.keys() - set(span.pivots))}
                for d, span in relations.items()}
     return GradedModulePresentation(spec, gens, relations, vectors)
 
@@ -537,17 +577,16 @@ def module_map_kernel(
         raise ValueError("zero map: kernel is the whole source")
     _require_in(source.spec, f)
     for g in source.ideal:
-        gf = steenrod_mul(g, f)
-        if target.reduce_ambient(gf, element_degree(g) + df) != {}:
+        if target.reduce_ambient(_mask_mul(g, f), element_degree(g) + df) != {}:
             raise ValueError(f"right multiplication by {element_str(f)} is not well defined: "
-                             f"{element_str(g)} times it is {element_str(gf)}, "
+                             f"{element_str(g)} times it is {element_str(steenrod_mul(g, f))}, "
                              f"not zero in the target")
     image_rank = 0
     kernel_vectors: dict[int, dict[int, frozenset[int]]] = {}
     for d in source.degrees():
         cols = []
         for e in source.elements[d]:
-            red = target.reduce_ambient(steenrod_mul(e, f), d + df)
+            red = target.reduce_ambient(_mask_mul(e, f), d + df)
             if red is None:
                 raise ValueError(f"map image leaves target span in degree {d + df}")
             cols.append(red)
@@ -577,7 +616,7 @@ def cyclic_and_annihilator_check(
            for d in m.degrees()):
         return False
     cands = [c for c in candidate_ann_gens if c]
-    if any(m.reduce_ambient(steenrod_mul(c, generator), generator_degree + element_degree(c))
+    if any(m.reduce_ambient(_mask_mul(c, generator), generator_degree + element_degree(c))
            != {} for c in cands):
         return False
     # the quotient by the candidates has m's series, shifted by the generator

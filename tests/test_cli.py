@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -358,6 +359,8 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
     ["steenrod", "rank", "--subalgebra", "nope"],
     ["steenrod", "basis", "--subalgebra", "A-1", "--degree", "3"],
     ["steenrod", "rank", "--subalgebra", "E"],
+    ["steenrod", "rank", "--subalgebra", "E(Q0,,Q1)"],
+    ["steenrod", "rank", "--subalgebra", "E(Q)"],
     ["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq0"],
     ["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq1,Sqx"],
     ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1", "--target-ideal", "Sq0",
@@ -384,6 +387,34 @@ def test_steenrod_bad_arguments_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, rank", [
+    ("E01", 4), ("E(Q0,Q1)", 4), ("E(Q0Q1)", 4), ("EQ1Q0", 4), ("E012", 8), ("e(q0, q1, q2)", 8),
+])
+def test_exterior_subalgebra_names(capsys, text, rank):
+    # Q indices are whole numbers, with or without commas between the Qs; the
+    # compact form without Qs takes one digit per index
+    assert cli.main(["steenrod", "rank", "--subalgebra", text]) == 0
+    assert capsys.readouterr().out == f"{rank}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["steenrod", "quotient", "--subalgebra", "A2", "--ideal", "Q8"],
+    ["steenrod", "quotient", "--subalgebra", "A2", "--ideal", "Sq1,Q9"],
+    ["steenrod", "kernel", "--subalgebra", "A2", "--ideal", "Sq1", "--target-ideal", "Sq1",
+     "--map", "Q9"],
+])
+def test_steenrod_refuses_a_term_above_the_top_degree_before_expanding_it(capsys, argv):
+    # Q8 (degree 511) has 72,336 admissible terms and Q9 takes over a minute
+    # to expand; A(2) stops at degree 23, so both are refused unexpanded
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err) < 100
+    assert captured.err.startswith(f"error: Q{argv[-1][-1]} has a term of degree ")
+    assert captured.err.rstrip().endswith("above the top degree 23")
 
 
 def test_steenrod_names_the_element_outside_the_subalgebra(capsys):
@@ -547,6 +578,7 @@ def test_thhforge_cache_is_the_one_cache_setting(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv",
     [["steenrod", "rank", "--subalgebra", "E9"],
+     ["steenrod", "rank", "--subalgebra", "E(Q10)"],
      ["steenrod", "quotient", "--subalgebra", "E9", "--ideal", "Sq1"],
      ["steenrod", "kernel", "--subalgebra", "A4", "--ideal", "Sq1", "--target-ideal", "Sq1",
       "--map", "Sq4"],

@@ -120,6 +120,15 @@ def test_exterior_subalgebras():
     assert st.steenrod_basis(SubalgebraSpec.full(), 0) == [st.parse_element("1")]
 
 
+def test_exterior_ids_keep_multi_digit_indices_apart():
+    # the id keys the basis memo: E(Q1, Q23) must not be read as E(Q1, Q2, Q3)
+    wide, narrow = SubalgebraSpec.parse("E(Q1,Q23)"), SubalgebraSpec.parse("E123")
+    assert (wide.qs, wide.id, narrow.id) == ((1, 23), "E(Q1,Q23)", "E123")
+    assert SubalgebraSpec.parse(wide.id) == wide
+    assert st.steenrod_basis(narrow, 7) == [st.milnor_primitive(2)]
+    assert st.steenrod_basis(wide, 7) == []
+
+
 def test_milnor_primitives_square_zero_and_commute():
     for k in range(4):
         q = st.milnor_primitive(k)
@@ -536,3 +545,90 @@ def test_module_map_kernel_accepts_exactly_the_well_defined_maps(data):
         for d in range(top + 1))
     assert kernel.total_rank() + image_rank == source.total_rank()
     assert cok == target.total_rank() - image_rank
+
+
+@functools.lru_cache(maxsize=None)
+def _joined_reference(word: tuple) -> frozenset:
+    return _adem_reference(word)
+
+
+def _cached_product_reference(x, y) -> frozenset:
+    """_product_reference with the reduction of each joined word memoized."""
+    return functools.reduce(frozenset.symmetric_difference,
+                            (_joined_reference(u + v) for u in x for v in y), frozenset())
+
+
+@hst.composite
+def ideals_and_maps(draw):
+    """A(1), A(2) or A(3); a source ideal I on one or two basis elements of
+    degrees 1..8, f a sum of basis elements of one degree <= 4, and a
+    target ideal J on one more basis element and the products g f, so
+    right multiplication by f is well defined from B/I to B/J."""
+    spec = SubalgebraSpec.A(draw(hst.sampled_from([1, 2, 3])))
+
+    def element(low, high):
+        basis = st.steenrod_basis(spec, draw(hst.integers(low, min(high, spec.top_degree))))
+        return functools.reduce(st.steenrod_add, draw(hst.sets(hst.sampled_from(basis),
+                                                              min_size=1)))
+
+    gens = [element(1, 8) for _ in range(draw(hst.integers(1, 2)))]
+    f = element(0, 4)
+    products = [_cached_product_reference(g, f) for g in gens]
+    return spec, gens, f, [element(1, 8)] + [gf for gf in products if gf]
+
+
+@settings(max_examples=15, deadline=None)
+@given(ideals_and_maps())
+def test_mask_products_match_the_letter_reference_on_module_ranks(data):
+    # every product below is the letter-by-letter reference, none the masks
+    spec, gens, f, target_gens = data
+    top, df = spec.top_degree, st.element_degree(f)
+
+    def ideal(gs, d):
+        return [_cached_product_reference(b, g)
+                for g in gs for b in st.steenrod_basis(spec, d - st.element_degree(g))]
+
+    source = st.quotient_module(spec, gens)
+    for d, span in source.relations.items():
+        assert span.rank == _gf2_rank(ideal(gens, d)), d
+    kernel, cok = st.module_map_kernel(f, source, st.quotient_module(spec, target_gens))
+    targets = {d: ideal(target_gens, d) for d in range(top + 1)}
+    image_rank = 0
+    for d in range(top + 1):
+        products = [_cached_product_reference(b, f) for b in st.steenrod_basis(spec, d)]
+        image = (_gf2_rank(targets.get(d + df, []) + products)
+                 - _gf2_rank(targets.get(d + df, [])))
+        assert kernel.dim(d) == source.dim(d) - image, d
+        image_rank += image
+    target_rank = sum(len(st.steenrod_basis(spec, d)) - _gf2_rank(targets[d])
+                      for d in range(top + 1))
+    assert cok == target_rank - image_rank
+
+
+def test_module_output_does_not_depend_on_what_the_memos_hold(monkeypatch, capsys):
+    # a mask's bits are the admissible words of its degree in lexicographic
+    # order, whatever was multiplied before: from cleared memos and from
+    # memos warmed by unrelated products, the JSON is the same
+    argvs = [["steenrod", "basis", "--subalgebra", "A4", "--degree", "80"],
+             ["steenrod", "kernel", "--subalgebra", "A3", "--ideal", "Sq1,Sq2Sq3",
+              "--target-ideal", "Sq1,Sq2", "--map", "Sq4"]]
+
+    def run():
+        monkeypatch.setattr(st, "_basis_memo", {})
+        assert all(cli.main([*argv, "--format", "json"]) == 0 for argv in argvs)
+        return capsys.readouterr().out
+
+    def clear():
+        for memo in (st._index, st._word_mask, st._sq_times):
+            memo.cache_clear()
+
+    clear()
+    cold = run()
+    clear()
+    for d in range(3, 90, 11):
+        words = st.admissible_monomials(d)
+        st._mask_mul(frozenset(words[-3:]), frozenset({(9, 4, 1)}))
+        st._mask_mul(frozenset({(6, 3)}), frozenset(words[:2]))
+        st.steenrod_mul(frozenset(words[1::5]), st.parse_element("Sq7Sq2"))
+    st.steenrod_basis(SubalgebraSpec.A(2), 17)
+    assert run() == cold
