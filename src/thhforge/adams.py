@@ -7,8 +7,12 @@ degree-3 class.  The comodule is read off the Bokstedt abutment: its
 basis is the monomials in the suspension classes, and q is the
 xibar_2-component of their coaction.  That Ext is the kernel/homology
 closed form of the square-zero operator q.
-The differential schedules are data with a rigid degree identity; run_ss
-pushes them through honestly and emits the homotopy P(v1)-module tables.
+
+The differential schedules are data with a rigid degree identity.  run_ss
+takes each stage's homology by honest per-bidegree ranks in the same
+(B, 0) (x) (F, d) engine as the Bokstedt page check (bokstedt.honest_dims),
+checks it against the stage's expected summands, builds the final term
+from those summands, and emits the homotopy P(v1)-module tables.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import bokstedt, fplin
-from .gca import CoactionTable
+from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec
 from .steenrod import MilnorMonomial
 
 __all__ = [
@@ -201,83 +205,49 @@ class PModulePresentation(NamedTuple):
 # ---------------------------------------------------------------------------
 # running the spectral sequence
 #
-# Each differential acts on the free part P(v1) (x) E(l_n, l_{n+1}) (x)
-# P(y), y = mu^{2^{n-1}}, and is zero on the torsion summands peeled off
-# by the earlier stages (their v1-power targets are already dead).  Every
-# stage is verified by honest per-bidegree kernels before the summand
-# P_{r(n)}(v1){l_n} (x) E(l_{n+1}) (x) P(y^2) is recorded and the free
-# part is relabelled on (l_{n+1}, l_{n+2} = l_n y, y^2).
+# Stage n is graded by (s, stem), with v1 in (1, 2).  Its differential
+# d(y) = v1^{r(n)} l_n, y = mu^{2^{n-1}}, moves (s, stem) by (r(n), -1) on
+# the free part P(v1) (x) E(l_n, l_{n+1}) (x) P(y) and is zero on the
+# torsion summands peeled off by the earlier stages (their v1-power
+# targets are already dead).  bokstedt.honest_dims ranks it per bidegree;
+# the homology must be the next free part P(v1) (x) E(l_{n+1}, l_{n+2} =
+# l_n y) (x) P(y^2) plus the torsion summand P_{r(n)}(v1){l_n} (x)
+# E(l_{n+1}) (x) P(y^2).  The final term is the sum of every torsion
+# summand and the last free part.
+
+_V1 = GeneratorSpec("v1", 2, "polynomial", filtration=1)
 
 
-def _stage_homology_check(rn: int, da: int, db: int, dy: int, tmax_stem: int, smax: int) -> bool:
-    """Honest check of one stage on the free part.
+def _l(sched: DifferentialSchedule, n: int) -> GeneratorSpec:
+    return GeneratorSpec(f"l{n}", sched.s[n], "exterior")
 
-    Monomials (e, ea, eb, m) of P(v1) (x) E(a, b) (x) P(y) with
-    d(y) = v1^rn a extended as a derivation; the homology must match
-    P(v1) (x) E(b, a y) (x) P(y^2) plus P_rn(v1){a} (x) E(b) (x) P(y^2).
-    """
-    def bidegree(mono) -> tuple[int, int]:
-        e, ea, eb, m = mono
-        return e, V1_DEG * e + ea * da + eb * db + m * dy
 
-    def d(mono):
-        e, ea, eb, m = mono
-        if m % 2 == 0 or ea:
-            return None
-        return (e + rn, 1, eb, m - 1)
+def _y(n: int) -> GeneratorSpec:
+    return GeneratorSpec(f"mu^{2 ** (n - 1)}", 2 ** (n + 2), "polynomial")
 
-    all_monos = []
-    e = 0
-    while V1_DEG * e - e <= tmax_stem + 2 and e <= smax + 2 * rn:
-        for ea in (0, 1):
-            for eb in (0, 1):
-                m = 0
-                while bidegree((e, ea, eb, m))[1] - e <= tmax_stem + 2:
-                    all_monos.append((e, ea, eb, m))
-                    m += 1
-        e += 1
-    present = set(all_monos)
-    n_basis: dict[tuple[int, int], int] = {}
-    out_count: dict[tuple[int, int], int] = {}
-    in_count: dict[tuple[int, int], int] = {}
-    for mm in all_monos:
-        key = bidegree(mm)
-        n_basis[key] = n_basis.get(key, 0) + 1
-        tgt = d(mm)
-        if tgt is not None and tgt in present:
-            out_count[key] = out_count.get(key, 0) + 1
-            tkey = bidegree(tgt)
-            in_count[tkey] = in_count.get(tkey, 0) + 1
-    # expected homology: P(v1) (x) E(b, ay) (x) P(y^2) + P_rn(v1){a} (x) E(b) (x) P(y^2)
-    expected: dict[tuple[int, int], int] = {}
-    e = 0
-    while V1_DEG * e - e <= tmax_stem and e <= smax + rn:
-        for eb in (0, 1):
-            for eay in (0, 1):
-                m = 0
-                while True:
-                    t = V1_DEG * e + eb * db + eay * (da + dy) + 2 * m * dy
-                    if t - e > tmax_stem:
-                        break
-                    expected[(e, t)] = expected.get((e, t), 0) + 1
-                    m += 1
-            if e < rn:
-                m = 0
-                while True:
-                    t = V1_DEG * e + da + eb * db + 2 * m * dy
-                    if t - e > tmax_stem:
-                        break
-                    expected[(e, t)] = expected.get((e, t), 0) + 1
-                    m += 1
-        e += 1
-    for key, n in n_basis.items():
-        e, t = key
-        if t - e > tmax_stem or e > smax:
-            continue
-        h = n - out_count.get(key, 0) - in_count.get(key, 0)
-        if h != expected.get(key, 0):
-            return False
-    return True
+
+def _stage_page(sched: DifferentialSchedule, n: int,
+                max_stem: int) -> tuple[AlgebraPresentation, dict[str, dict]]:
+    """The free part of stage n through max_stem and its differential on y."""
+    A = AlgebraPresentation(2, [_V1, _l(sched, n), _l(sched, n + 1), _y(n)], max_stem)
+    return A, {_y(n).name: {((0, sched.r[n]), (1, 1)): 1}}  # v1^{r(n)} l_n
+
+
+def _torsion(sched: DifferentialSchedule, n: int, max_stem: int) -> dict[tuple[int, int], int]:
+    """P_{r(n)}(v1){l_n} (x) E(l_{n+1}) (x) P(mu^{2^n}) by (s, stem)."""
+    rest = AlgebraPresentation(2, [_V1, _l(sched, n + 1), _y(n + 1)], max_stem - sched.s[n])
+    return {(s, d + sched.s[n]): v for (s, d), v in rest.bigraded_series().items()
+            if s < sched.r[n]}
+
+
+def _total(parts: list[dict[tuple[int, int], int]], smax: int) -> dict[tuple[int, int], int]:
+    """The sum of (s, stem) series at s <= smax."""
+    out: dict[tuple[int, int], int] = {}
+    for part in parts:
+        for (s, stem), v in part.items():
+            if s <= smax:
+                out[(s, stem)] = out.get((s, stem), 0) + v
+    return out
 
 
 def run_ss(
@@ -307,53 +277,20 @@ def run_ss(
     if from_e1 and target != "thh-ko-y":
         raise ValueError("the imagined free initial term is a ko-target device")
     start_n = 1 if from_e1 else sched.first_n
-    torsion: list[int] = list(range(1, start_n))  # stages already inside E2
+    summands = [_torsion(sched, n, tmax_stem) for n in range(1, start_n)]  # inside E2
     log: list[dict] = []
-    last_n = nmax
     for n in range(start_n, nmax + 1):
         rn = sched.r[n]
-        if not _stage_homology_check(rn, sdeg[n], sdeg[n + 1], 8 * 2 ** (n - 1),
-                                     tmax_stem, smax):
+        free = _stage_page(sched, n + 1, tmax_stem)[0].bigraded_series()
+        summands.append(_torsion(sched, n, tmax_stem))
+        honest = bokstedt.honest_dims(*_stage_page(sched, n, tmax_stem + 1), rn, tmax_stem)
+        if _total([honest], smax) != _total([free, summands[-1]], smax):
             raise AssertionError(f"stage n={n} homology mismatch")
-        torsion.append(n)
         log.append({"n": n, "r": rn, "source": f"mu^{2 ** (n - 1)}",
                     "target": f"v1^{rn} l{n}"})
         if stop_after is not None and n >= stop_after:
-            last_n = n
             break
-
-    dims: dict[tuple[int, int], int] = {}
-
-    def put(e: int, t: int):
-        if t - e <= tmax_stem and e <= smax:
-            dims[(e, t)] = dims.get((e, t), 0) + 1
-
-    # torsion summands P_{r(n)}(v1){l_n} (x) E(l_{n+1}) (x) P(mu^{2^n})
-    for n in torsion:
-        rn = sched.r[n]
-        for e in range(min(rn, smax + 1)):
-            for eps in (0, 1):
-                base = sdeg[n] + eps * sdeg[n + 1]
-                m = 0
-                while True:
-                    t = V1_DEG * e + base + 8 * (2 ** n) * m
-                    if t - e > tmax_stem:
-                        break
-                    put(e, t)
-                    m += 1
-    # remaining free part P(v1) (x) E(l_{N+1}, l_{N+2}) (x) P(mu^{2^N})
-    n2 = last_n + 1
-    for e in range(smax + 1):
-        for ea in (0, 1):
-            for eb in (0, 1):
-                m = 0
-                while True:
-                    t = V1_DEG * e + ea * sdeg[n2] + eb * sdeg[n2 + 1] + 8 * 2 ** (n2 - 1) * m
-                    if t - e > tmax_stem:
-                        break
-                    put(e, t)
-                    m += 1
-    einf = ExtPage(dims)
+    einf = ExtPage({(s, stem + s): v for (s, stem), v in _total(summands + [free], smax).items()})
 
     gens: list[dict] = []
     for n in range(1, nmax + 1):

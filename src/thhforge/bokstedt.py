@@ -30,6 +30,7 @@ __all__ = [
     "build_e2",
     "apply_d_pminus1",
     "page_homology",
+    "honest_dims",
     "collapse_check",
     "CoactionBoundError",
     "PageCheckBudgetError",
@@ -296,11 +297,9 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
 
     The candidate removes, for each tower whose differential hits a
     suspension class, that class and the tower members above gamma_1.
-    Degreewise kernels/images of d^r on its support F, tensored with the
-    series of the cycles off F, confirm the candidate bigraded dims through
-    degree max_degree - 1; on mismatch the raw dims are returned.  The
-    info dict holds verified_to and match.  PageCheckBudgetError refuses
-    a check whose support F holds over VERIFY_BUDGET monomials through it.
+    honest_dims of d^r (filtration shift -(p - 1)) confirms the candidate
+    bigraded dims through degree max_degree - 1; on mismatch the raw dims
+    are returned.  The info dict holds verified_to and match.
     """
     if not page.differential:
         return page, {"verified_to": page.max_degree, "trivial": True}
@@ -324,56 +323,11 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
                     killed.add(g2.name)
     cand_gens = [g for g in A.gens if g.name not in killed]
     candidate = AlgebraPresentation(p, cand_gens, A.N)
-    # d^r kills every generator outside its support F (the sources and the
-    # generators of its targets) and maps F into F, so the page is
-    # (B, 0) (x) (F, d_F): rank d^r on F's bases only, then tensor H(F)
-    # with the series of B
-    support = set(page.differential)
-    for val in page.differential.values():
-        support.update(A.gens[i].name for mono in val for i, _ in mono)
-    F = AlgebraPresentation(p, [g for g in A.gens if g.name in support], A.N)
-    B = AlgebraPresentation(p, [g for g in A.gens if g.name not in support], A.N)
-    to_f = {A.index[g.name]: j for j, g in enumerate(F.gens)}
-    f_page = SSPage(None, page.r, F, None, None, differential={
-        name: {tuple((to_f[i], e) for i, e in mono): c for mono, c in val.items()}
-        for name, val in page.differential.items()})
     # incoming differentials land from one degree up, so honest verification
     # stops one short of the materialized bound
-    asked = page.max_degree - 1
-    bound = _verify_budget_bound(F, asked, VERIFY_BUDGET)
-    if bound < asked:
-        raise PageCheckBudgetError(
-            f"page r = {p}: the honest check asked for degree {asked} reaches only degree "
-            f"{bound} within {VERIFY_BUDGET} monomials of the differential's support")
+    bound = page.max_degree - 1
+    honest = honest_dims(A, page.differential, -r, bound)
     cand_dims = candidate.bigraded_series(bound)
-    ranks: dict[tuple[int, int], int] = {}
-
-    def rank_of(s: int, d: int) -> int:
-        """Rank of d_F leaving bidegree (s, d)."""
-        key = (s, d)
-        if key in ranks:
-            return ranks[key]
-        src = F.bigraded_basis(s, d)
-        dst = F.bigraded_basis(s - r, d - 1)
-        if not src or not dst:
-            ranks[key] = 0
-            return 0
-        idx = {m: i for i, m in enumerate(dst)}
-        span = fplin.Span(len(dst), p)
-        for m in src:
-            img = differential_on_monomial(f_page, m)
-            if img:
-                span.add({idx[mm]: c for mm, c in img.items()})
-        ranks[key] = span.rank
-        return span.rank
-
-    h_f = {(s, d): h for (s, d), n in F.bigraded_series(bound).items()
-           if (h := n - rank_of(s, d) - rank_of(s + r, d + 1))}
-    honest: dict[tuple[int, int], int] = {}
-    for (s, d), n in B.bigraded_series(bound).items():
-        for (s2, d2), h in h_f.items():
-            if d + d2 <= bound:
-                honest[(s + s2, d + d2)] = honest.get((s + s2, d + d2), 0) + n * h
     ok = honest == cand_dims
     info = {"verified_to": bound, "match": ok}
     if not ok:
@@ -393,6 +347,65 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
         max_degree=page.max_degree,
     )
     return newpage, info
+
+
+def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: int,
+                bound: int) -> dict[tuple[int, int], int]:
+    """(filtration, degree) dims through bound of the homology of a derivation.
+
+    differential is given on generators of A; it moves filtration by shift
+    and degree by -1, and A is materialized through bound + 1.  It kills
+    every generator outside its support F (the sources and the generators
+    of its targets) and maps F into F, so the homology is (B, 0) (x)
+    (F, d_F): rank d on F's bases only, then tensor H(F) with the series
+    of B.  PageCheckBudgetError refuses a support that holds over
+    VERIFY_BUDGET monomials through bound.
+    """
+    p = A.p
+    support = set(differential)
+    for val in differential.values():
+        support.update(A.gens[i].name for mono in val for i, _ in mono)
+    F = AlgebraPresentation(p, [g for g in A.gens if g.name in support], A.N)
+    B = AlgebraPresentation(p, [g for g in A.gens if g.name not in support], A.N)
+    to_f = {A.index[g.name]: j for j, g in enumerate(F.gens)}
+    f_page = SSPage(None, abs(shift), F, None, None, differential={
+        name: {tuple((to_f[i], e) for i, e in mono): c for mono, c in val.items()}
+        for name, val in differential.items()})
+    reached = _verify_budget_bound(F, bound, VERIFY_BUDGET)
+    if reached < bound:
+        raise PageCheckBudgetError(
+            f"page r = {abs(shift) + 1}: the honest check asked for degree {bound} reaches "
+            f"only degree {reached} within {VERIFY_BUDGET} monomials of the differential's "
+            "support")
+    ranks: dict[tuple[int, int], int] = {}
+
+    def rank_of(s: int, d: int) -> int:
+        """Rank of d_F leaving bidegree (s, d)."""
+        key = (s, d)
+        if key in ranks:
+            return ranks[key]
+        src = F.bigraded_basis(s, d)
+        dst = F.bigraded_basis(s + shift, d - 1)
+        if not src or not dst:
+            ranks[key] = 0
+            return 0
+        idx = {m: i for i, m in enumerate(dst)}
+        span = fplin.Span(len(dst), p)
+        for m in src:
+            img = differential_on_monomial(f_page, m)
+            if img:
+                span.add({idx[mm]: c for mm, c in img.items()})
+        ranks[key] = span.rank
+        return span.rank
+
+    h_f = {(s, d): h for (s, d), n in F.bigraded_series(bound).items()
+           if (h := n - rank_of(s, d) - rank_of(s - shift, d + 1))}
+    honest: dict[tuple[int, int], int] = {}
+    for (s, d), n in B.bigraded_series(bound).items():
+        for (s2, d2), h in h_f.items():
+            if d + d2 <= bound:
+                honest[(s + s2, d + d2)] = honest.get((s + s2, d + d2), 0) + n * h
+    return honest
 
 
 class PageCheckBudgetError(ValueError):

@@ -139,6 +139,8 @@ def cmd_steenrod(args, config) -> int:
     sub = args.steenrod_cmd
     try:  # every argument is parsed before any computation: a bad one exits 2
         spec = None if sub == "pair" else st.SubalgebraSpec.parse(args.subalgebra)
+        if sub in ("quotient", "kernel") and not spec.finite:
+            raise ValueError(f"steenrod {sub} needs a finite subalgebra, not {spec.id}")
         top = spec.top_degree if spec is not None and spec.finite else None
         ideal = _parse_ideal(args.ideal, top) if sub in ("quotient", "kernel") else None
         if sub == "kernel":

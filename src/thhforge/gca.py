@@ -267,11 +267,12 @@ class AlgebraPresentation:
         the others.  Taking g^1, g^2, ... before skipping g emits the list
         in lexicographic order.
         """
-        key = (idx, remaining)
-        if key in self._tail_cache:
-            return self._tail_cache[key]
+        cache = self._tail_cache
+        out = cache.get((idx, remaining))
+        if out is not None:
+            return out
         if remaining == 0:
-            out: list[Monomial] = [()]
+            out = [()]
         elif idx == len(self.gens):
             out = []
         else:
@@ -281,11 +282,16 @@ class AlgebraPresentation:
                 cap = g.max_exponent()
                 e = 1
                 while e * g.degree <= remaining and (cap is None or e <= cap):
-                    head = ((idx, e),)
-                    out.extend(head + t for t in self._tails(idx + 1, remaining - e * g.degree))
+                    key = (idx + 1, remaining - e * g.degree)
+                    tails = cache.get(key)
+                    if tails is None:
+                        tails = self._tails(*key)
+                    if tails:
+                        head = ((idx, e),)
+                        out.extend(head + t for t in tails)
                     e += 1
             out.extend(self._tails(idx + 1, remaining))
-        self._tail_cache[key] = out
+        cache[(idx, remaining)] = out
         return out
 
     def bigraded_basis(self, filtration: int, degree: int) -> list[Monomial]:

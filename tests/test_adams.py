@@ -10,6 +10,7 @@ import pytest
 from test_fplin import dense_rref
 
 from thhforge import adams as ad
+from thhforge import cli
 from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec
 from thhforge.steenrod import MilnorMonomial
 
@@ -146,6 +147,20 @@ def test_run_ss_matches_closed_form():
         got = {k: v for k, v in einf.dims.items() if v and k[0] <= 40}
         assert got == {k: v for k, v in exp.items() if v}
         assert all(entry["r"] >= 1 for entry in log)
+
+
+@pytest.mark.parametrize("target, n", [("thh-ku-mod2", 1), ("thh-ko-y", 2)])
+def test_a_wrong_expected_stage_page_is_a_mismatch(monkeypatch, capsys, target, n):
+    # torsion summands built with r(n) - 1 leave out the v1^{r(n)-1} l_n classes
+    # that the honest ranks keep; the first stage run is n
+    torsion = ad._torsion
+    monkeypatch.setattr(ad, "_torsion", lambda sched, k, max_stem: torsion(
+        sched._replace(r={**sched.r, k: sched.r[k] - 1}), k, max_stem))
+    with pytest.raises(AssertionError, match=f"^stage n={n} homology mismatch$"):
+        ad.run_ss(target, 60)
+    assert cli.main(["adams", "run", "--target", target, "--maxdeg", "60", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: stage n={n} homology mismatch\n"
 
 
 def test_degree_identity_guards_schedule_data():

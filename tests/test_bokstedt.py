@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from test_hochschild import whole_complex_dims
+from thhforge import adams as ad
 from thhforge import bokstedt as bk
 from thhforge import fplin
 from thhforge.catalog import SPECTRUM_NAMES, UnsupportedSpectrumError, j_module_degrees, spectrum
@@ -194,16 +195,17 @@ def _kernel_primitives(page, s, d):
     return len(basis) - fplin.constraint_matrix(basis, [psi_bar, nu_bar], A.p).rank()
 
 
-def _full_page_dims(page, bound):
-    """The whole-page oracle: honest dims of d^r through bound, ranked on
-    every monomial of the page, with no split into support and cycles."""
+def _full_page_dims(page, bound, shift):
+    """The whole-page oracle: honest dims through bound of d moving filtration
+    by shift, ranked on every monomial of the page, with no split into
+    support and cycles."""
     A = page.algebra
-    p, r = A.p, A.p - 1
+    p = A.p
     ranks = {}
 
     def rank_of(s, d):
         if (s, d) not in ranks:
-            src, dst = A.bigraded_basis(s, d), A.bigraded_basis(s - r, d - 1)
+            src, dst = A.bigraded_basis(s, d), A.bigraded_basis(s + shift, d - 1)
             idx = {m: i for i, m in enumerate(dst)}
             span = fplin.Span(len(dst), p)
             for m in src:
@@ -217,7 +219,7 @@ def _full_page_dims(page, bound):
     for d in range(bound + 1):
         for s in sorted({A.filtration(m) for m in A.monomial_basis(d)}):
             n = len(A.bigraded_basis(s, d))
-            if h := n - rank_of(s, d) - rank_of(s + r, d + 1):
+            if h := n - rank_of(s, d) - rank_of(s - shift, d + 1):
                 honest[(s, d)] = h
     return honest
 
@@ -231,15 +233,37 @@ def _reported_dims(new, info):
     return {k: v for k, v in new.algebra.bigraded_series(bound).items() if v and k[1] <= bound}
 
 
-@pytest.mark.parametrize("name,p,n", [
-    ("hz", 3, 60), ("hf", 5, 60), ("ell", 3, 60), ("ju", 3, 60), ("bp0", 3, 60), ("hf", 3, 48),
-])
-def test_page_homology_matches_the_full_page_oracle(name, p, n):
+def _bokstedt_page(name, p, n):
+    """d^{p-1} on a catalog E2 through n, and the dims page_homology reports."""
     page = bk.apply_d_pminus1(bk.build_e2(spectrum(name, p, n), n))
     assert page.differential
     new, info = bk.page_homology(page)
     assert info == {"verified_to": n - 1, "match": True}
-    assert _reported_dims(new, info) == _full_page_dims(page, n - 1)
+    return page, 1 - p, n - 1, _reported_dims(new, info)
+
+
+def _adams_page(target, n, stem):
+    """Adams stage n, d(y) = v1^{r(n)} l_n on P(v1) (x) E(l_n, l_{n+1}) (x) P(y)
+    graded by (s, stem), and the dims the engine ranks on it through stem."""
+    sched = ad.schedule(target, 8)
+    A, differential = ad._stage_page(sched, n, stem + 1)
+    page = bk.SSPage(None, sched.r[n], A, None, None, differential)
+    return page, sched.r[n], stem, bk.honest_dims(A, differential, sched.r[n], stem)
+
+
+@pytest.mark.parametrize("page_of,args", [
+    *[pytest.param(_bokstedt_page, args, id="-".join(map(str, args))) for args in [
+        ("hz", 3, 60), ("hf", 5, 60), ("ell", 3, 60), ("ju", 3, 60), ("bp0", 3, 60),
+        ("hf", 3, 48)]],
+    # the Adams stages, at a positive shift: ku stages 1-3, and ko stage 1,
+    # which runs only from the imagined free initial term
+    *[pytest.param(_adams_page, args, id="-".join(map(str, args))) for args in [
+        ("thh-ku-mod2", 1, 40), ("thh-ku-mod2", 2, 40), ("thh-ku-mod2", 3, 40),
+        ("thh-ko-y", 1, 40)]],
+])
+def test_page_homology_matches_the_full_page_oracle(page_of, args):
+    page, shift, bound, reported = page_of(*args)
+    assert reported == _full_page_dims(page, bound, shift)
 
 
 def _tower_gens(p, N, towers):
@@ -274,7 +298,7 @@ def test_wrong_candidate_reports_the_full_page_dims():
     del page.differential["g9(s(x0))"]
     new, info = bk.page_homology(page)
     assert new.algebra is None and info == {"verified_to": 39, "match": False}
-    assert new.raw_dims == _full_page_dims(page, 39)
+    assert new.raw_dims == _full_page_dims(page, 39, -2)
 
 
 @hst.composite
@@ -307,7 +331,8 @@ def test_block_dims_equal_the_full_page_oracle(page):
     support tensored with the cycles' series, are the whole-page honest dims."""
     new, info = bk.page_homology(page)
     assert info["verified_to"] == page.max_degree - 1
-    assert _reported_dims(new, info) == _full_page_dims(page, page.max_degree - 1)
+    assert _reported_dims(new, info) == _full_page_dims(page, page.max_degree - 1,
+                                                        1 - page.algebra.p)
 
 
 @pytest.mark.parametrize("name,p,n", [

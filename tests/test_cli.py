@@ -381,6 +381,10 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
     ["steenrod", "quotient", "--subalgebra", "A1", "--ideal", "Sq1+Sq2"],
     ["steenrod", "kernel", "--subalgebra", "A1", "--ideal", "Sq1", "--target-ideal", "Sq2",
      "--map", "Sq1+Sq2"],
+    # modules over the full algebra, refused before the ideal is expanded
+    ["steenrod", "quotient", "--subalgebra", "A", "--ideal", "Sq1"],
+    ["steenrod", "kernel", "--subalgebra", "A", "--ideal", "Sq1", "--target-ideal", "Sq1",
+     "--map", "Sq1"],
 ])
 def test_steenrod_bad_arguments_exit_two(capsys, argv):
     assert cli.main(argv) == 2
