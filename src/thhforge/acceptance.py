@@ -239,7 +239,7 @@ def criterion_9() -> dict:
         "y", 18, 3, N, filtration=1
     )
     A = AlgebraPresentation(3, gens, N)
-    page = bk.SSPage(None, 2, A, None, None, max_degree=N)
+    page = bk.SSPage(None, 2, A, max_degree=N)
     page.differential = {
         g.name: A.el_mul({A.gen_monomial("z"): 1}, A.gamma("y", g.gamma_power - 3))
         for g in A.gens

@@ -7,15 +7,22 @@ the expected presentation, certify collapse (generator filtrations or an
 obstruction scan over simultaneous coalgebra/comodule primitives), and
 resolve the multiplicative extensions through the suspension formula for
 Dyer-Lashof operations.
+
+A page is its algebra, its differential on generators and its bound; the
+Hopf data and the A_*-comodule structure are functions of the algebra,
+derived when a certificate first asks for them.  The page differentials
+and the suspension sigma are both odd derivations, extended from
+generators by one Leibniz loop (_derivation).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from . import fplin
 from .catalog import SpectrumData, spectrum
-from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData
+from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData, convolve
 from .hochschild import (
     closed_form_hh,
     fiberwise_hopf,
@@ -47,25 +54,53 @@ class SSPage:
 
     The algebra presentation carries per-generator filtrations; the
     differential is stored on generators and extended as a derivation.
-    Non-flat initial terms come back in raw-dims mode with no algebra.
+    A non-flat initial term, or a page whose check failed, has no algebra
+    and carries its (filtration, degree) dims in raw_dims.  The fiberwise
+    Hopf data and the coaction are computed from the algebra on first use.
     """
 
     def __init__(self, spectrum: SpectrumData | None, r: int, algebra: AlgebraPresentation | None,
-                 hopf: HopfData | None, coaction: CoactionTable | None,
-                 differential: dict[str, dict] | None = None, flat: bool = True,
+                 differential: dict[str, dict] | None = None,
                  raw_dims: dict[tuple[int, int], int] | None = None, max_degree: int = 0) -> None:
         self.spectrum = spectrum
         self.r = r
         self.algebra = algebra
-        self.hopf = hopf
-        self.coaction = coaction
         self.differential = {} if differential is None else differential
-        self.flat = flat
         self.raw_dims = raw_dims
         self.max_degree = max_degree
 
+    @cached_property
+    def hopf(self) -> HopfData:
+        return fiberwise_hopf(self.algebra)
+
+    @cached_property
+    def coaction(self) -> CoactionTable:
+        return _page_coaction(self.spectrum, self.algebra)
+
     def generators(self) -> list[GeneratorSpec]:
         return [] if self.algebra is None else self.algebra.gens
+
+
+def _derivation(A: AlgebraPresentation, image: Mapping[str, dict], m: tuple) -> dict:
+    """The odd derivation D with D(g) = image[g.name] on generators, at m.
+
+    D(m) sums (-1)^{|x|} x (e g^{e-1} D(g)) y over the factors g^e of
+    m = x g^e y; a factor whose exponent p divides contributes nothing.
+    """
+    p = A.p
+    out: dict = {}
+    prefix_deg = 0
+    for pos, (i, e) in enumerate(m):
+        g = A.gens[i]
+        dval = image.get(g.name)
+        if dval and e % p:
+            mid = A.el_mul({((i, e - 1),) if e > 1 else (): e % p}, dval)
+            term = A.el_mul(A.el_mul({m[:pos]: 1}, mid), {m[pos + 1:]: 1})
+            sign = -1 if (p != 2 and prefix_deg % 2) else 1
+            for mm, c in term.items():
+                fplin.add_term(out, mm, sign * c, p)
+        prefix_deg += g.degree * e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -75,48 +110,31 @@ def _sigma_map(
     base: AlgebraPresentation,
     target: AlgebraPresentation,
     substitutions: Mapping[str, dict] | None = None,
-) -> dict[int, dict]:
-    """For each base generator, its suspension class in the target algebra.
+) -> dict[str, dict]:
+    """For each base generator g, (-1)^{|g|} sigma(g) in the target algebra.
 
     Generators whose suspension was absorbed as a power of a polynomial
     root are covered by the substitutions map; suspensions beyond the
-    degree bound simply vanish there.
+    degree bound simply vanish there.  The sign is the twist of _sigma.
     """
-    out: dict[int, dict] = {}
     subs = substitutions or {}
-    for i, g in enumerate(base.gens):
+    out: dict[str, dict] = {}
+    for g in base.gens:
         sname = sigma_name(g.name)
-        if sname in target.index:
-            out[i] = {target.gen_monomial(sname): 1}
-        elif sname in subs:
-            out[i] = dict(subs[sname])
-        else:
-            out[i] = {}
+        img = {target.gen_monomial(sname): 1} if sname in target.index else subs.get(sname, {})
+        out[g.name] = {mm: (-1) ** g.degree * c % base.p for mm, c in img.items()}
     return out
 
 
-def _sigma_derivation(
-    target: AlgebraPresentation, m: tuple, sigma_map: Mapping[int, dict]
-) -> dict:
-    """sigma(m) for an H-monomial, via sigma(xy) = x sigma(y) + (-1)^{|y|} sigma(x) y."""
-    p = target.p
-    if not m:
-        return {}
-    (i, e) = m[0]
-    rest = m[1:]
-    out: dict = {}
-    srest = _sigma_derivation(target, rest, sigma_map)
-    if srest:
-        out = target.el_mul({((i, e),): 1}, srest)
-    sg = sigma_map.get(i, {})
-    if sg and (e % p):
-        sge = target.el_mul({((i, e - 1),) if e > 1 else (): 1}, sg)
-        sge = {mm: (c * e) % p for mm, c in sge.items()}
-        rest_deg = sum(target.gens[j].degree * ee for j, ee in rest)
-        sign = -1 if (p != 2 and rest_deg % 2) else 1
-        for mm, c in target.el_mul(sge, {rest: 1}).items():
-            fplin.add_term(out, mm, sign * c, p)
-    return out
+def _sigma(target: AlgebraPresentation, sigma_map: Mapping[str, dict], m: tuple) -> dict:
+    """sigma(m) for an H-monomial m (H's generators lead the target's).
+
+    sigma(x g^e y) = (-1)^{|y|} x sigma(g^e) y, and (-1)^{|y|} =
+    (-1)^{|m| + |x| + |g|} because at odd p an odd g is exterior (e = 1):
+    sigma(m) is (-1)^{|m|} D(m) for the derivation D of g -> (-1)^{|g|} sigma(g).
+    """
+    sign = (-1) ** target.degree(m)
+    return {mm: sign * c % target.p for mm, c in _derivation(target, sigma_map, m).items()}
 
 
 def _page_coaction(
@@ -146,8 +164,7 @@ def _page_coaction(
             continue
         entries = []
         for a_elt, mono in data.coaction.entries[H.index[g.sigma_of]]:
-            sder = _sigma_derivation(page_alg, mono, smap)
-            for mm, c in sder.items():
+            for mm, c in _sigma(page_alg, smap, mono).items():
                 entries.append(({a: (c * v) % page_alg.p for a, v in a_elt.items()}, mm))
         coact.entries[page_alg.index[g.name]] = entries
     return coact
@@ -164,24 +181,16 @@ def build_e2(data: SpectrumData, max_degree: int) -> SSPage:
     """Initial term of the spectral sequence from the homology presentation.
 
     Flat entries get the closed-form Hochschild presentation with
-    filtrations; the non-flat square-zero case returns bigraded dims
-    only.
+    filtrations; the non-flat square-zero case returns bigraded (q, t)
+    dims only, the Kunneth product of its two factors.
     """
+    alg, _ = closed_form_hh(data.homology, max_degree)
     if not data.flat:
-        poly_part, _ = closed_form_hh(data.homology, max_degree)
-        dims: dict[tuple[int, int], int] = {}
-        poly_dims = presentation_dims_internal(poly_part, max_degree)
         sq_dims = hh_squarezero(list(data.squarezero_factor or ()), max_degree, p=data.p,
                                 max_degree=max_degree)
-        for (q1, t1), d1 in poly_dims.items():
-            for (q2, t2), d2 in sq_dims.items():
-                if t1 + t2 <= max_degree:
-                    key = (q1 + q2, t1 + t2)
-                    dims[key] = dims.get(key, 0) + d1 * d2
-        return SSPage(data, 2, None, None, None, flat=False, raw_dims=dims,
-                      max_degree=max_degree)
-    alg, hopf = closed_form_hh(data.homology, max_degree)
-    return SSPage(data, 2, alg, hopf, _page_coaction(data, alg), max_degree=max_degree)
+        dims = convolve(presentation_dims_internal(alg, max_degree), sq_dims, max_degree)
+        return SSPage(data, 2, None, raw_dims=dims, max_degree=max_degree)
+    return SSPage(data, 2, alg, max_degree=max_degree)
 
 
 def _budgeted_bound(H: AlgebraPresentation, bound: int, budget: int, qmax: int | None = None) -> int:
@@ -237,7 +246,7 @@ def _d_target(page: SSPage, base_name: str) -> dict:
         elif mono:
             raise KeyError(f"Bockstein of a composite Q-value for {base_name}")
         for bmono, bc in beta.items():
-            for mm, v in _sigma_derivation(A, bmono, smap).items():
+            for mm, v in _sigma(A, smap, bmono).items():
                 fplin.add_term(out, mm, c * bc * v, A.p)
     return out
 
@@ -264,32 +273,12 @@ def apply_d_pminus1(page: SSPage) -> SSPage:
             val = A.el_mul(target, lower)
             if val:
                 diff[g.name] = val
-    return SSPage(page.spectrum, page.r, page.algebra, page.hopf, page.coaction, diff, page.flat,
-                  page.raw_dims, page.max_degree)
+    return SSPage(page.spectrum, page.r, page.algebra, diff, max_degree=page.max_degree)
 
 
 def differential_on_monomial(page: SSPage, m: tuple) -> dict:
     """Extend the generator differential as a derivation (Leibniz rule)."""
-    A = page.algebra
-    p = A.p
-    out: dict = {}
-    prefix: tuple = ()
-    prefix_deg = 0
-    for pos, (i, e) in enumerate(m):
-        g = A.gens[i]
-        dval = page.differential.get(g.name)
-        if dval:
-            # d(g^e) = e g^{e-1} d(g); tower generators have even degree
-            rest = m[pos + 1 :]
-            lead = {prefix: 1}
-            mid = A.el_mul({((i, e - 1),) if e > 1 else (): e % p}, dval)
-            term = A.el_mul(A.el_mul(lead, mid), {rest: 1})
-            sign = -1 if (p != 2 and prefix_deg % 2) else 1
-            for mm, c in term.items():
-                fplin.add_term(out, mm, sign * c, p)
-        prefix = prefix + ((i, e),)
-        prefix_deg += g.degree * e
-    return out
+    return _derivation(page.algebra, page.differential, m)
 
 
 def page_homology(page: SSPage) -> tuple[SSPage, dict]:
@@ -331,22 +320,8 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
     ok = honest == cand_dims
     info = {"verified_to": bound, "match": ok}
     if not ok:
-        return (
-            SSPage(page.spectrum, p, None, None, None, flat=page.flat,
-                   raw_dims=honest, max_degree=bound),
-            info,
-        )
-    coact = _page_coaction(page.spectrum, candidate) if page.spectrum is not None else None
-    newpage = SSPage(
-        page.spectrum,
-        p,
-        candidate,
-        fiberwise_hopf(candidate),
-        coact,
-        flat=page.flat,
-        max_degree=page.max_degree,
-    )
-    return newpage, info
+        return SSPage(page.spectrum, p, None, raw_dims=honest, max_degree=bound), info
+    return SSPage(page.spectrum, p, candidate, max_degree=page.max_degree), info
 
 
 def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: int,
@@ -368,7 +343,7 @@ def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: in
     F = AlgebraPresentation(p, [g for g in A.gens if g.name in support], A.N)
     B = AlgebraPresentation(p, [g for g in A.gens if g.name not in support], A.N)
     to_f = {A.index[g.name]: j for j, g in enumerate(F.gens)}
-    f_page = SSPage(None, abs(shift), F, None, None, differential={
+    f_page = SSPage(None, abs(shift), F, {
         name: {tuple((to_f[i], e) for i, e in mono): c for mono, c in val.items()}
         for name, val in differential.items()})
     reached = _verify_budget_bound(F, bound, VERIFY_BUDGET)
@@ -400,12 +375,7 @@ def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: in
 
     h_f = {(s, d): h for (s, d), n in F.bigraded_series(bound).items()
            if (h := n - rank_of(s, d) - rank_of(s - shift, d + 1))}
-    honest: dict[tuple[int, int], int] = {}
-    for (s, d), n in B.bigraded_series(bound).items():
-        for (s2, d2), h in h_f.items():
-            if d + d2 <= bound:
-                honest[(s + s2, d + d2)] = honest.get((s + s2, d + d2), 0) + n * h
-    return honest
+    return convolve(B.bigraded_series(bound), h_f, bound)
 
 
 class PageCheckBudgetError(ValueError):
@@ -645,12 +615,11 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
     """
     data = spectrum(name, p, max_degree + 1)
     e2 = build_e2(data, max_degree + 1)
-    if not e2.flat:
+    if e2.algebra is None:
         dims = {k: v for k, v in e2.raw_dims.items() if k[0] + k[1] <= max_degree}
         series = [0] * (max_degree + 1)
         for (q, t), v in dims.items():
-            if q + t <= max_degree:
-                series[q + t] += v
+            series[q + t] += v
         return THHResult(
             data.name, p, max_degree,
             e2_dims=dims,
@@ -693,8 +662,6 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
 
 
 def _page_dims(page: SSPage, max_degree: int) -> dict[tuple[int, int], int]:
-    if page.raw_dims is not None:
-        return dict(page.raw_dims)
     return {(s, d - s): v for (s, d), v in page.algebra.bigraded_series(max_degree).items()}
 
 

@@ -139,7 +139,7 @@ def cmd_steenrod(args, config) -> int:
     sub = args.steenrod_cmd
     try:  # every argument is parsed before any computation: a bad one exits 2
         spec = None if sub == "pair" else st.SubalgebraSpec.parse(args.subalgebra)
-        if sub in ("quotient", "kernel") and not spec.finite:
+        if sub in ("rank", "quotient", "kernel") and not spec.finite:
             raise ValueError(f"steenrod {sub} needs a finite subalgebra, not {spec.id}")
         top = spec.top_degree if spec is not None and spec.finite else None
         ideal = _parse_ideal(args.ideal, top) if sub in ("quotient", "kernel") else None
@@ -147,6 +147,10 @@ def cmd_steenrod(args, config) -> int:
             target, fmap = _parse_ideal(args.target_ideal, top), st.parse_element(args.map, top)
         if sub == "pair":
             a, m = st.parse_element(args.element), parse_milnor(args.monomial, 2)
+            ((mono, _),) = m.items()  # an inhomogeneous element raises in element_degree
+            if mono.tau or st.element_degree(a) not in (None, mono.degree(2)):
+                raise ValueError(f"cannot pair {args.element} with {args.monomial}: the pairing "
+                                 "needs one degree on both sides and no tau at p = 2")
         given = (ideal or []) + (target + [fmap] if sub == "kernel" else [])
         for e in given:
             st.element_degree(e)  # an inhomogeneous element raises
@@ -246,16 +250,25 @@ def load_presentation(path: str) -> AlgebraPresentation:
     degree, kind, height?, idempotent?}]}; other keys are ignored."""
     with open(path) as fh:
         data = json.load(fh)
+
+    def field(obj: dict, key: str, kind: type, default=None):
+        """obj[key], or default when absent; refused unless of type kind (a bool is no int)."""
+        val = obj[key] if default is None else obj.get(key, default)
+        if type(val) is not kind:
+            raise ValueError(f"{key} must be {'an integer' if kind is int else 'true or false'}"
+                             f", not {val!r}")
+        return val
+
     gens = [
-        GeneratorSpec(
-            g["name"], g["degree"], g["kind"], height=g.get("height", 0),
-            idempotent=g.get("idempotent", False),
-        )
+        GeneratorSpec(g["name"], field(g, "degree", int), g["kind"],
+                      height=field(g, "height", int, 0),
+                      idempotent=field(g, "idempotent", bool, False))
         for g in data["generators"]
     ]
-    return AlgebraPresentation(
-        data["p"], gens, data.get("max_degree", 24), square_zero=data.get("square_zero", False)
-    )
+    if (n := field(data, "max_degree", int, 24)) < 0:
+        raise ValueError(f"max_degree must be nonnegative, not {n}")
+    return AlgebraPresentation(field(data, "p", int), gens, n,
+                               square_zero=field(data, "square_zero", bool, False))
 
 
 def cmd_hh(args, config) -> int:
@@ -290,6 +303,9 @@ def cmd_hh(args, config) -> int:
         qmax = resolve(args, config, "qmax", qmax)
     else:
         print("error: hh compute needs --preset or --spectrum", file=sys.stderr)
+        return EXIT_USAGE
+    if qmax is not None and qmax < 0:
+        print(f"error: --qmax must be nonnegative (got {qmax})", file=sys.stderr)
         return EXIT_USAGE
     # a preset may live below the asked bound (the idempotent one sits in
     # degree 0): compute through its top and report the bound asked for

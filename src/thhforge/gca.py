@@ -25,6 +25,7 @@ __all__ = [
     "AlgebraPresentation",
     "CoactionTable",
     "HopfData",
+    "convolve",
     "expand_divided",
     "gamma_coefficient",
 ]
@@ -143,8 +144,9 @@ class AlgebraPresentation:
         if len(self.index) != len(self.gens):
             raise ValueError("duplicate generator names")
         for g in self.gens:
-            if g.degree == 0 and not g.idempotent:
-                raise ValueError(f"degree-0 generator {g.name} must be idempotent")
+            if (g.degree == 0) != g.idempotent:  # u^2 = u forces degree 0
+                raise ValueError(f"generator {g.name} of degree {g.degree}: exactly the "
+                                 "degree-0 generators are idempotent")
             if p != 2 and g.degree % 2 and g.max_exponent() not in (1,):
                 raise ValueError(f"odd-degree generator {g.name} must be exterior at odd p")
             if square_zero and g.idempotent:
@@ -392,6 +394,18 @@ class AlgebraPresentation:
             i += 1
         c = gamma_coefficient(j, self.p)
         return {tuple(sorted(exps.items())): fplin.PrimeField(self.p).inv(c)}
+
+
+def convolve(x: Mapping[tuple[int, int], int], y: Mapping[tuple[int, int], int],
+             bound: int) -> dict[tuple[int, int], int]:
+    """The Kunneth product of two {(filtration, degree): dim} tables through
+    degree bound: dims of a tensor product add filtrations and degrees."""
+    out: dict[tuple[int, int], int] = {}
+    for (s1, d1), n1 in x.items():
+        for (s2, d2), n2 in y.items():
+            if d1 + d2 <= bound:
+                out[s1 + s2, d1 + d2] = out.get((s1 + s2, d1 + d2), 0) + n1 * n2
+    return out
 
 
 def _is_power(e: int, p: int) -> bool:

@@ -11,12 +11,11 @@ C (x)_Lambda C, the bar-resolution roundtrip and the closed forms
 
 from __future__ import annotations
 
-from collections import Counter
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fplin
-from .gca import AlgebraPresentation, GeneratorSpec, HopfData, expand_divided
+from .gca import AlgebraPresentation, GeneratorSpec, HopfData, convolve, expand_divided
 
 __all__ = [
     "HochschildComplex",
@@ -232,16 +231,12 @@ def hh_dims(
 ) -> dict[tuple[int, int], int]:
     """The nonzero bigraded dims of hh_homology: boundary ranks in the honest
     complex of each of _factors, convolved by Kunneth (Loday, Thm 4.2.5)."""
-    dims = Counter({(0, 0): 1})
+    dims = {(0, 0): 1}
     for f in _factors(algebra):
-        cx, step = HochschildComplex(f), Counter()
-        for q, t in _bidegrees(f, max_degree, qmax):
-            if d := cx.dim(q, t):
-                for (q1, t1), d1 in dims.items():
-                    if t1 + t <= max_degree:
-                        step[q1 + q, t1 + t] += d1 * d
-        dims = step
-    return {(q, t): d for q, t in _bidegrees(algebra, max_degree, qmax) if (d := dims[q, t])}
+        cx = HochschildComplex(f)
+        dims = convolve({(q, t): d for q, t in _bidegrees(f, max_degree, qmax)
+                         if (d := cx.dim(q, t))}, dims, max_degree)
+    return {(q, t): d for q, t in _bidegrees(algebra, max_degree, qmax) if (d := dims.get((q, t)))}
 
 
 def presentation_dims_internal(

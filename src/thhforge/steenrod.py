@@ -2,7 +2,9 @@
 
 Admissible-form elements with Adem reduction live at p = 2 only; the
 dual side (Milnor monomials, coproduct, conjugation) is implemented at
-every prime.  Finite subalgebras A_n are closed up degreewise from the
+every prime; the coproduct of a generator is stated once, for xibar_k and
+taubar_k, and in the unconjugated alphabet it is the mirror image, its
+tensor factors swapped.  Finite subalgebras A_n are closed up degreewise from the
 lower degrees a request reaches, stopping once the span reaches the
 Milnor-basis dimension of A(n) in that degree; exterior subalgebras on
 the Milnor primitives Q_i are spanned by square-free products.  Such a
@@ -760,41 +762,28 @@ _TensorElt = dict  # dict[(MilnorMonomial, MilnorMonomial), int]
 
 
 def _gen_coproduct(gen: MilnorMonomial, p: int) -> _TensorElt:
-    """Coproduct of a single xi_k / tau_k generator (exponent 1)."""
+    """Coproduct of a single xi_k / tau_k generator (exponent 1).
+
+    The conjugated formulas are stated once; the unconjugated ones are
+    their mirror images, psi(xi_k) = sum xi_{k-i}^{p^i} (x) xi_i and
+    psi(tau_k) = tau_k (x) 1 + sum xi_{k-i}^{p^i} (x) tau_i, so the tensor
+    factors are swapped (no term has two odd factors, so no sign).
+    """
     conj = gen.conjugated
     one = milnor_one(conj)
+
+    def xi(j: int, e: int) -> MilnorMonomial:
+        return one if j == 0 else _xi(j, e, conj)
+
     if gen.tau:
         (k,) = gen.tau
-        out: _TensorElt = {}
-        if conj:
-            # psi(taubar_k) = 1 (x) taubar_k + sum taubar_i (x) xibar_j^{p^i}
-            out[(one, _tau(k, conj))] = 1
-            for i in range(0, k + 1):
-                j = k - i
-                right = one if j == 0 else _xi(j, p ** i, conj)
-                fplin.add_term(out, (_tau(i, conj), right), 1, p)
-        else:
-            # psi(tau_k) = tau_k (x) 1 + sum xi_i^{p^j} (x) tau_j
-            out[(_tau(k, conj), one)] = 1
-            for j in range(0, k + 1):
-                i = k - j
-                left = one if i == 0 else _xi(i, p ** j, conj)
-                fplin.add_term(out, (left, _tau(j, conj)), 1, p)
-        return out
-    k = len(gen.xi)
-    out = {}
-    for i in range(0, k + 1):
-        j = k - i
-        if conj:
-            # psi(xibar_k) = sum xibar_i (x) xibar_j^{p^i}
-            left = one if i == 0 else _xi(i, 1, conj)
-            right = one if j == 0 else _xi(j, p ** i, conj)
-        else:
-            # psi(xi_k) = sum xi_i^{p^j} (x) xi_j
-            left = one if i == 0 else _xi(i, p ** j, conj)
-            right = one if j == 0 else _xi(j, 1, conj)
-        fplin.add_term(out, (left, right), 1, p)
-    return out
+        # psi(taubar_k) = 1 (x) taubar_k + sum taubar_i (x) xibar_{k-i}^{p^i}
+        terms = [(one, _tau(k, conj))] + [(_tau(i, conj), xi(k - i, p ** i)) for i in range(k + 1)]
+    else:
+        k = len(gen.xi)
+        # psi(xibar_k) = sum xibar_i (x) xibar_{k-i}^{p^i}
+        terms = [(xi(i, 1), xi(k - i, p ** i)) for i in range(k + 1)]
+    return {(left, right) if conj else (right, left): 1 for left, right in terms}
 
 
 @lru_cache(maxsize=None)

@@ -385,6 +385,12 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
     ["steenrod", "quotient", "--subalgebra", "A", "--ideal", "Sq1"],
     ["steenrod", "kernel", "--subalgebra", "A", "--ideal", "Sq1", "--target-ideal", "Sq1",
      "--map", "Sq1"],
+    # what cannot be computed: the rank of A is infinite, and a pairing needs one
+    # degree on both sides and no tau at p = 2
+    ["steenrod", "rank", "--subalgebra", "A"],
+    ["steenrod", "pair", "--element", "Sq2+Sq1", "--monomial", "xi1^2"],
+    ["steenrod", "pair", "--element", "Sq2", "--monomial", "xi1"],
+    ["steenrod", "pair", "--element", "Sq1", "--monomial", "tau0"],
 ])
 def test_steenrod_bad_arguments_exit_two(capsys, argv):
     assert cli.main(argv) == 2
@@ -544,10 +550,30 @@ def test_hh_spectrum_refuses_a_maxdeg_above_the_file(tmp_path, capsys, via_confi
 @pytest.mark.parametrize(
     "gen",
     [{"kind": "polynomail"}, {"kind": "truncated"}, {"kind": "truncated", "height": 1},
-     {"degree": -2}],
+     {"degree": -2},
+     # not integers or booleans: once tracebacks, or taken as 1 and true
+     {"degree": 2.5, "kind": "exterior"}, {"degree": True, "kind": "exterior"},
+     {"kind": "truncated", "height": 2.0}, {"idempotent": "no"}, {"idempotent": 1},
+     # u^2 = u forces degree 0
+     {"idempotent": True}, {"kind": "truncated", "height": 2, "idempotent": True}],
 )
 def test_hh_spectrum_refuses_bad_generators(tmp_path, capsys, gen):
     path = _write_presentation(tmp_path, **gen)
+    # with --qmax the refusal is the file's, never a missing qmax for degree-0 content
+    assert cli.main(["hh", "compute", "--spectrum", path, "--qmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p, fields", [
+    (3, {"max_degree": -5}), (3, {"max_degree": "12"}), (3, {"max_degree": 12.0}),
+    (2.0, {}), (3, {"square_zero": "yes"}), (3, {"square_zero": 1})])
+def test_hh_spectrum_refuses_a_malformed_file(tmp_path, capsys, p, fields):
+    # these were tracebacks (a negative or non-integer max_degree) or silently
+    # accepted: p = 2.0 echoed back, any nonempty string or 1 taken as true
+    path = _write_generators(tmp_path, p, [{"name": "x", "degree": 2, "kind": "polynomial"}],
+                             **fields)
     assert cli.main(["hh", "compute", "--spectrum", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -615,6 +641,7 @@ def test_steenrod_budget_keeps_what_fits(capsys):
         ["adams", "run", "--target", "thh-ku-mod2", "--maxdeg", "-1"],
         ["bokstedt", "run", "--spectrum", "ku", "--p", "4", "--maxdeg", "10"],
         ["hh", "compute", "--preset", "polynomial", "--p", "1", "--maxdeg", "4"],
+        ["hh", "compute", "--preset", "squarezero", "--qmax", "-1"],
     ],
 )
 def test_bad_degree_or_prime_exits_two(argv, capsys):
@@ -624,11 +651,15 @@ def test_bad_degree_or_prime_exits_two(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line", ["maxdeg = -2", "maxdeg = 200", "maxdeg = abc", "format = svg"])
+@pytest.mark.parametrize("line", ["maxdeg = -2", "maxdeg = 200", "maxdeg = abc", "format = svg",
+                                  "qmax = -1"])
 def test_bad_config_value_exits_two(tmp_path, capsys, line):
     cfg = tmp_path / "cfg"
     cfg.write_text(line + "\n")
-    assert cli.main(["--config", str(cfg), "bokstedt", "run", "--spectrum", "hf"]) == 2
+    # only hh compute reads qmax
+    argv = (["hh", "compute", "--preset", "squarezero"] if line.startswith("qmax")
+            else ["bokstedt", "run", "--spectrum", "hf"])
+    assert cli.main(["--config", str(cfg), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

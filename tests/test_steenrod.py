@@ -275,6 +275,14 @@ def test_coproduct_formulas():
     psi = st.milnor_coproduct(tb1, 3)
     keys = {(str(a), str(b)) for (a, b), c in psi.items() if c}
     assert keys == {("1", "taubar1"), ("taubar0", "xibar1"), ("taubar1", "1")}
+    # the unconjugated alphabet: psi(xi_k) = sum xi_{k-i}^{p^i} (x) xi_i and
+    # psi(tau_k) = tau_k (x) 1 + sum xi_{k-i}^{p^i} (x) tau_i
+    psi = st.milnor_coproduct(MilnorMonomial((0, 1), (), False), 2)
+    assert {(str(a), str(b)): c for (a, b), c in psi.items()} == {
+        ("1", "xi2"): 1, ("xi1^2", "xi1"): 1, ("xi2", "1"): 1}
+    psi = st.milnor_coproduct(MilnorMonomial((), (1,), False), 3)
+    assert {(str(a), str(b)): c for (a, b), c in psi.items()} == {
+        ("1", "tau1"): 1, ("xi1", "tau0"): 1, ("tau1", "1"): 1}
 
 
 def test_conjugation():
