@@ -395,11 +395,7 @@ def criterion_13() -> dict:
         for m in A.monomial_basis(d):
             dm = bk.differential_on_monomial(page, m)
             moved += bool(dm)
-            dd: dict = {}
-            for mm, c in dm.items():
-                for mmm, cc in bk.differential_on_monomial(page, mm).items():
-                    fplin.add_term(dd, mmm, c * cc, 3)
-            if dd:
+            if fplin.linear(dm, lambda mm: bk.differential_on_monomial(page, mm), 3):
                 ok = False
     ok = ok and moved > 0
     rng = random.Random(7)

@@ -59,14 +59,8 @@ class ExteriorComodule(NamedTuple):
         return [d for _, d in self.basis]
 
     def verify_square_zero(self) -> bool:
-        for j in range(len(self.basis)):
-            acc: dict[int, int] = {}
-            for i, c in self.q.get(j, {}).items():
-                for i2, c2 in self.q.get(i, {}).items():
-                    fplin.add_term(acc, i2, c * c2, 2)
-            if acc:
-                return False
-        return True
+        return not any(fplin.linear(self.q.get(j, {}), lambda i: self.q.get(i, {}), 2)
+                       for j in range(len(self.basis)))
 
 
 _XIBAR2 = MilnorMonomial((0, 1))

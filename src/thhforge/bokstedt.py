@@ -17,7 +17,7 @@ generators by one Leibniz loop (_derivation).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, NamedTuple
 
 from . import fplin
@@ -236,19 +236,17 @@ def _d_target(page: SSPage, base_name: str) -> dict:
     q_val = data.dl.lookup(base_name, i, data.is_even_power(base_name), g.degree, data.p)
     if q_val is None:
         raise KeyError(f"missing Dyer-Lashof entry Q^{i}({base_name})")
-    out: dict = {}
     smap = _sigma_map(H, A)
-    for mono, c in q_val.items():
-        beta: dict = {}
-        if len(mono) == 1 and mono[0][1] == 1:
-            bname = H.gens[mono[0][0]].name
-            beta = data.dl.bockstein.get(bname, {})
-        elif mono:
+
+    def sigma_beta(mono: tuple) -> dict:
+        if not mono:
+            return {}
+        if len(mono) != 1 or mono[0][1] != 1:
             raise KeyError(f"Bockstein of a composite Q-value for {base_name}")
-        for bmono, bc in beta.items():
-            for mm, v in _sigma(A, smap, bmono).items():
-                fplin.add_term(out, mm, c * bc * v, A.p)
-    return out
+        beta = data.dl.bockstein.get(H.gens[mono[0][0]].name, {})
+        return fplin.linear(beta, lambda b: _sigma(A, smap, b), A.p)
+
+    return fplin.linear(q_val, sigma_beta, A.p)
 
 
 def apply_d_pminus1(page: SSPage) -> SSPage:
@@ -352,26 +350,12 @@ def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: in
             f"page r = {abs(shift) + 1}: the honest check asked for degree {bound} reaches "
             f"only degree {reached} within {VERIFY_BUDGET} monomials of the differential's "
             "support")
-    ranks: dict[tuple[int, int], int] = {}
 
+    @cache
     def rank_of(s: int, d: int) -> int:
         """Rank of d_F leaving bidegree (s, d)."""
-        key = (s, d)
-        if key in ranks:
-            return ranks[key]
-        src = F.bigraded_basis(s, d)
-        dst = F.bigraded_basis(s + shift, d - 1)
-        if not src or not dst:
-            ranks[key] = 0
-            return 0
-        idx = {m: i for i, m in enumerate(dst)}
-        span = fplin.Span(len(dst), p)
-        for m in src:
-            img = differential_on_monomial(f_page, m)
-            if img:
-                span.add({idx[mm]: c for mm, c in img.items()})
-        ranks[key] = span.rank
-        return span.rank
+        return fplin.map_rank(F.bigraded_basis(s, d), F.bigraded_basis(s + shift, d - 1),
+                              lambda m: differential_on_monomial(f_page, m), p)
 
     h_f = {(s, d): h for (s, d), n in F.bigraded_series(bound).items()
            if (h := n - rank_of(s, d) - rank_of(s - shift, d + 1))}

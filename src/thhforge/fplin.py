@@ -11,7 +11,10 @@ The sparse-algebra kernel shared by the algebra layers lives here too:
 elements are dicts {monomial: nonzero scalar mod p}, accumulated with
 add_term, multiplied with mul from a monomial product (tensor_monomial_mul
 builds the Koszul-signed one for tensor products), raised to powers with
-power, and constraint maps over a basis are stacked by constraint_matrix.
+power.  A map given on basis elements extends linearly with linear, one
+given on generators multiplicatively with product (a product of powers);
+map_rank is the rank of a map given on a source basis, and constraint
+maps over a basis are stacked by constraint_matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ __all__ = [
     "mul",
     "tensor_monomial_mul",
     "power",
+    "linear",
+    "product",
+    "map_rank",
     "constraint_matrix",
 ]
 
@@ -391,6 +397,39 @@ def power(x, e: int, mul: Callable):
         if not e:
             return out
         x = mul(x, x)
+
+
+def linear(x: Mapping, f: Callable[[Hashable], Mapping], p: int) -> dict:
+    """Sum of c * f(m) over the terms c * m of x: f extended linearly."""
+    out: dict = {}
+    for m, c in x.items():
+        for key, v in f(m).items():
+            add_term(out, key, c * v, p)
+    return out
+
+
+def product(factors: Iterable[tuple], mul: Callable, one):
+    """one * x_1**e_1 * x_2**e_2 * ... over the pairs (x, e), multiplied in order."""
+    out = one
+    for x, e in factors:
+        out = mul(out, power(x, e, mul))
+    return out
+
+
+def map_rank(sources: Sequence, targets: Sequence, image: Callable[[Hashable], Mapping],
+             p: int) -> int:
+    """Rank of the map sending each source to image(source), a sparse vector
+    {target: scalar}; the column indices follow targets in the order given.
+
+    The pivot of a column is its least index, so the order of targets
+    chooses the pivots and with them the fill-in of the elimination.  Zero
+    images are skipped, and an empty source or target basis builds no Span.
+    """
+    if not sources or not targets:
+        return 0
+    idx = {m: i for i, m in enumerate(targets)}
+    cols = [{idx[m]: v for m, v in img.items()} for s in sources if (img := image(s))]
+    return _span_of(cols, len(targets), p).rank
 
 
 def constraint_matrix(basis: Sequence, constraints: Sequence[Callable], p: int) -> SparseMat:

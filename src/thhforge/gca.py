@@ -488,9 +488,8 @@ class CoactionTable:
         """Coaction on a basis monomial: dict[(MilnorMonomial, Monomial)] -> coeff."""
         if m in self._memo:
             return self._memo[m]
-        acc = {(milnor_one(), ()): 1}
-        for i, e in m:
-            acc = self._tensor(acc, fplin.power(self._generator_nu(i), e, self._tensor))
+        acc = fplin.product(((self._generator_nu(i), e) for i, e in m), self._tensor,
+                            {(milnor_one(), ()): 1})
         self._memo[m] = acc
         return acc
 
@@ -538,11 +537,7 @@ class CoactionTable:
         return out
 
     def nu(self, elt: Element) -> dict:
-        out: dict = {}
-        for m, c in elt.items():
-            for key, v in self.nu_monomial(m).items():
-                fplin.add_term(out, key, c * v, self.A.p)
-        return out
+        return fplin.linear(elt, self.nu_monomial, self.A.p)
 
     def steenrod_action(self, r: int, elt: Element) -> Element:
         """Dual Steenrod operation Sq^r_* (p = 2) from the coaction."""
@@ -593,15 +588,15 @@ class HopfData:
         fiber = tuple((i, e) for i, e in m if self.A.gens[i].filtration != 0)
         return base, fiber
 
+    def _entry(self, i: int) -> dict:
+        if i not in self.entries:
+            raise KeyError(f"no coproduct entry for generator {self.A.gens[i].name}")
+        return self.entries[i]
+
     def psi_monomial(self, m: Monomial) -> dict:
         base, fiber = self._split_base(m)
         tensor = partial(fplin.mul, monomial_mul=self.mul_monomials, p=self.A.p)
-        acc = {(base, (), ()): 1}
-        for i, e in fiber:
-            if i not in self.entries:
-                raise KeyError(f"no coproduct entry for generator {self.A.gens[i].name}")
-            acc = tensor(acc, fplin.power(self.entries[i], e, tensor))
-        return acc
+        return fplin.product(((self._entry(i), e) for i, e in fiber), tensor, {(base, (), ()): 1})
 
     def is_primitive(self, m: Monomial) -> bool:
         """Whether the monomial m = b y^e is a coalgebra primitive over the base.
@@ -617,7 +612,5 @@ class HopfData:
         if len(fiber) != 1:
             return False
         ((i, e),) = fiber
-        if i not in self.entries:
-            raise KeyError(f"no coproduct entry for generator {self.A.gens[i].name}")
         g = ((i, 1),)
-        return self.entries[i] == {((), g, ()): 1, ((), (), g): 1} and _is_power(e, self.A.p)
+        return self._entry(i) == {((), g, ()): 1, ((), (), g): 1} and _is_power(e, self.A.p)

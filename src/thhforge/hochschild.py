@@ -11,6 +11,7 @@ C (x)_Lambda C, the bar-resolution roundtrip and the closed forms
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
@@ -125,38 +126,21 @@ class HochschildComplex:
         return out
 
     def boundary(self, elt: ChainElt) -> ChainElt:
-        out: ChainElt = {}
-        for c, coeff in elt.items():
-            for c2, v in self.boundary_chain(c).items():
-                fplin.add_term(out, c2, coeff * v, self.A.p)
-        return out
-
-    def _vec(self, elt: ChainElt, index: Mapping[Chain, int]) -> dict[int, int]:
-        return {index[c]: v for c, v in elt.items()}
-
-    def boundary_matrix(self, q: int, t: int) -> tuple[list[Chain], list[Chain], list[dict[int, int]]]:
-        """Bases of C_q,t and C_{q-1},t (empty when C_q,t is) and the boundary's columns.
-
-        The columns index the target chains in descending order, so the
-        pivot of each (the Span's least index) is its lexicographically
-        largest chain: the d0 face (m1, ..., mq) of a chain (1, m1, ..., mq).
-        That is the contracting-homotopy matching of algebraic Morse theory
-        (Skoldberg 2006), and it keeps the elimination's fill-in small.
-        """
-        src = self.basis(q, t)
-        dst = self.basis(q - 1, t) if src else []
-        idx = {c: i for i, c in enumerate(reversed(dst))}
-        cols = [self._vec(self.boundary_chain(c), idx) for c in src]
-        return src, dst, cols
+        return fplin.linear(elt, self.boundary_chain, self.A.p)
 
     def rank(self, q: int, t: int) -> int:
-        """Rank of the boundary C_q,t -> C_{q-1},t (zero at q = 0), memoized."""
+        """Rank of the boundary C_q,t -> C_{q-1},t (zero at q = 0), memoized.
+
+        The target chains are indexed in descending order, so the pivot of
+        each column (its least index) is its lexicographically largest
+        chain: the d0 face (m1, ..., mq) of a chain (1, m1, ..., mq).  That
+        is the contracting-homotopy matching of algebraic Morse theory
+        (Skoldberg 2006), and it keeps the elimination's fill-in small.
+        """
         if (q, t) not in self._ranks:
-            _, dst, cols = self.boundary_matrix(q, t) if q > 0 else ((), (), ())
-            span = fplin.Span(len(dst), self.A.p)
-            for col in cols:
-                span.add(col)
-            self._ranks[(q, t)] = span.rank
+            src = self.basis(q, t) if q > 0 else []
+            self._ranks[(q, t)] = fplin.map_rank(
+                src, self.basis(q - 1, t)[::-1] if src else [], self.boundary_chain, self.A.p)
         return self._ranks[(q, t)]
 
     def dim(self, q: int, t: int) -> int:
@@ -168,13 +152,14 @@ class HochschildComplex:
         """Homology classes at (q, t) with cycle representatives."""
         if not self.dim(q, t):
             return []
-        src, _, cols = self.boundary_matrix(q, t)
-        kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, self.A.p))
+        src = self.basis(q, t)
+        kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(
+            [self.boundary_chain(c) for c in src], self.A.p))
         # a cycle is a new class when it enlarges the image of the next boundary
         idx = {c: i for i, c in enumerate(src)}
         span = fplin.Span(len(src), self.A.p)
         for c in self.basis(q + 1, t):
-            span.add(self._vec(self.boundary_chain(c), idx))
+            span.add({idx[c2]: v for c2, v in self.boundary_chain(c).items()})
         return [
             HHClass.make(q, t, {src[i]: v for i, v in vec.items()})
             for vec in kernel
@@ -259,80 +244,38 @@ def presentation_dims_internal(
 # ---------------------------------------------------------------------------
 # shuffle product
 
-def _shuffles(i: int, j: int):
-    """All interleavings of 0..i-1 (tag 0) and 0..j-1 (tag 1), order kept."""
-    if i == 0:
-        yield (1,) * j
-        return
-    if j == 0:
-        yield (0,) * i
-        return
-    for rest in _shuffles(i - 1, j):
-        yield (0,) + rest
-    for rest in _shuffles(i, j - 1):
-        yield (1,) + rest
-
-
 def shuffle_product(algebra: AlgebraPresentation, x: ChainElt, y: ChainElt) -> ChainElt:
     """Chain-level shuffle product; on cycles it represents the HH product.
 
-    Each interleaving carries its permutation sign times the internal
-    Koszul sign of the crossings, which is what makes the shuffle a chain
-    map for the boundary used here; the second coefficient slot moves to
-    the front with the internal Koszul sign.  The induced product is
+    The interleavings of the reduced slots a_1..a_i and b_1..b_j are read
+    off the x-slot positions, walked by itertools.combinations.  Each
+    interleaving carries its permutation sign times the internal Koszul
+    sign of the crossings, -(-1)^{|a||b|} per crossing, which is what makes
+    the shuffle a chain map for the boundary used here; the x-slot a_n at
+    position k has crossed b_1..b_{k-n}.  The second coefficient slot moves
+    to the front with the internal Koszul sign.  The induced product is
     commutative in the bidegree-wise sense (-1)^{q q' + t t'}.
     """
     A = algebra
     p = A.p
     out: ChainElt = {}
     for c1, v1 in x.items():
-        i = len(c1) - 1
         a = c1[1:]
+        odd_a = [A.degree(m) % 2 for m in a]
         for c2, v2 in y.items():
-            j = len(c2) - 1
             b = c2[1:]
-            coeff0 = v1 * v2
-            if p != 2 and A.degree(c2[0]) % 2:
-                if sum(A.degree(m) for m in a) % 2:
-                    coeff0 = -coeff0
             m0, s0 = A.mul_monomials(c1[0], c2[0])
             if m0 is None or s0 == 0:
                 continue
-            coeff0 *= s0
-            for pattern in _shuffles(i, j):
-                slots = []
-                ia = ib = 0
-                for tag in pattern:
-                    if tag == 0:
-                        slots.append(a[ia])
-                        ia += 1
-                    else:
-                        slots.append(b[ib])
-                        ib += 1
-                sign = _shuffle_sign(A, a, b, pattern)
-                fplin.add_term(out, (m0,) + tuple(slots), coeff0 * sign, p)
+            coeff0 = v1 * v2 * s0 * (-1) ** (A.degree(c2[0]) * sum(odd_a))
+            odd_b = list(accumulate((A.degree(m) % 2 for m in b), initial=0))
+            n = len(a) + len(b)
+            for xs in combinations(range(n), len(a)):
+                ia, ib = iter(a), iter(b)
+                slots = tuple(next(ia) if k in xs else next(ib) for k in range(n))
+                crossings = sum(k - i - odd_a[i] * odd_b[k - i] for i, k in enumerate(xs))
+                fplin.add_term(out, (m0,) + slots, coeff0 * (-1) ** crossings, p)
     return out
-
-
-def _shuffle_sign(A: AlgebraPresentation, a: Sequence, b: Sequence, pattern: Sequence[int]) -> int:
-    """Sign of one interleaving: -(-1)^{|a||b|} per crossing (permutation
-    sign times the internal Koszul sign)."""
-    if A.p == 2:
-        return 1
-    sign = 1
-    b_placed: list[int] = []  # internal degrees of b-slots already placed
-    ia = ib = 0
-    for tag in pattern:
-        if tag == 0:
-            da = A.degree(a[ia])
-            for db in b_placed:
-                if not (da % 2 and db % 2):
-                    sign = -sign
-            ia += 1
-        else:
-            b_placed.append(A.degree(b[ib]))
-            ib += 1
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +301,8 @@ def _canonicalize_tensor(A: AlgebraPresentation, left: Chain, right: Chain, coef
 
 def chain_coproduct(algebra: AlgebraPresentation, elt: ChainElt) -> TensorElt:
     """psi(m0 (x) ... (x) mq) = sum_i (m0..mi) (x)_Lambda (1, m_{i+1}..mq)."""
-    out: TensorElt = {}
-    for c, v in elt.items():
-        for i in range(len(c)):
-            fplin.add_term(out, (c[: i + 1], ((),) + c[i + 1 :]), v, algebra.p)
-    return out
+    return fplin.linear(
+        elt, lambda c: {(c[: i + 1], ((),) + c[i + 1 :]): 1 for i in range(len(c))}, algebra.p)
 
 
 def tensor_boundary(A: AlgebraPresentation, elt: TensorElt) -> TensorElt:
@@ -497,8 +437,6 @@ def bar_roundtrip_check(algebra: AlgebraPresentation, qmax: int, tmax: int) -> b
     original chain.  Only the unshuffled term survives, so no shuffle
     sign enters.
     """
-    from itertools import combinations
-
     A = algebra
     p = A.p
     for q in range(qmax + 1):

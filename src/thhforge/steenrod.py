@@ -664,6 +664,11 @@ class MilnorMonomial(_MilnorMonomial):
     def is_one(self) -> bool:
         return not self.xi and not self.tau
 
+    def factors(self) -> list[tuple[MilnorMonomial, int]]:
+        """The pairs (tau_k, 1), then (xi_k, e) for e > 0, whose product this is."""
+        return [(_tau(k, self.conjugated), 1) for k in self.tau] + [
+            (_xi(k + 1, 1, self.conjugated), e) for k, e in enumerate(self.xi) if e]
+
     def __str__(self) -> str:
         if self.is_one():
             return "1"
@@ -791,13 +796,8 @@ def _coproduct_cached(m: MilnorMonomial, p: int) -> tuple:
     slot = (lambda a, b: milnor_mul(a, b, p), lambda a: a.degree(p))
     tensor_mul = partial(fplin.mul, monomial_mul=fplin.tensor_monomial_mul([slot, slot], p), p=p)
     one = milnor_one(m.conjugated)
-    acc: _TensorElt = {(one, one): 1}
-    for k in m.tau:
-        acc = tensor_mul(acc, _gen_coproduct(_tau(k, m.conjugated), p))
-    for idx, e in enumerate(m.xi):
-        if e:
-            gen_psi = _gen_coproduct(_xi(idx + 1, 1, m.conjugated), p)
-            acc = tensor_mul(acc, fplin.power(gen_psi, e, tensor_mul))
+    acc = fplin.product(((_gen_coproduct(g, p), e) for g, e in m.factors()), tensor_mul,
+                        {(one, one): 1})
     return tuple(sorted(acc.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))))
 
 
@@ -841,38 +841,24 @@ def conjugate(m: MilnorMonomial, p: int) -> dict[MilnorMonomial, int]:
     involution here.
     """
     target_conj = not m.conjugated
-    out: dict[MilnorMonomial, int] = {milnor_one(target_conj): 1}
 
-    def retag(elt: dict[MilnorMonomial, int]) -> dict[MilnorMonomial, int]:
-        return {MilnorMonomial(mm.xi, mm.tau, target_conj): c for mm, c in elt.items()}
+    def chi(g: MilnorMonomial) -> dict[MilnorMonomial, int]:
+        """chi of a generator, as a polynomial in the target alphabet."""
+        elt = _chi_tau(g.tau[0], p) if g.tau else _chi_xi(len(g.xi), p)
+        return {MilnorMonomial(mm.xi, mm.tau, target_conj): c for mm, c in elt}
 
-    for k in m.tau:
-        out = dual_mul(out, retag(dict(_chi_tau(k, p))), p)
-    for idx, e in enumerate(m.xi):
-        if e:
-            chi = retag(dict(_chi_xi(idx + 1, p)))
-            out = dual_mul(out, fplin.power(chi, e, partial(dual_mul, p=p)), p)
-    return out
+    return fplin.product(((chi(g), e) for g, e in m.factors()), partial(dual_mul, p=p),
+                         {milnor_one(target_conj): 1})
 
 
 def antipode(elt: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMonomial, int]:
     """Antipode chi on a polynomial, staying in its own alphabet."""
-    out: dict[MilnorMonomial, int] = {}
-    for m, c in elt.items():
-        for mm, cc in conjugate(m, p).items():
-            fplin.add_term(out, MilnorMonomial(mm.xi, mm.tau, m.conjugated), c * cc, p)
-    return out
+    return fplin.linear(elt, lambda m: {MilnorMonomial(mm.xi, mm.tau, m.conjugated): c
+                                        for mm, c in conjugate(m, p).items()}, p)
 
 
 def _to_unconjugated(elt: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMonomial, int]:
-    out: dict[MilnorMonomial, int] = {}
-    for m, c in elt.items():
-        if not m.conjugated:
-            fplin.add_term(out, m, c, p)
-        else:
-            for mm, cc in conjugate(m, p).items():
-                fplin.add_term(out, mm, c * cc, p)
-    return out
+    return fplin.linear(elt, lambda m: conjugate(m, p) if m.conjugated else {m: 1}, p)
 
 
 def pairing(a: SteenrodElement, m: MilnorMonomial | Mapping[MilnorMonomial, int], p: int = 2) -> int:
