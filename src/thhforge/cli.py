@@ -252,15 +252,16 @@ def load_presentation(path: str) -> AlgebraPresentation:
         data = json.load(fh)
 
     def field(obj: dict, key: str, kind: type, default=None):
-        """obj[key], or default when absent; refused unless of type kind (a bool is no int)."""
+        """obj[key], or default when absent; refused unless of type kind (a bool
+        is no int) and nonempty."""
         val = obj[key] if default is None else obj.get(key, default)
-        if type(val) is not kind:
-            raise ValueError(f"{key} must be {'an integer' if kind is int else 'true or false'}"
-                             f", not {val!r}")
+        if type(val) is not kind or val == "":
+            what = {int: "an integer", bool: "true or false", str: "a nonempty string"}[kind]
+            raise ValueError(f"{key} must be {what}, not {val!r}")
         return val
 
     gens = [
-        GeneratorSpec(g["name"], field(g, "degree", int), g["kind"],
+        GeneratorSpec(field(g, "name", str), field(g, "degree", int), g["kind"],
                       height=field(g, "height", int, 0),
                       idempotent=field(g, "idempotent", bool, False))
         for g in data["generators"]
@@ -279,7 +280,7 @@ def cmd_hh(args, config) -> int:
     if args.spectrum:
         try:
             pres = load_presentation(args.spectrum)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OSError) as exc:
             print(f"error: bad presentation file {args.spectrum}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         asked = args.p if args.p is not None else config.get("p")
@@ -473,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         config = read_config(args.config)
+    except OSError as exc:
+        print(f"error: cannot read config file {args.config}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: bad config value: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,10 @@ The normalized complex has q-chains m0 (x) m1 (x) ... (x) mq with m0 any
 basis monomial and the remaining slots augmentation-reduced.  hh_dims
 reads dims off the honest complexes of the one-generator factors by
 Kunneth; square-zero and degree-0 presentations, and hh_homology, use
-the whole complex.  The shuffle product, the chain-level coproduct into
-C (x)_Lambda C, the bar-resolution roundtrip and the closed forms
-(sigma/divided power generators, square-zero algebras) also live here.
+the whole complex.  The shuffle product (its interleavings walked by
+itertools.combinations), the chain-level coproduct into C (x)_Lambda C,
+the bar-resolution roundtrip and the closed forms (sigma/divided power
+generators, square-zero algebras) also live here.
 """
 
 from __future__ import annotations

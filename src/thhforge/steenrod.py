@@ -916,12 +916,15 @@ def parse_milnor(text: str, p: int = 2) -> dict[MilnorMonomial, int]:
             conj = bar
         elif conj != bar:
             raise ValueError("mixed alphabets in one monomial")
-        if core.startswith("xi"):
-            xi[int(core[2:])] = xi.get(int(core[2:]), 0) + exp
-        elif core.startswith("tau"):
-            taus.append(int(core[3:]))
-        else:
+        head = "xi" if core.startswith("xi") else "tau" if core.startswith("tau") else None
+        if head is None:
             raise ValueError(f"cannot parse dual-algebra token {tok!r}")
+        if not (k := core[len(head):]).isdecimal():
+            raise ValueError(f"the index of {tok!r} must be a whole number")
+        if head == "xi":
+            xi[int(k)] = xi.get(int(k), 0) + exp
+        else:
+            taus.append(int(k))
     n = max(xi, default=0)
     vec = tuple(xi.get(k, 0) for k in range(1, n + 1))
     m = MilnorMonomial(vec, tuple(sorted(taus)), True if conj is None else conj)

@@ -391,6 +391,12 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
     ["steenrod", "pair", "--element", "Sq2+Sq1", "--monomial", "xi1^2"],
     ["steenrod", "pair", "--element", "Sq2", "--monomial", "xi1"],
     ["steenrod", "pair", "--element", "Sq1", "--monomial", "tau0"],
+    # indices are whole numbers: xi-1 was read as the unit, and bare xi or tau
+    # was refused with int()'s message
+    ["steenrod", "pair", "--element", "1", "--monomial", "xi-1"],
+    ["steenrod", "pair", "--element", "Sq1", "--monomial", "xi1 xi-1"],
+    ["steenrod", "pair", "--element", "1", "--monomial", "xi"],
+    ["steenrod", "pair", "--element", "1", "--monomial", "tau"],
 ])
 def test_steenrod_bad_arguments_exit_two(capsys, argv):
     assert cli.main(argv) == 2
@@ -555,7 +561,9 @@ def test_hh_spectrum_refuses_a_maxdeg_above_the_file(tmp_path, capsys, via_confi
      {"degree": 2.5, "kind": "exterior"}, {"degree": True, "kind": "exterior"},
      {"kind": "truncated", "height": 2.0}, {"idempotent": "no"}, {"idempotent": 1},
      # u^2 = u forces degree 0
-     {"idempotent": True}, {"kind": "truncated", "height": 2, "idempotent": True}],
+     {"idempotent": True}, {"kind": "truncated", "height": 2, "idempotent": True},
+     # names are nonempty strings: 5 and "" once computed, ["x"] was refused as unhashable
+     {"name": 5}, {"name": ""}, {"name": ["x"]}],
 )
 def test_hh_spectrum_refuses_bad_generators(tmp_path, capsys, gen):
     path = _write_presentation(tmp_path, **gen)
@@ -662,6 +670,20 @@ def test_bad_config_value_exits_two(tmp_path, capsys, line):
     assert cli.main(["--config", str(cfg), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["missing", "."])
+@pytest.mark.parametrize("argv", [["--config", "{}", "bokstedt", "run", "--spectrum", "hf"],
+                                  ["hh", "compute", "--spectrum", "{}"]])
+def test_unreadable_file_exits_two(tmp_path, capsys, argv, name):
+    # a missing file or a directory: a traceback and exit 1 for --config, exit 1
+    # for a presentation file
+    path = str(tmp_path / name)
+    assert cli.main([a.format(path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path in captured.err
 
 
 def test_format_svg_is_refused():

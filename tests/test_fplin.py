@@ -270,3 +270,51 @@ def test_budget_cut_stops_drawing_counts_past_the_budget():
     assert drawn == [1, 2, 3, 4]
     assert fplin.budget_cut([7], 6) == 0  # degree 0 alone is over budget
     assert fplin.budget_cut([1, 1], 6) == 1 and fplin.budget_cut([], 6) == -1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_linear_and_product_match_their_definitions(p):
+    # Z/p[x]: f(x^k) = x^{k+1} + 2 x^k, summed by hand; product by repeated mul
+    def mono_mul(a, b):
+        return a + b, 1
+
+    def mul(x, y):
+        return fplin.mul(x, y, mono_mul, p)
+
+    def f(k):
+        return {k + 1: 1, k: 2}
+
+    x = {0: 1, 3: p - 1, 5: 2}
+    expected: dict = {}
+    for k, c in x.items():
+        for key, v in f(k).items():
+            expected[key] = (expected.get(key, 0) + c * v) % p
+    assert fplin.linear(x, f, p) == {k: v for k, v in expected.items() if v}
+    assert fplin.linear({}, f, p) == {}
+
+    one = {0: 1}
+    factors = [({1: 1, 0: 1}, 3), ({2: 1}, 1), ({0: 2, 1: 1}, 4)]
+    expected = one
+    for y, e in factors:
+        for _ in range(e):
+            expected = mul(expected, y)
+    assert fplin.product(factors, mul, one) == expected
+    assert fplin.product([], mul, one) == one
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_map_rank_is_the_dense_rank(p):
+    # image(s) is column s of a random matrix, keyed by target names; the
+    # rank cannot depend on the order the targets are listed in
+    rng = np.random.default_rng(100 + p)
+    for _ in range(20):
+        nr, nc = (int(n) for n in rng.integers(0, 12, size=2))
+        rows = rng.integers(0, p, size=(nr, nc)) * (rng.random((nr, nc)) < 0.4)
+        targets = [f"t{i}" for i in range(nr)]
+
+        def image(s):
+            return {targets[i]: int(rows[i, s]) for i in range(nr) if rows[i, s]}
+
+        want = dense_rank_oracle(rows.tolist(), p) if nr and nc else 0
+        assert fplin.map_rank(range(nc), targets, image, p) == want
+        assert fplin.map_rank(range(nc), targets[::-1], image, p) == want

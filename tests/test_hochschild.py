@@ -283,6 +283,83 @@ def test_shuffle_bidegree_commutativity_odd_p():
         assert uv == {m: (sign * c) % 3 for m, c in vu.items() if (sign * c) % 3}
 
 
+def _reference_shuffles(i, j):
+    """All interleavings of 0..i-1 (tag 0) and 0..j-1 (tag 1), order kept:
+    the recursive enumeration shuffle_product used before it walked
+    itertools.combinations."""
+    if i == 0:
+        yield (1,) * j
+        return
+    if j == 0:
+        yield (0,) * i
+        return
+    for rest in _reference_shuffles(i - 1, j):
+        yield (0,) + rest
+    for rest in _reference_shuffles(i, j - 1):
+        yield (1,) + rest
+
+
+def _reference_shuffle_sign(A, a, b, pattern):
+    """Sign of one interleaving: -(-1)^{|a||b|} per crossing, counted pairwise."""
+    if A.p == 2:
+        return 1
+    sign = 1
+    b_placed = []  # internal degrees of b-slots already placed
+    ia = ib = 0
+    for tag in pattern:
+        if tag == 0:
+            da = A.degree(a[ia])
+            for db in b_placed:
+                if not (da % 2 and db % 2):
+                    sign = -sign
+            ia += 1
+        else:
+            b_placed.append(A.degree(b[ib]))
+            ib += 1
+    return sign
+
+
+def _reference_shuffle_product(A, x, y):
+    p = A.p
+    out = {}
+    for c1, v1 in x.items():
+        a = c1[1:]
+        for c2, v2 in y.items():
+            b = c2[1:]
+            coeff0 = v1 * v2
+            if p != 2 and A.degree(c2[0]) % 2:
+                if sum(A.degree(m) for m in a) % 2:
+                    coeff0 = -coeff0
+            m0, s0 = A.mul_monomials(c1[0], c2[0])
+            if m0 is None or s0 == 0:
+                continue
+            coeff0 *= s0
+            for pattern in _reference_shuffles(len(a), len(b)):
+                ia, ib = iter(a), iter(b)
+                slots = tuple(next(ib) if tag else next(ia) for tag in pattern)
+                sign = _reference_shuffle_sign(A, a, b, pattern)
+                fplin.add_term(out, (m0,) + slots, coeff0 * sign, p)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shuffle_product_matches_the_recursive_reference(p):
+    # same terms, same coefficients and the same dict order, on random
+    # chains with odd and even slots and odd and even coefficient slots
+    import random
+
+    rng = random.Random(p)
+    for gens in [(P("x", 2), E("y", 3)), (E("x", 1), P("y", 4)), (E("x", 1), E("y", 3))]:
+        A = AlgebraPresentation(p, list(gens), 12)
+        cx = HochschildComplex(A)
+        chains = [c for q in range(4) for t in range(10) for c in cx.basis(q, t)]
+        for _ in range(30):
+            x = {c: rng.randrange(1, p) for c in rng.sample(chains, 3)}
+            y = {c: rng.randrange(1, p) for c in rng.sample(chains, 3)}
+            assert (list(hh.shuffle_product(A, x, y).items())
+                    == list(_reference_shuffle_product(A, x, y).items()))
+
+
 def test_chain_coproduct_examples():
     A = AlgebraPresentation(2, [E("x", 1)], 8)
     x = A.gen_monomial("x")

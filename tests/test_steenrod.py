@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -351,6 +352,11 @@ def test_parse_milnor():
     assert st.parse_milnor("1", 2) == {MilnorMonomial(): 1}
     with pytest.raises(ValueError):
         st.parse_milnor("xi1 xibar2", 2)
+    # a negative or missing index is refused by name, not read as the unit
+    for text, token in [("xi-1", "xi-1"), ("xi1 xi-1", "xi-1"), ("xi", "xi"), ("tau", "tau"),
+                        ("taubar-2", "taubar-2"), ("xi1.5^2", "xi1.5")]:
+        with pytest.raises(ValueError, match=f"'{re.escape(token)}'"):
+            st.parse_milnor(text, 3)
 
 
 def _an_dimension(n: int, degree: int) -> int:
