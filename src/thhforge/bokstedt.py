@@ -17,7 +17,7 @@ generators by one Leibniz loop (_derivation).
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Mapping, NamedTuple
 
 from . import fplin
@@ -354,8 +354,10 @@ def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: in
     @cache
     def rank_of(s: int, d: int) -> int:
         """Rank of d_F leaving bidegree (s, d)."""
-        return fplin.map_rank(F.bigraded_basis(s, d), F.bigraded_basis(s + shift, d - 1),
-                              lambda m: differential_on_monomial(f_page, m), p)
+        src, dst = F.bigraded_basis(s, d), F.bigraded_basis(s + shift, d - 1)
+        if not src or not dst:
+            return 0
+        return fplin.map_rank(src, dst, partial(differential_on_monomial, f_page), p)
 
     h_f = {(s, d): h for (s, d), n in F.bigraded_series(bound).items()
            if (h := n - rank_of(s, d) - rank_of(s - shift, d + 1))}

@@ -423,10 +423,8 @@ def map_rank(sources: Sequence, targets: Sequence, image: Callable[[Hashable], M
 
     The pivot of a column is its least index, so the order of targets
     chooses the pivots and with them the fill-in of the elimination.  Zero
-    images are skipped, and an empty source or target basis builds no Span.
+    images are skipped.
     """
-    if not sources or not targets:
-        return 0
     idx = {m: i for i, m in enumerate(targets)}
     cols = [{idx[m]: v for m, v in img.items()} for s in sources if (img := image(s))]
     return _span_of(cols, len(targets), p).rank
