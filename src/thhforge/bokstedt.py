@@ -77,6 +77,13 @@ class SSPage:
     def coaction(self) -> CoactionTable:
         return _page_coaction(self.spectrum, self.algebra)
 
+    @cached_property
+    def quotient_base(self) -> tuple[AlgebraPresentation, list[int]]:
+        """The base generators outside the coideal B, on their own, and their page indices."""
+        A, out = self.algebra, [i for i, g in enumerate(self.algebra.gens)
+                                if g.filtration == 0 and g.name not in self.spectrum.coideal]
+        return AlgebraPresentation(A.p, [A.gens[i] for i in out], A.N), out
+
     def generators(self) -> list[GeneratorSpec]:
         return [] if self.algebra is None else self.algebra.gens
 
@@ -144,7 +151,7 @@ def _page_coaction(
 ) -> CoactionTable:
     """Coaction on a page: base entries carried over, nu(sigma x) = (1 (x) sigma) nu(x)."""
     H = data.homology
-    coact = CoactionTable(page_alg)
+    coact = CoactionTable(page_alg, [page_alg.index[g] for g in data.coideal], data.xi1_cap)
     for idx, terms in data.coaction.entries.items():
         coact.entries[page_alg.index[H.gens[idx].name]] = [(dict(a), m) for a, m in terms]
     smap = _sigma_map(H, page_alg, substitutions)
@@ -384,11 +391,16 @@ def collapse_check(page: SSPage) -> bool:
 
 
 def _primitive_monomials(page: SSPage, filtration: int, total_degree: int) -> list[tuple]:
-    """The monomials of one bidegree that are coalgebra primitives over the base."""
-    if filtration <= 0:
-        return []
-    return [m for m in page.algebra.bigraded_basis(filtration, total_degree)
-            if page.hopf.is_primitive(m)]
+    """Basis of P / B+P in one bidegree: primitives b y^e (HopfData.is_primitive), b outside B."""
+    base, index = page.quotient_base
+    out = []
+    for i, g in enumerate(page.algebra.gens):
+        e, rest = divmod(filtration, g.filtration) if g.filtration > 0 else (0, 1)
+        if not rest and 0 < e <= (g.max_exponent() or e):
+            out += [tuple(sorted([(index[j], x) for j, x in b] + [(i, e)]))
+                    for b in base.monomial_basis(total_degree - e * g.degree)
+                    if page.hopf.is_primitive(((i, e),))]
+    return out
 
 
 def simultaneous_primitives(page: SSPage, filtration: int, total_degree: int) -> int:
@@ -396,15 +408,19 @@ def simultaneous_primitives(page: SSPage, filtration: int, total_degree: int) ->
     primitives in one bidegree (filtration 0 is excluded by the counit
     convention).
 
-    The page is a Hopf algebra over its filtration-0 base B with monogenic
-    fibers, so by Milnor-Moore its coalgebra primitives are spanned by the
-    monomials b y^{p^k} and b gamma_1 (HopfData.is_primitive); no kernel
-    is needed.  This assumes the coproduct fiberwise_hopf declares, which
-    nothing yet checks against hochschild.coproduct_on_class.  An
-    element is an A_*-comodule primitive iff the algebra generators of
-    the Steenrod algebra act on it by zero, that is iff the xibar1^{p^i}
-    and (odd p) taubar0 components of its coaction vanish; those
-    component rows are ranked over the primitive monomials only.
+    The page is a Hopf algebra over its filtration-0 base with monogenic
+    fibers, so by Milnor-Moore its coalgebra primitives P are spanned by
+    the monomials b y^{p^k} and b gamma_1 (HopfData.is_primitive).  This
+    assumes the coproduct fiberwise_hopf declares, which nothing yet
+    checks against hochschild.coproduct_on_class.  Comodule primitives
+    are counted by a change of rings: for a left coideal subalgebra B of
+    A_* in the base (nu(B) in A_* (x) B), A_* and P free over B,
+    Prim_{A_*}(P) = Prim_{E_*}(P / B+P) with E_* = A_* / B+A_* (Takeuchi,
+    "Relative Hopf modules -- equivalences and freeness criteria",
+    J. Algebra 60, 1979; Ravenel, Complex cobordism, App. A1).  ju at
+    p = 2 has B = H_*(ko), E_* = A(1)_*; elsewhere B = F_p.  The generators
+    of E act by the xibar1^{p^i} (below the cap of E_*) and, at odd p,
+    taubar0 components, whose rows are ranked over P / B+P.
     """
     prims = _primitive_monomials(page, filtration, total_degree)
     if not prims:
@@ -422,10 +438,12 @@ def obstruction_scan(page: SSPage, max_degree: int) -> list[dict]:
 
     Scans every generator in filtration >= 2 (the only possible sources)
     against the simultaneous primitive spaces in the reachable target
-    bidegrees; an empty list certifies collapse through the bound.  A
-    target primitive built from a generator without a coaction entry is
-    refused with CoactionBoundError, naming the generator and the
-    largest source degree whose targets avoid all such generators.
+    bidegrees, counted on P / B+P by simultaneous_primitives' change of
+    rings (Takeuchi 1979; Ravenel, App. A1); an empty list certifies
+    collapse through the bound.  A target primitive built from a generator
+    without a coaction entry is refused with CoactionBoundError, naming
+    the generator and the largest source degree whose targets avoid all
+    such generators.
     """
     if page.algebra is None:
         raise ValueError("obstruction scan needs a flat page with Hopf structure")

@@ -64,6 +64,9 @@ class SpectrumData:
         self.gamma_square_zero = gamma_square_zero
         self.flat = True
         self.squarezero_factor: tuple | None = None  # (label, degree) pairs for j
+        # change of rings: the generators of B = A_* []_{E_*} F_p, xibar1^cap = 0 in E_*
+        self.coideal: frozenset[str] = frozenset()
+        self.xi1_cap: float = float("inf")
 
     def is_even_power(self, gen_name: str) -> bool:
         m = self.milnor_values.get(gen_name)
@@ -190,6 +193,8 @@ def _mod2_spectrum(name: str, max_degree: int) -> SpectrumData:
         data.gamma_square_zero = frozenset({"b"})
         data.coaction.set_primitive("b")
         dl.entries.update({("b", 4): {}, (_xibname(1, 4), 5): {}, (_xibname(2, 2), 7): {}})
+        # the head family spans H_*(ko) = A_* []_{A(1)_*} F_2; xibar1^4 = 0 in A(1)_*
+        data.coideal, data.xi1_cap = frozenset(gname for gname, _, _ in gen_list), head[0]
     # Q^{2^k}(xibar_k) = xibar_{k+1} up the unsquared generators; entries
     # whose target lies beyond the bound are invisible below it
     k = len(head) + 1

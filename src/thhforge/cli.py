@@ -281,7 +281,8 @@ def cmd_hh(args, config) -> int:
         try:
             pres = load_presentation(args.spectrum)
         except (ValueError, KeyError, TypeError, OSError) as exc:
-            print(f"error: bad presentation file {args.spectrum}: {exc}", file=sys.stderr)
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            print(f"error: bad presentation file {args.spectrum}: {reason}", file=sys.stderr)
             return EXIT_USAGE
         asked = args.p if args.p is not None else config.get("p")
         if asked is not None and asked != pres.p:

@@ -155,6 +155,7 @@ class AlgebraPresentation:
                       for g in self.gens]
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._tail_cache: dict[tuple[int, int], list[Monomial]] = {}
+        self._reach: list[int] = []
         self._filtration_cache: dict[int, dict[int, list[Monomial]]] = {}
         self._reduced_zero: list[Monomial] | None = None
         self._products: dict[tuple[Monomial, Monomial], tuple[Monomial | None, int]] = {}
@@ -250,6 +251,7 @@ class AlgebraPresentation:
             if degree == 0:
                 out.insert(0, ())
         else:
+            self._reach = self._reach or self._reachable()
             out = self._tails(0, degree)
             idem = [i for i, g in enumerate(self.gens) if g.idempotent]
             if idem:
@@ -267,34 +269,41 @@ class AlgebraPresentation:
 
         Memoized on (idx, remaining), so every degree reuses the tails of
         the others.  Taking g^1, g^2, ... before skipping g emits the list
-        in lexicographic order.
+        in lexicographic order, skipping the degrees _reachable rules out.
         """
         cache = self._tail_cache
         out = cache.get((idx, remaining))
         if out is not None:
             return out
+        if not self._reach[idx] >> remaining & 1:
+            return []
         if remaining == 0:
             out = [()]
-        elif idx == len(self.gens):
-            out = []
         else:
             out = []
-            g = self.gens[idx]
+            g, reach = self.gens[idx], self._reach[idx + 1]
             if g.degree > 0:
-                cap = g.max_exponent()
                 e = 1
-                while e * g.degree <= remaining and (cap is None or e <= cap):
-                    key = (idx + 1, remaining - e * g.degree)
-                    tails = cache.get(key)
-                    if tails is None:
-                        tails = self._tails(*key)
-                    if tails:
+                while e * g.degree <= remaining and e <= self._caps[idx]:
+                    rest = remaining - e * g.degree
+                    if reach >> rest & 1:  # skip degrees the later generators miss
+                        tails = cache.get((idx + 1, rest)) or self._tails(idx + 1, rest)
                         head = ((idx, e),)
                         out.extend(head + t for t in tails)
                     e += 1
             out.extend(self._tails(idx + 1, remaining))
         cache[(idx, remaining)] = out
         return out
+
+    def _reachable(self) -> list[int]:
+        """Bit t of entry idx is set when the generators idx.. have a monomial of degree t."""
+        reach = [1]
+        for g, cap in zip(self.gens[::-1], self._caps[::-1]):
+            mask = reach[-1]
+            for e in range(1, min(cap, self.N // g.degree) + 1 if g.degree else 1):
+                mask |= reach[-1] << e * g.degree & (2 << self.N) - 1
+            reach.append(mask)
+        return reach[::-1]
 
     def bigraded_basis(self, filtration: int, degree: int) -> list[Monomial]:
         """Monomials of one (filtration, internal degree), in basis order."""
@@ -433,11 +442,13 @@ class CoactionTable:
 
     nu(g) is a list of (dual-algebra element, monomial) pairs; dual
     elements are dicts MilnorMonomial -> coefficient in the conjugated
-    alphabet.  The extension is as an algebra map.
+    alphabet.  The extension is as an algebra map.  ideal and xi1_cap (the
+    generators of B, xibar1^cap = 0 in E_*) are generator_components' change of rings.
     """
 
-    def __init__(self, presentation: AlgebraPresentation):
-        self.A = presentation
+    def __init__(self, presentation: AlgebraPresentation, ideal: Iterable[int] = (),
+                 xi1_cap: float = math.inf):
+        self.A, self.ideal, self.xi1_cap = presentation, frozenset(ideal), xi1_cap
         p = presentation.p
         # monomial product on A_* (x) H; the slot products are looked up at
         # call time, so wrappers installed on milnor_mul/mul_monomials see them
@@ -502,12 +513,14 @@ class CoactionTable:
         the image of nu(m) in the quotient algebra F_p[xibar1] (x) E(taubar0)
         of A_* by (xibar_k, k >= 2; taubar_k, k >= 1).  The last factor
         g^e of m is multiplied in only against the terms of nu(m / g^e)
-        that it takes to a generator component.
+        that it takes to a generator component.  Under a change of rings m
+        (outside B+) stands for its class in M / B+M: terms with a factor in
+        B are dropped and only the xibar1^{2^i} below the cap are read.
         """
         p = self.A.p
 
         def dual_to_generator(a: int, eps: int) -> bool:
-            return a == 0 if eps else _is_power(a, p)
+            return a == 0 if eps else _is_power(a, p) and a < self.xi1_cap
 
         head = self._quotient_nu(m[:-1])
         out: dict = {}
@@ -530,6 +543,7 @@ class CoactionTable:
             gen = self._generator_nu(
                 i, lambda a: None if len(a.xi) > 1 or a.tau not in ((), (0,))
                 else (sum(a.xi), len(a.tau)))
+            gen = {key: c for key, c in gen.items() if self.ideal.isdisjoint(dict(key[1]))}
             out = fplin.power(gen, e, self._quotient_tensor)
         else:
             out = {((0, 0), ()): 1}

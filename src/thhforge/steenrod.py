@@ -908,7 +908,9 @@ def parse_milnor(text: str, p: int = 2) -> dict[MilnorMonomial, int]:
             continue
         exp = 1
         if "^" in tok:
-            tok, e = tok.split("^")
+            tok, _, e = tok.partition("^")
+            if not e.isdecimal() or int(e) == 0:
+                raise ValueError(f"exponent must be a positive whole number in {tok + '^' + e!r}")
             exp = int(e)
         bar = "bar" in tok
         core = tok.replace("bar", "")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -152,6 +154,71 @@ def test_primitive_enumeration_ju():
     for d in range(3, 36):
         got = sum(bk.simultaneous_primitives(page, s, d) for s in range(1, 5))
         assert got == prim_degrees.get(d, 0), d
+
+
+def _ju2_page(n, coideal=None, xi1_cap=None):
+    """ju@2's E2 page, its change-of-rings data replaced where given."""
+    data = spectrum("ju", 2, n)
+    data.coideal = data.coideal if coideal is None else coideal
+    data.xi1_cap = data.xi1_cap if xi1_cap is None else xi1_cap
+    return bk.build_e2(data, n)
+
+
+def _primitive_dims(page, smax, dmax):
+    return {(s, d): n for s in range(1, smax + 1) for d in range(dmax + 1)
+            if (n := bk.simultaneous_primitives(page, s, d))}
+
+
+# E(b){sb, s xibar1^4, s xibar2^2, s xibar_k}: b sb and s xibar2^2 span one
+# primitive in degree 7, b s xibar1^4 and s xibar3 one in degree 8
+_JU2_PRIMITIVES = {(1, d): 1 for d in (4, 5, 7, 8, 16, 19, 32, 35, 64, 67)}
+
+
+def test_change_of_rings_count_equals_the_full_count():
+    # Prim_{A_*}(P) = Prim_{A(1)_*}(P / B+P) for B = H_*(ko): counted on the
+    # quotient and on the whole of P (no coideal, no cap), bidegree by bidegree
+    ring = _ju2_page(73)
+    assert ring.spectrum.xi1_cap == 4 and ring.quotient_base[1] == [ring.algebra.index["b"]]
+    full = _ju2_page(73, frozenset(), math.inf)
+    assert _primitive_dims(ring, 4, 72) == _primitive_dims(full, 4, 72) == _JU2_PRIMITIVES
+    # the coaction on N carries xibar1^a for a < 4 only (from the xibar1 (x) s xibar2^2
+    # and xibar1^2 (x) s xibar1^4 terms), so a cap of 8 would count the same here
+    exponents = {key[0][0] for s in range(1, 5) for d in range(73)
+                 for m in bk._primitive_monomials(ring, s, d) for key in ring.coaction._quotient_nu(m)}
+    assert exponents == {0, 1, 2}
+
+
+@pytest.mark.parametrize("coideal, xi1_cap", [("with b", None), (None, 2)])
+def test_a_wrong_change_of_rings_fails_the_oracle(coideal, xi1_cap):
+    # b is not in A_*, and E_* = A(0)_* (xibar1^2 = 0) is not A_* // H_*(ko)
+    if coideal:
+        coideal = spectrum("ju", 2, 73).coideal | {"b"}
+    assert _primitive_dims(_ju2_page(73, coideal, xi1_cap), 4, 72) != _JU2_PRIMITIVES
+
+
+def test_the_coideal_is_a_left_coideal_subalgebra():
+    # nu(B) lies in A_* (x) B: no H-factor of the coaction of a generator of B has b
+    data = spectrum("ju", 2, 128)
+    H = data.homology
+    assert data.coideal == {g.name for g in H.gens} - {"b"}
+    for name in data.coideal:
+        for _, mono in data.coaction.entries[H.index[name]]:
+            assert "b" not in {H.gens[i].name for i, _ in mono}, name
+
+
+def test_the_coideal_is_the_homology_of_ko():
+    # B = A_* []_{A(1)_*} F_2, so P_B * P_{A(1)_*} = P_{A_*} with the closed forms
+    # P_{A_*} = prod_k 1 / (1 - x^{2^k - 1}) and P_{A(1)_*} = (1 + x + x^2 + x^3)(1 + x^3)
+    n = 128
+    data = spectrum("ju", 2, n)
+    B = AlgebraPresentation(2, [g for g in data.homology.gens if g.name in data.coideal], n)
+    dual = [1] + [0] * n
+    for k in range(1, n.bit_length() + 1):
+        for t in range(2 ** k - 1, n + 1):
+            dual[t] += dual[t - 2 ** k + 1]
+    a1 = [1, 1, 1, 2, 1, 1, 1]
+    b = B.poincare_series(n)
+    assert [sum(c * b[t - j] for j, c in enumerate(a1) if j <= t) for t in range(n + 1)] == dual
 
 
 def test_comodule_primitivity_of_suspensions():

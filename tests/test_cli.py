@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -397,6 +398,11 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
     ["steenrod", "pair", "--element", "Sq1", "--monomial", "xi1 xi-1"],
     ["steenrod", "pair", "--element", "1", "--monomial", "xi"],
     ["steenrod", "pair", "--element", "1", "--monomial", "tau"],
+    # exponents are positive whole numbers
+    ["steenrod", "pair", "--element", "1", "--monomial", "xi1^-2"],
+    ["steenrod", "pair", "--element", "1", "--monomial", "xi2^0"],
+    ["steenrod", "pair", "--element", "1", "--monomial", "xi1 xi1^-1"],
+    ["steenrod", "pair", "--element", "Sq1", "--monomial", "xi1^x"],
 ])
 def test_steenrod_bad_arguments_exit_two(capsys, argv):
     assert cli.main(argv) == 2
@@ -677,13 +683,15 @@ def test_bad_config_value_exits_two(tmp_path, capsys, line):
                                   ["hh", "compute", "--spectrum", "{}"]])
 def test_unreadable_file_exits_two(tmp_path, capsys, argv, name):
     # a missing file or a directory: a traceback and exit 1 for --config, exit 1
-    # for a presentation file
+    # for a presentation file; the error names the path once, then the reason
     path = str(tmp_path / name)
     assert cli.main([a.format(path) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert path in captured.err
+    assert captured.err.count(path) == 1
+    reason = os.strerror({"missing": errno.ENOENT, ".": errno.EISDIR}[name])
+    assert captured.err == f"{captured.err.split(path)[0]}{path}: {reason}\n"
 
 
 def test_format_svg_is_refused():

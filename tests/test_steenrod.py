@@ -357,6 +357,13 @@ def test_parse_milnor():
                         ("taubar-2", "taubar-2"), ("xi1.5^2", "xi1.5")]:
         with pytest.raises(ValueError, match=f"'{re.escape(token)}'"):
             st.parse_milnor(text, 3)
+    # an exponent is a positive whole number: xi1^-2 had degree -2, xi2^0 and
+    # xi1 xi1^-1 hit an internal check, xi1^x gave int()'s message
+    for text, token in [("xi1^-2", "xi1^-2"), ("xi2^0", "xi2^0"), ("xi1 xi1^-1", "xi1^-1"),
+                        ("xi1^x", "xi1^x"), ("xi1^2^3", "xi1^2^3")]:
+        with pytest.raises(ValueError, match=f"exponent must be a positive whole number in "
+                                             f"'{re.escape(token)}'"):
+            st.parse_milnor(text, 2)
 
 
 def _an_dimension(n: int, degree: int) -> int:
