@@ -181,10 +181,12 @@ def test_change_of_rings_count_equals_the_full_count():
     assert ring.spectrum.xi1_cap == 4 and ring.quotient_base[1] == [ring.algebra.index["b"]]
     full = _ju2_page(73, frozenset(), math.inf)
     assert _primitive_dims(ring, 4, 72) == _primitive_dims(full, 4, 72) == _JU2_PRIMITIVES
-    # the coaction on N carries xibar1^a for a < 4 only (from the xibar1 (x) s xibar2^2
-    # and xibar1^2 (x) s xibar1^4 terms), so a cap of 8 would count the same here
+    # the coaction on P / B+P carries xibar1^a for a < 4 only (from the terms
+    # xibar1 (x) s xibar2^2 and xibar1^2 (x) s xibar1^4), so a cap of 8 would
+    # count the same here
     exponents = {key[0][0] for s in range(1, 5) for d in range(73)
-                 for m in bk._primitive_monomials(ring, s, d) for key in ring.coaction._quotient_nu(m)}
+                 for m in bk._primitive_monomials(ring, s, d)
+                 for key in ring.coaction._quotient_nu(m)}
     assert exponents == {0, 1, 2}
 
 
