@@ -22,14 +22,8 @@ from typing import Mapping, NamedTuple
 
 from . import fplin
 from .catalog import SpectrumData, spectrum
-from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData, convolve
-from .hochschild import (
-    closed_form_hh,
-    fiberwise_hopf,
-    hh_squarezero,
-    presentation_dims_internal,
-    sigma_name,
-)
+from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData, convolve, sigma_name
+from .hochschild import closed_form_hh, hh_squarezero, presentation_dims_internal
 from .steenrod import milnor_one
 
 __all__ = [
@@ -71,7 +65,7 @@ class SSPage:
 
     @cached_property
     def hopf(self) -> HopfData:
-        return fiberwise_hopf(self.algebra)
+        return HopfData(self.algebra)
 
     @cached_property
     def coaction(self) -> CoactionTable:
@@ -411,7 +405,8 @@ def simultaneous_primitives(page: SSPage, filtration: int, total_degree: int) ->
     The page is a Hopf algebra over its filtration-0 base with monogenic
     fibers, so by Milnor-Moore its coalgebra primitives P are spanned by
     the monomials b y^{p^k} and b gamma_1 (HopfData.is_primitive).  This
-    assumes the coproduct fiberwise_hopf declares, which nothing yet
+    uses the coproduct HopfData reads off the generators (sigma x
+    primitive, psi(gamma_k) = sum gamma_a (x) gamma_b), which nothing yet
     checks against hochschild.coproduct_on_class.  Comodule primitives
     are counted by a change of rings: for a left coideal subalgebra B of
     A_* in the base (nu(B) in A_* (x) B), A_* and P free over B,

@@ -28,6 +28,7 @@ __all__ = [
     "convolve",
     "expand_divided",
     "gamma_coefficient",
+    "sigma_name",
 ]
 
 Monomial = tuple  # tuple[(gen_index, exponent), ...], sorted by index
@@ -76,6 +77,11 @@ class GeneratorSpec(_GeneratorSpec):
         if self.kind == "truncated":
             return self.height - 1
         return None  # polynomial
+
+
+def sigma_name(base: str) -> str:
+    """The name of the suspension class sigma x of the generator named base."""
+    return f"s({base})"
 
 
 def expand_divided(
@@ -511,25 +517,16 @@ class CoactionTable:
         chi beta), which generate the Steenrod algebra, so an element is a
         comodule primitive iff its components vanish.  They are read off
         the image of nu(m) in the quotient algebra F_p[xibar1] (x) E(taubar0)
-        of A_* by (xibar_k, k >= 2; taubar_k, k >= 1).  The last factor
-        g^e of m is multiplied in only against the terms of nu(m / g^e)
-        that it takes to a generator component.  Under a change of rings m
-        (outside B+) stands for its class in M / B+M: terms with a factor in
-        B are dropped and only the xibar1^{2^i} below the cap are read.
+        of A_* by (xibar_k, k >= 2; taubar_k, k >= 1).  Under a change of
+        rings m (outside B+) stands for its class in M / B+M: terms with a
+        factor in B are dropped and only the xibar1^{2^i} below the cap are
+        read.  H -> H / (B+) is an algebra map, so dropping them after the
+        product equals dropping them from each generator's coaction.
         """
         p = self.A.p
-
-        def dual_to_generator(a: int, eps: int) -> bool:
-            return a == 0 if eps else _is_power(a, p) and a < self.xi1_cap
-
-        head = self._quotient_nu(m[:-1])
-        out: dict = {}
-        for (q, mono), c in self._quotient_nu(m[-1:]).items():
-            wanted = {key: v for key, v in head.items()
-                      if dual_to_generator(key[0][0] + q[0], key[0][1] + q[1])}
-            for key, v in self._quotient_tensor(wanted, {(q, mono): c}).items():
-                fplin.add_term(out, key, v, p)
-        return out
+        return {(q, mono): c for (q, mono), c in self._quotient_nu(m).items()
+                if (q[0] == 0 if q[1] else _is_power(q[0], p) and q[0] < self.xi1_cap)
+                and self.ideal.isdisjoint(dict(mono))}
 
     def _quotient_nu(self, m: Monomial) -> dict:
         """nu(m) in F_p[xibar1] (x) E(taubar0) (x) H, memoized by prefixes:
@@ -543,7 +540,6 @@ class CoactionTable:
             gen = self._generator_nu(
                 i, lambda a: None if len(a.xi) > 1 or a.tau not in ((), (0,))
                 else (sum(a.xi), len(a.tau)))
-            gen = {key: c for key, c in gen.items() if self.ideal.isdisjoint(dict(key[1]))}
             out = fplin.power(gen, e, self._quotient_tensor)
         else:
             out = {((0, 0), ()): 1}
@@ -565,12 +561,16 @@ class CoactionTable:
 # fiberwise coproduct data (Hopf algebra over the filtration-0 base)
 
 class HopfData:
-    """Coproducts of the positive-filtration generators over the base.
+    """Coproducts of the positive-filtration generators over the base,
+    read off their specs on first use.
 
-    Tensors are canonicalized as (base monomial) * (u (x) v) with u, v
-    monomials in positive-filtration generators; base elements act as
-    scalars and move across the tensor sign-free only up to the usual
-    Koszul rule, which is applied on the way.
+    A member gamma_k of a divided tower (gamma_power k, sigma_of x) has
+    psi(gamma_k) = sum_{a+b=k} gamma_a (x) gamma_b over the tower on
+    s(x); every other positive-filtration generator y is primitive, the
+    k = 1 case of the same sum on y itself.  Tensors are canonicalized as
+    (base monomial) * (u (x) v) with u, v monomials in positive-filtration
+    generators; base elements act as scalars and move across the tensor
+    sign-free only up to the usual Koszul rule, which is applied on the way.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -578,24 +578,7 @@ class HopfData:
         # monomial product on (base, u, v) triples, looked up at call time
         slot = (lambda a, b: self.A.mul_monomials(a, b), presentation.degree)
         self.mul_monomials = fplin.tensor_monomial_mul([slot] * 3, presentation.p)
-        self.entries: dict[int, dict] = {}  # gen -> dict[(lam,u,v)] -> coeff
-
-    def set_primitive(self, name: str) -> None:
-        i = self.A.index[name]
-        g = self.A.gen_monomial(name)
-        self.entries[i] = {((), g, ()): 1, ((), (), g): 1}
-
-    def set_divided(self, name: str, base_name: str, k: int) -> None:
-        """gamma_k member of a divided tower: psi = sum gamma_i (x) gamma_j."""
-        i = self.A.index[name]
-        out: dict = {}
-        for a in range(0, k + 1):
-            left = self.A.gamma(base_name, a)
-            right = self.A.gamma(base_name, k - a)
-            for lm, lc in left.items():
-                for rm, rc in right.items():
-                    fplin.add_term(out, ((), lm, rm), lc * rc, self.A.p)
-        self.entries[i] = out
+        self._psi: dict[int, dict] = {}  # gen -> dict[(lam,u,v)] -> coeff
 
     def _split_base(self, m: Monomial) -> tuple[Monomial, Monomial]:
         base = tuple((i, e) for i, e in m if self.A.gens[i].filtration == 0)
@@ -603,9 +586,19 @@ class HopfData:
         return base, fiber
 
     def _entry(self, i: int) -> dict:
-        if i not in self.entries:
-            raise KeyError(f"no coproduct entry for generator {self.A.gens[i].name}")
-        return self.entries[i]
+        if i not in self._psi:
+            g, A = self.A.gens[i], self.A
+            if g.filtration == 0:
+                raise KeyError(f"no coproduct entry for generator {g.name}")
+            divided = g.gamma_power and g.sigma_of is not None
+            tower, k = (sigma_name(g.sigma_of), g.gamma_power) if divided else (g.name, 1)
+            out: dict = {}
+            for a in range(k + 1):
+                for lm, lc in A.gamma(tower, a).items():
+                    for rm, rc in A.gamma(tower, k - a).items():
+                        fplin.add_term(out, ((), lm, rm), lc * rc, A.p)
+            self._psi[i] = out
+        return self._psi[i]
 
     def psi_monomial(self, m: Monomial) -> dict:
         base, fiber = self._split_base(m)

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fplin
-from .gca import AlgebraPresentation, GeneratorSpec, HopfData, convolve, expand_divided
+from .gca import AlgebraPresentation, GeneratorSpec, HopfData, convolve, expand_divided, sigma_name
 
 __all__ = [
     "HochschildComplex",
@@ -35,10 +35,6 @@ __all__ = [
 
 Chain = tuple      # tuple of monomials, length q+1
 ChainElt = dict    # dict[Chain, int]
-
-
-def sigma_name(base: str) -> str:
-    return f"s({base})"
 
 
 class HHClass(NamedTuple):
@@ -151,8 +147,6 @@ class HochschildComplex:
 
     def homology(self, q: int, t: int) -> list[HHClass]:
         """Homology classes at (q, t) with cycle representatives."""
-        if not self.dim(q, t):
-            return []
         src = self.basis(q, t)
         kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(
             [self.boundary_chain(c) for c in src], self.A.p))
@@ -492,7 +486,7 @@ def closed_form_hh(
     Polynomial x contributes an exterior suspension s(x); exterior x a
     divided power tower on s(x); anything else is out of range.  The
     result records filtrations (s(x): 1, gamma_k: k) and the fiberwise
-    coproducts.
+    coproducts, which HopfData reads off the generators.
     """
     n = algebra.N if max_degree is None else max_degree
     if algebra.square_zero:
@@ -514,21 +508,7 @@ def closed_form_hh(
         else:
             raise ValueError(f"unsupported generator kind for closed form: {g.kind}")
     out = AlgebraPresentation(algebra.p, gens, n)
-    return out, fiberwise_hopf(out)
-
-
-def fiberwise_hopf(algebra: AlgebraPresentation) -> HopfData:
-    """Fiberwise coproducts of the filtered generators: a divided power
-    gamma_k s(x) is divided, every other positive-filtration class primitive."""
-    hopf = HopfData(algebra)
-    for g in algebra.gens:
-        if g.filtration == 0:
-            continue
-        if g.gamma_power and g.sigma_of is not None:
-            hopf.set_divided(g.name, sigma_name(g.sigma_of), g.gamma_power)
-        else:
-            hopf.set_primitive(g.name)
-    return hopf
+    return out, HopfData(out)
 
 
 def hh_squarezero(

@@ -925,6 +925,8 @@ def parse_milnor(text: str, p: int = 2) -> dict[MilnorMonomial, int]:
             raise ValueError(f"the index of {tok!r} must be a whole number")
         if head == "xi":
             xi[int(k)] = xi.get(int(k), 0) + exp
+        elif exp > 1 or int(k) in taus:
+            raise ValueError(f"{tok} appears squared in {text!r}, but tau_k^2 = 0")
         else:
             taus.append(int(k))
     n = max(xi, default=0)

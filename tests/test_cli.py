@@ -403,6 +403,9 @@ def test_maxdeg_above_the_degree_cap_is_refused(capsys, argv, maxdeg):
     ["steenrod", "pair", "--element", "1", "--monomial", "xi2^0"],
     ["steenrod", "pair", "--element", "1", "--monomial", "xi1 xi1^-1"],
     ["steenrod", "pair", "--element", "Sq1", "--monomial", "xi1^x"],
+    # tau_k^2 = 0
+    ["steenrod", "pair", "--element", "1", "--monomial", "tau0^2"],
+    ["steenrod", "pair", "--element", "1", "--monomial", "tau0 tau0"],
 ])
 def test_steenrod_bad_arguments_exit_two(capsys, argv):
     assert cli.main(argv) == 2

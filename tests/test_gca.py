@@ -347,18 +347,14 @@ def test_comodule_primitives():
 def test_coalgebra_primitives():
     gens = [P("b", 2)] + [
         GeneratorSpec("sx", 3, "exterior", filtration=1, sigma_of="b")
-    ] + expand_divided("sy", 2, 2, 8, filtration=1, sigma_of="y")
+    ] + expand_divided("s(y)", 2, 2, 8, filtration=1, sigma_of="y")
     A = AlgebraPresentation(2, gens, 8)
     h = HopfData(A)
-    h.set_primitive("sx")
-    for g in A.gens:
-        if g.gamma_power:
-            h.set_divided(g.name, "sy", g.gamma_power)
-    # sx is primitive; gamma_2(sy) and sy gamma_2(sy) are not; base
+    # sx is primitive; gamma_2(s(y)) and s(y) gamma_2(s(y)) are not; base
     # multiples of primitives are
     prims = {A.monomial_str(m) for d in range(9) for m in A.monomial_basis(d)
              if A.filtration(m) and h.is_primitive(m)}
-    assert prims == {"sx", "sy", "b sx", "b^2 sx", "b sy", "b^2 sy", "b^3 sy"}
+    assert prims == {"sx", "s(y)", "b sx", "b^2 sx", "b s(y)", "b^2 s(y)", "b^3 s(y)"}
     # they span the kernel of the reduced coproduct over the base
     for d in range(9):
         basis = [m for m in A.monomial_basis(d) if A.filtration(m)]
@@ -372,6 +368,31 @@ def test_coalgebra_primitives():
 
         kernel = len(basis) - fplin.constraint_matrix(basis, [psi_bar], 2).rank()
         assert kernel == sum(map(h.is_primitive, basis)), d
+
+
+@pytest.mark.parametrize("name, p, n", [("ku", 2, 40), ("ju", 2, 40), ("hz", 3, 40), ("ell", 3, 40),
+                                        ("hf", 5, 60)])
+def test_the_derived_coproduct_is_counital_and_coassociative(name, p, n):
+    """On every positive-filtration generator g of an E2 page, psi(g) read
+    off the generators satisfies (eps (x) 1) psi = (1 (x) eps) psi = id and
+    (psi (x) 1) psi = (1 (x) psi) psi; the divided towers (ju's s(b) at
+    p = 2, the s(taubar_k) at odd p) make the middle terms matter."""
+    page = _e2_page(name, p, n)
+    A, h = page.algebra, page.hopf
+    for i, g in enumerate(A.gens):
+        if not g.filtration:
+            continue
+        psi = h.psi_monomial(((i, 1),))
+        assert {v: c for (_, u, v), c in psi.items() if not u} == {((i, 1),): 1}, g.name
+        assert {u: c for (_, u, v), c in psi.items() if not v} == {((i, 1),): 1}, g.name
+        left: dict = {}
+        right: dict = {}
+        for (_, u, v), c in psi.items():
+            for (_, u1, u2), c1 in h.psi_monomial(u).items():
+                fplin.add_term(left, (u1, u2, v), c * c1, p)
+            for (_, v1, v2), c2 in h.psi_monomial(v).items():
+                fplin.add_term(right, (u, v1, v2), c * c2, p)
+        assert left == right, g.name
 
 
 def test_bigraded_series_tracks_filtration():

@@ -364,6 +364,14 @@ def test_parse_milnor():
         with pytest.raises(ValueError, match=f"exponent must be a positive whole number in "
                                              f"'{re.escape(token)}'"):
             st.parse_milnor(text, 2)
+    # tau_k^2 = 0: tau0^2 was read as tau0, and a repeated tau index hit an
+    # internal check
+    for text, token, p in [("tau0^2", "tau0", 2), ("tau0 tau0", "tau0", 2), ("tau0^2", "tau0", 3),
+                           ("taubar1 taubar1", "taubar1", 3), ("tau1 xi1 tau0 tau1^1", "tau1", 3)]:
+        with pytest.raises(ValueError, match=f"^{token} appears squared in '{re.escape(text)}', "
+                                             r"but tau_k\^2 = 0$"):
+            st.parse_milnor(text, p)
+    assert st.parse_milnor("tau1 tau0^1", 3) == {MilnorMonomial((), (0, 1), False): 1}
 
 
 def _an_dimension(n: int, degree: int) -> int:
