@@ -5,23 +5,28 @@ computations, the duality pairing), hh (Hochschild homology of presets
 or presentation files), bokstedt (the full spectral sequence pipeline),
 adams (charts and homotopy tables) and verify (the acceptance suite).
 Every JSON result is wrapped in one schema-validated envelope and is
-byte-identical across runs with the same configuration.
+byte-identical across runs with the same configuration.  argv is parsed
+from the one table COMMANDS, without argparse; -h prints usage read off it.
 
-Exit codes: 0 success, 1 computation failure, 2 bad arguments.
+Exit codes: 0 success, 1 computation failure, 2 bad arguments (a usage
+error, an unwritable --out/--report/--chart path, or a refused input).
 """
 
 from __future__ import annotations
 
-import argparse
+import errno
 import json
+import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from . import fplin
 from . import adams as ad
 from . import bokstedt as bk
 from . import steenrod as st
-from .catalog import SPECTRUM_NAMES, UnsupportedSpectrumError, spectrum
+from .catalog import UnsupportedSpectrumError
 from .gca import AlgebraPresentation, GeneratorSpec
 # hh_homology stays importable here: the benchmark tracer's tests call cli.hh_homology
 from .hochschild import _bidegrees, _factors, hh_dims, hh_homology  # noqa: F401
@@ -48,82 +53,53 @@ def read_config(path: str | None) -> dict:
                 continue
             key, val = (part.strip() for part in line.split("=", 1))
             val = val.strip("\"'")
-            if key in ("p", "maxdeg", "qmax"):
-                out[key] = int(val)
-            else:
-                out[key] = val
+            out[key] = int(val) if key in ("p", "maxdeg", "qmax") else val
     return out
 
 
 def resolve(args, config: dict, key: str, default=None):
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key, default)
+    return flag if flag is not None else config.get(key, DEFAULTS.get(key, default))
 
 
 def bad_bounds(maxdeg: int, p: int | None = None) -> bool:
     """Print a one-line refusal for a degree bound outside 0..HARD_DEGREE_CAP
     or a non-prime p."""
-    if maxdeg < 0:
-        print(f"error: --maxdeg must be nonnegative (got {maxdeg})", file=sys.stderr)
-        return True
-    if maxdeg > HARD_DEGREE_CAP:
-        print(f"error: --maxdeg must be at most {HARD_DEGREE_CAP} (got {maxdeg})",
-              file=sys.stderr)
-        return True
-    if p is not None and not fplin.is_prime(p):
-        print(f"error: --p must be a prime (got {p})", file=sys.stderr)
-        return True
-    return False
+    why = (f"--maxdeg must be nonnegative (got {maxdeg})" if maxdeg < 0
+           else f"--maxdeg must be at most {HARD_DEGREE_CAP} (got {maxdeg})"
+           if maxdeg > HARD_DEGREE_CAP
+           else f"--p must be a prime (got {p})" if p is not None and not fplin.is_prime(p)
+           else "")
+    if why:
+        print(f"error: {why}", file=sys.stderr)
+    return bool(why)
 
 
 def envelope(command: str, params: dict, result) -> dict:
-    return {
-        "tool": "thhforge",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "result": result,
-    }
+    return {"tool": "thhforge", "version": __version__, "command": command, "params": params,
+            "result": result}
 
 
 def emit(payload: dict, args, config) -> None:
     fmt = resolve(args, config, "format")
     text = json.dumps(payload, sort_keys=True, indent=2)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        return
-    if fmt == "json":
+    elif fmt == "json":
         print(text)
-    elif fmt == "csv":
-        _print_csv(payload["result"])
     else:
-        _print_table(payload["result"])
+        _print_rows(payload["result"], "," if fmt == "csv" else "\t")
 
 
-def _print_table(result) -> None:
+def _print_rows(result, sep: str) -> None:
+    """One line per key or row; a csv row that is a dict prints its values."""
     if isinstance(result, dict):
         for k in sorted(result, key=str):
-            print(f"{k}\t{result[k]}")
+            print(f"{k}{sep}{result[k]}")
     elif isinstance(result, list):
         for row in result:
-            print(row)
-    else:
-        print(result)
-
-
-def _print_csv(result) -> None:
-    if isinstance(result, dict):
-        for k in sorted(result, key=str):
-            print(f"{k},{result[k]}")
-    elif isinstance(result, list):
-        for row in result:
-            print(row if not isinstance(row, dict) else ",".join(str(v) for v in row.values()))
+            print(",".join(map(str, row.values())) if sep == "," and isinstance(row, dict) else row)
     else:
         print(result)
 
@@ -175,73 +151,44 @@ def cmd_steenrod(args, config) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     if sub == "basis":
-        basis = st.steenrod_basis(spec, args.degree)
-        result = [st.element_str(e) for e in basis]
-        emit(envelope("steenrod basis",
-                      {"subalgebra": spec.id, "degree": args.degree}, result),
-             args, config)
-        return EXIT_OK
-    if sub == "rank":
-        result = st.total_rank(spec)
-        emit(envelope("steenrod rank", {"subalgebra": spec.id}, result), args, config)
-        return EXIT_OK
-    if sub == "quotient":
+        params = {"degree": args.degree}
+        result = [st.element_str(e) for e in st.steenrod_basis(spec, args.degree)]
+    elif sub == "rank":
+        params, result = {}, st.total_rank(spec)
+    elif sub == "quotient":
         module = st.quotient_module(spec, ideal)
-        result: dict = {"total_rank": module.total_rank()}
+        params, result = {"ideal": args.ideal}, module.total_rank()
         if not args.total_rank:
-            result["series"] = {str(d): n for d, n in module.poincare().items()}
-            result["basis"] = {str(d): module.labels(d) for d in module.degrees()}
-        emit(envelope("steenrod quotient",
-                      {"subalgebra": spec.id, "ideal": args.ideal},
-                      result["total_rank"] if args.total_rank else result),
-             args, config)
-        return EXIT_OK
-    if sub == "kernel":
+            result = {"total_rank": result,
+                      "series": {str(d): n for d, n in module.poincare().items()},
+                      "basis": {str(d): module.labels(d) for d in module.degrees()}}
+    elif sub == "kernel":
         kernel, cok = st.module_map_kernel(
             fmap, st.quotient_module(spec, ideal), st.quotient_module(spec, target))
-        result = {
-            "kernel_rank": kernel.total_rank(),
-            "cokernel_rank": cok,
-            "kernel_series": {str(d): n for d, n in kernel.poincare().items()},
-        }
-        emit(envelope("steenrod kernel",
-                      {"subalgebra": spec.id, "ideal": args.ideal,
-                       "target_ideal": args.target_ideal, "map": args.map},
-                      result), args, config)
-        return EXIT_OK
-    if sub == "pair":
-        result = st.pairing(a, m, 2)
-        emit(envelope("steenrod pair",
-                      {"element": args.element, "monomial": args.monomial}, result),
-             args, config)
-        return EXIT_OK
-    raise ValueError(sub)
+        params = {"ideal": args.ideal, "target_ideal": args.target_ideal, "map": args.map}
+        result = {"kernel_rank": kernel.total_rank(), "cokernel_rank": cok,
+                  "kernel_series": {str(d): n for d, n in kernel.poincare().items()}}
+    else:
+        params, result = {"element": args.element, "monomial": args.monomial}, st.pairing(a, m, 2)
+    if spec is not None:
+        params["subalgebra"] = spec.id
+    emit(envelope(f"steenrod {sub}", params, result), args, config)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # hh
 
-PRESETS = {
-    "idempotent": lambda p, n: (
-        AlgebraPresentation(p, [GeneratorSpec("u", 0, "truncated", height=2,
-                                              idempotent=True)], 0),
-        6,
-    ),
+PRESETS = {  # name -> (p, maxdeg) -> (presentation, the qmax it needs)
+    "idempotent": lambda p, n: (AlgebraPresentation(
+        p, [GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 0), 6),
     "polynomial": lambda p, n: (
-        AlgebraPresentation(p, [GeneratorSpec("x", 2, "polynomial")], n), None
-    ),
+        AlgebraPresentation(p, [GeneratorSpec("x", 2, "polynomial")], n), None),
     "exterior": lambda p, n: (
-        AlgebraPresentation(p, [GeneratorSpec("x", 1, "exterior")], n), None
-    ),
-    "squarezero": lambda p, n: (
-        AlgebraPresentation(
-            p,
-            [GeneratorSpec("x", 1, "exterior"), GeneratorSpec("y", 1, "exterior")],
-            n,
-            square_zero=True,
-        ),
-        5,
-    ),
+        AlgebraPresentation(p, [GeneratorSpec("x", 1, "exterior")], n), None),
+    "squarezero": lambda p, n: (AlgebraPresentation(
+        p, [GeneratorSpec("x", 1, "exterior"), GeneratorSpec("y", 1, "exterior")], n,
+        square_zero=True), 5),
 }
 
 
@@ -355,24 +302,18 @@ def cmd_adams(args, config) -> int:
     n = resolve(args, config, "maxdeg")
     if bad_bounds(n):
         return EXIT_USAGE
-    target = args.target
-    einf, module, log = ad.run_ss(target, n)
-    result = {
-        "target": target,
-        "stages": log,
-        "einf": {f"{s},{t}": v for (s, t), v in sorted(einf.dims.items()) if v},
-        "homotopy": module.table(n),
-    }
+    einf, module, log = ad.run_ss(args.target, n)
+    result = {"target": args.target, "stages": log, "homotopy": module.table(n),
+              "einf": {f"{s},{t}": v for (s, t), v in sorted(einf.dims.items()) if v}}
+    smax = max((s for s, _ in einf.dims), default=10)
     if args.chart:
-        smax = max((s for s, _ in einf.dims), default=10)
         with open(args.chart, "w") as fh:
             fh.write(ad.svg_chart(einf, n, min(smax, n)))
         result["chart"] = args.chart
     if resolve(args, config, "format") == "table" and not args.out:
-        smax = max((s for s, _ in einf.dims), default=10)
         print(ad.text_chart(einf, min(n, 40), min(smax, 24)))
         return EXIT_OK
-    emit(envelope("adams run", {"target": target, "maxdeg": n}, result), args, config)
+    emit(envelope("adams run", {"target": args.target, "maxdeg": n}, result), args, config)
     return EXIT_OK
 
 
@@ -398,81 +339,147 @@ def cmd_verify(args, config) -> int:
 
 
 # ---------------------------------------------------------------------------
+# argv
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="thhforge",
-        description="Exact mod-p computations for Steenrod modules, Hochschild "
-        "homology and the spectral sequences of topological Hochschild homology.",
-    )
-    ap.add_argument("--config", help="key = value configuration file")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("steenrod", help="Steenrod algebra computations")
-    ssub = sp.add_subparsers(dest="steenrod_cmd", required=True)
-    b = ssub.add_parser("basis")
-    b.add_argument("--subalgebra", default="A")
-    b.add_argument("--degree", type=int, required=True)
-    _common(b)
-    r = ssub.add_parser("rank")
-    r.add_argument("--subalgebra", required=True)
-    _common(r)
-    q = ssub.add_parser("quotient")
-    q.add_argument("--subalgebra", required=True)
-    q.add_argument("--ideal", required=True)
-    q.add_argument("--total-rank", action="store_true")
-    _common(q)
-    k = ssub.add_parser("kernel")
-    k.add_argument("--subalgebra", required=True)
-    k.add_argument("--ideal", required=True)
-    k.add_argument("--target-ideal", required=True)
-    k.add_argument("--map", required=True)
-    _common(k)
-    pr = ssub.add_parser("pair")
-    pr.add_argument("--element", required=True)
-    pr.add_argument("--monomial", required=True)
-    _common(pr)
-
-    h = sub.add_parser("hh", help="Hochschild homology")
-    hsub = h.add_subparsers(dest="hh_cmd", required=True)
-    hc = hsub.add_parser("compute")
-    hc.add_argument("--preset")
-    hc.add_argument("--spectrum", help="presentation file (JSON)")
-    hc.add_argument("--p", type=int)
-    hc.add_argument("--maxdeg", type=int)
-    hc.add_argument("--qmax", type=int)
-    _common(hc)
-
-    bo = sub.add_parser("bokstedt", help="the spectral sequence pipeline")
-    bsub = bo.add_subparsers(dest="bokstedt_cmd", required=True)
-    br = bsub.add_parser("run")
-    br.add_argument("--spectrum", required=True,
-                    help=f"one of {', '.join(SPECTRUM_NAMES)}")
-    br.add_argument("--p", type=int)
-    br.add_argument("--maxdeg", type=int)
-    _common(br)
-
-    adp = sub.add_parser("adams", help="v1-periodic Adams charts")
-    asub = adp.add_subparsers(dest="adams_cmd", required=True)
-    ar = asub.add_parser("run")
-    ar.add_argument("--target", required=True, choices=ad.TARGETS)
-    ar.add_argument("--maxdeg", type=int)
-    ar.add_argument("--chart", help="write an SVG chart here")
-    _common(ar)
-
-    v = sub.add_parser("verify", help="run the acceptance suite")
-    v.add_argument("--report", help="write a JSON report here")
-    return ap
+_OUTPUT = {"--format": (FORMATS, None), "--out": (str, None)}
+# (command, subcommand) -> {flag: (kind, default)}: a kind is str, int, bool (a switch,
+# default False) or the tuple of allowed values, and a default of ... marks a flag that
+# must be given; verify has no subcommand, and --config goes before the command words
+COMMANDS: dict[tuple[str, str | None], dict[str, tuple]] = {
+    ("steenrod", "basis"): {"--subalgebra": (str, "A"), "--degree": (int, ...), **_OUTPUT},
+    ("steenrod", "rank"): {"--subalgebra": (str, ...), **_OUTPUT},
+    ("steenrod", "quotient"): {"--subalgebra": (str, ...), "--ideal": (str, ...),
+                               "--total-rank": (bool, False), **_OUTPUT},
+    ("steenrod", "kernel"): {"--subalgebra": (str, ...), "--ideal": (str, ...),
+                             "--target-ideal": (str, ...), "--map": (str, ...), **_OUTPUT},
+    ("steenrod", "pair"): {"--element": (str, ...), "--monomial": (str, ...), **_OUTPUT},
+    ("hh", "compute"): {"--preset": (str, None), "--spectrum": (str, None), "--p": (int, None),
+                        "--maxdeg": (int, None), "--qmax": (int, None), **_OUTPUT},
+    ("bokstedt", "run"): {"--spectrum": (str, ...), "--p": (int, None), "--maxdeg": (int, None),
+                          **_OUTPUT},
+    ("adams", "run"): {"--target": (tuple(ad.TARGETS), ...), "--maxdeg": (int, None),
+                       "--chart": (str, None), **_OUTPUT},
+    ("verify", None): {"--report": (str, None)},
+}
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--out", help="write the JSON envelope to a file")
+def usage(words: list[str]) -> str:
+    """One usage line per command under the command words given."""
+    lines = []
+    for key, flags in COMMANDS.items():
+        if list(key[:len(words)]) == words:
+            opts = ["[-h]"]
+            for f, (kind, default) in flags.items():
+                meta = ("" if kind is bool else " {%s}" % ",".join(kind)
+                        if isinstance(kind, tuple) else " " + f[2:].upper())
+                opts.append(f + meta if default is ... else f"[{f}{meta}]")
+            lines.append(" ".join(["thhforge [--config CONFIG]", *filter(None, key), *opts]))
+    return "usage: " + "\n       ".join(lines)
+
+
+def _fail(words: list[str], message: str):
+    print(usage(words), f"thhforge: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _classify(arg: str, names: list[str], words: list[str]):
+    """(option, explicit value or None) for an option among `names` (a long one by
+    unique prefix), ("", None) for an unknown option, None for a positional word."""
+    if arg in names:
+        return arg, None
+    if not arg.startswith("-") or arg == "-":
+        return None
+    head, eq, val = arg.partition("=")
+    if eq and head in names:
+        return head, val
+    if arg[1] == "-":
+        hits, val = [n for n in names if n.startswith(head)], val if eq else None
+    else:  # -h takes no value, so -hh is -h twice and -hx is refused
+        hits, val = (["-h"], arg[2:]) if arg.startswith("-h") else ([], None)
+    if len(hits) > 1:
+        _fail(words, f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], val
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else ("", None)
+
+
+def _value(flag: str, kind, text: str, words: list[str]):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _fail(words, f"argument {flag}: invalid int value: {text!r}")
+    if isinstance(kind, tuple) and text not in kind:
+        _fail(words, f"argument {flag}: invalid choice: {text!r} "
+              f"(choose from {', '.join(map(repr, kind))})")
+    return text
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv off COMMANDS one level at a time (top, command, subcommand) by
+    argparse's rules: every word up to a '--' is classified first, a flag's value
+    is the next positional word or follows '=', the last repeat wins, and -h
+    prints the usage of its level.  A usage error prints one `thhforge: error:`
+    line and exits 2, after the first bad flag, missing flag or unknown word."""
+    ns: dict = {"config": None}
+    words: list[str] = []
+    extras: list[str] = []
+    while True:
+        key = (*words, None, None)[:2]
+        flags = COMMANDS.get(key, {} if words else {"--config": (str, None)})
+        subs = [] if key in COMMANDS else list(dict.fromkeys(
+            k[len(words)] for k in COMMANDS if list(k[:len(words)]) == words))
+        for f, (kind, default) in flags.items():
+            ns[f[2:].replace("-", "_")] = None if default is ... else default
+        cut = argv.index("--") if "--" in argv else len(argv)
+        marks = [_classify(a, ["-h", "--help", *flags], words) for a in argv[:cut]]
+        seen, i, dest = set(), 0, f"{words[0]}_cmd" if words else "command"
+        while i < len(argv):
+            arg, mark, i = argv[i], marks[i] if i < cut else None, i + 1
+            if mark is None and subs:
+                if arg not in subs:
+                    _fail(words, f"argument {dest}: invalid choice: {arg!r} "
+                          f"(choose from {', '.join(map(repr, subs))})")
+                ns[dest], argv = arg, argv[i:]
+                words.append(arg)
+                break
+            flag, val = mark or ("", None)
+            kind = flags.get(flag, (None,))[0]
+            if not flag:
+                extras.append(arg)
+            elif kind in (bool, None):  # a switch, or help
+                if val is not None and not (flag == "-h" and val and not val.strip("h")):
+                    _fail(words, f"argument {flag}: ignored explicit argument {val!r}")
+                if kind is None:
+                    print(usage(words))
+                    raise SystemExit(EXIT_OK)
+                ns[flag[2:].replace("-", "_")] = True
+            else:
+                if val is None:
+                    if i >= cut or marks[i] is not None:
+                        _fail(words, f"argument {flag}: expected one argument")
+                    val, i = argv[i], i + 1
+                ns[flag[2:].replace("-", "_")] = _value(flag, kind, val, words)
+            seen.add(flag)
+        else:
+            missing = [f for f, (_, d) in flags.items() if d is ... and f not in seen]
+            if subs or missing:
+                _fail(words, f"the following arguments are required: {', '.join(missing) or dest}")
+            if extras:
+                _fail([], f"unrecognized arguments: {' '.join(extras)}")
+            return SimpleNamespace(**ns)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    for path in filter(None, (getattr(args, k, None) for k in ("out", "report", "chart"))):
+        parent = os.path.dirname(path) or "."  # why open(path, "w") would fail, creating nothing
+        code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.exists(parent)
+                else errno.ENOTDIR if not os.path.isdir(parent) else 0
+                if os.access(path if os.path.exists(path) else parent, os.W_OK) else errno.EACCES)
+        if code:
+            print(f"error: cannot write {path}: {os.strerror(code)}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         config = read_config(args.config)
     except OSError as exc:
@@ -485,21 +492,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: format must be one of {', '.join(FORMATS)} "
               f"(got {config['format']!r})", file=sys.stderr)
         return EXIT_USAGE
+    run = {"steenrod": cmd_steenrod, "hh": cmd_hh, "bokstedt": cmd_bokstedt, "adams": cmd_adams,
+           "verify": cmd_verify}[args.command]
     try:
-        if args.command == "steenrod":
-            return cmd_steenrod(args, config)
-        if args.command == "hh":
-            return cmd_hh(args, config)
-        if args.command == "bokstedt":
-            return cmd_bokstedt(args, config)
-        if args.command == "adams":
-            return cmd_adams(args, config)
-        if args.command == "verify":
-            return cmd_verify(args, config)
+        return run(args, config)
     except (ValueError, KeyError, AssertionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -60,6 +60,7 @@ class HochschildComplex:
         self._basis: dict[tuple[int, int], list[Chain]] = {}
         self._word_cache: dict[tuple[int, int], list[Chain]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
+        self._boundaries: dict[tuple[int, int], list[ChainElt]] = {}  # homology's image rows
 
     def basis(self, q: int, t: int) -> list[Chain]:
         """All normalized chains of homological degree q, internal degree t."""
@@ -146,15 +147,19 @@ class HochschildComplex:
         return n - self.rank(q, t) - self.rank(q + 1, t) if n else 0
 
     def homology(self, q: int, t: int) -> list[HHClass]:
-        """Homology classes at (q, t) with cycle representatives."""
+        """Homology classes at (q, t) with cycle representatives.
+
+        The boundaries of C_q+1,t are kept until they serve as the kernel
+        columns at (q + 1, t), so a sweep up q computes each one once."""
         src = self.basis(q, t)
-        kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(
-            [self.boundary_chain(c) for c in src], self.A.p))
+        cols = self._boundaries.pop((q, t), None) or [self.boundary_chain(c) for c in src]
+        kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, self.A.p))
         # a cycle is a new class when it enlarges the image of the next boundary
         idx = {c: i for i, c in enumerate(src)}
         span = fplin.Span(len(src), self.A.p)
-        for c in self.basis(q + 1, t):
-            span.add({idx[c2]: v for c2, v in self.boundary_chain(c).items()})
+        rows = self._boundaries[(q + 1, t)] = [self.boundary_chain(c) for c in self.basis(q + 1, t)]
+        for bd in rows:
+            span.add({idx[c2]: v for c2, v in bd.items()})
         return [
             HHClass.make(q, t, {src[i]: v for i, v in vec.items()})
             for vec in kernel

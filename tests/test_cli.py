@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -757,3 +758,166 @@ def test_cli_exit_codes(argv, fmt):
         text = err.getvalue()
         assert "Traceback" not in text
         assert sum("error:" in line for line in text.splitlines()) == 1, (argv, text)
+
+
+def _reference_parser():
+    """The argparse tree the command table replaced, kept as an oracle for it."""
+    import argparse
+
+    ap = argparse.ArgumentParser(prog="thhforge")
+    ap.add_argument("--config")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def leaf(parent, name, *flags, output=True):
+        p = parent.add_parser(name)
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        if output:
+            p.add_argument("--format", choices=cli.FORMATS)
+            p.add_argument("--out")
+
+    req = {"required": True}
+    ssub = sub.add_parser("steenrod").add_subparsers(dest="steenrod_cmd", required=True)
+    leaf(ssub, "basis", ("--subalgebra", {"default": "A"}), ("--degree", {"type": int, **req}))
+    leaf(ssub, "rank", ("--subalgebra", req))
+    leaf(ssub, "quotient", ("--subalgebra", req), ("--ideal", req),
+         ("--total-rank", {"action": "store_true"}))
+    leaf(ssub, "kernel", ("--subalgebra", req), ("--ideal", req), ("--target-ideal", req),
+         ("--map", req))
+    leaf(ssub, "pair", ("--element", req), ("--monomial", req))
+    hsub = sub.add_parser("hh").add_subparsers(dest="hh_cmd", required=True)
+    leaf(hsub, "compute", ("--preset", {}), ("--spectrum", {}), ("--p", {"type": int}),
+         ("--maxdeg", {"type": int}), ("--qmax", {"type": int}))
+    bsub = sub.add_parser("bokstedt").add_subparsers(dest="bokstedt_cmd", required=True)
+    leaf(bsub, "run", ("--spectrum", req), ("--p", {"type": int}), ("--maxdeg", {"type": int}))
+    asub = sub.add_parser("adams").add_subparsers(dest="adams_cmd", required=True)
+    leaf(asub, "run", ("--target", {"choices": cli.ad.TARGETS, **req}),
+         ("--maxdeg", {"type": int}), ("--chart", {}))
+    leaf(sub, "verify", ("--report", {}), output=False)
+    return ap
+
+
+_REFERENCE = _reference_parser()
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "parsed", vars(parse(argv)), ""
+        except SystemExit as exc:
+            return "exit", exc.code, err.getvalue()
+
+
+_VALUES = ["hf", "A2", "3", "-3", "-0", "x", "", "-", "-x", "json", "svg", "thh-ko-y", "1.5",
+           "-2.5", "a b", "--p", "-h", "--"]
+
+
+def _slices(flags):
+    """Each flag of `flags` as argv slices: exact or a prefix, with its value
+    apart or after '=', or without one."""
+    out = []
+    for flag, (kind, _) in flags.items():
+        good = list(kind) if isinstance(kind, tuple) else ["4", "40"] if kind is int else ["A1"]
+        for name in sorted({flag, flag[:3], flag[:5]}):
+            out.append([name])
+            for value in good + _VALUES:
+                out += [[name, value], [f"{name}={value}"]]
+    return out
+
+
+_SLICES = {key: hst.sampled_from(_slices(flags)) for key, flags in cli.COMMANDS.items()}
+# words before the command: --config, and flags that belong after it
+_HEAD = hst.sampled_from(_slices({"--config": (str, None)})
+                         + _slices(cli.COMMANDS[("bokstedt", "run")]))
+_NOISE = hst.sampled_from([["-h"], ["--he"], ["-hx"], ["--bogus"], ["-x"], ["stray"], ["--"],
+                           ["--=x"], ["--config", "c"]])
+
+
+@hst.composite
+def _table_argvs(draw):
+    """Argvs drawn from the command table, right, wrong or incomplete."""
+    key = draw(hst.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[key]
+    words = [w for w in key if w]
+    if draw(hst.integers(0, 9)) == 0:  # a wrong, missing or extra command word
+        words = draw(hst.sampled_from([[], words[:1], [*words, "run"], ["nope", *words[1:]],
+                                       [words[0], "nope"]]))
+    head = draw(hst.lists(hst.one_of(_HEAD, _NOISE), max_size=1))
+    body = draw(hst.lists(hst.one_of(_SLICES[key], _SLICES[key], _NOISE), max_size=5))
+    if draw(hst.booleans()):  # every required flag first, so that both parsers accept some
+        body = [[f, "4" if kind is int else kind[0] if isinstance(kind, tuple) else "A1"]
+                for f, (kind, default) in flags.items() if default is ...] + body[:3]
+    return [a for part in head for a in part] + words + [a for part in body for a in part]
+
+
+def _agree(argv):
+    # same values on every argv argparse accepts, the same exit code on every
+    # other; the table parser's last line is its one `thhforge: error:` line
+    ref = _outcome(_REFERENCE.parse_args, argv)
+    new = _outcome(cli.parse_args, argv)
+    assert new[:2] == ref[:2], argv
+    if new[:2] == ("exit", 2):
+        assert new[2].splitlines()[-1].startswith("thhforge: error: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_argvs())
+def test_table_parser_agrees_with_argparse(argv):
+    _agree(argv)
+
+
+@pytest.mark.parametrize("line", [
+    "bokstedt run --spec hf --max 8", "--co c bokstedt run --spectrum=hf", "--config",
+    "bokstedt run --spectrum hf --spectrum ku --format json --format=csv",
+    "bokstedt run --spectrum=",
+    "bokstedt run --spectrum hf --p -3", "bokstedt run --spectrum hf --p -3.5",
+    "bokstedt run --spectrum -x", "bokstedt run --spectrum -", "bokstedt run --spectrum hf -",
+    "bokstedt run --spectrum hf --", "bokstedt run --spectrum -- hf", "-- bokstedt run",
+    "bokstedt -- run", "bokstedt run -- --spectrum hf", "bokstedt run --spectrum hf -hh",
+    "bokstedt run --spectrum hf -hx", "bokstedt run --spectrum hf --h", "bokstedt run --help=",
+    "steenrod quotient --subalgebra A1 --ideal Sq1 --total-rank=", "bokstedt run --=x -h",
+    "bokstedt run --spectrum hf --bogus -h", "bokstedt run --spectrum hf ---", "bokstedt",
+    "--format json bokstedt run --spectrum hf", "bokstedt run --spectrum hf --config c",
+    "bokstedt --spectrum hf run", "steenrod basis --degree ' 3'", "steenrod basis --degree \u0663",
+    "steenrod basis", "verify --report", "verify extra", "-h", "steenrod -h",
+])
+def test_table_parser_agrees_with_argparse_on_edge_cases(line):
+    _agree(shlex.split(line))
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS))
+def test_leaf_help_names_every_flag(key, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([w for w in key if w] + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    words = out.replace("[", " ").replace("]", " ").split()
+    assert out.count("\n") == 1 and all(flag in words for flag in cli.COMMANDS[key])
+
+
+@pytest.mark.parametrize("name, reason", [("missing/o.json", errno.ENOENT), ("", errno.EISDIR)])
+@pytest.mark.parametrize("argv", [
+    ["bokstedt", "run", "--spectrum", "ku", "--p", "2", "--maxdeg", "24", "--out", "{}"],
+    ["adams", "run", "--target", "thh-ku-mod2", "--maxdeg", "20", "--chart", "{}"],
+    ["verify", "--report", "{}"],
+])
+def test_an_unwritable_output_path_is_refused_before_any_computation(
+        tmp_path, capsys, monkeypatch, argv, name, reason):
+    # a missing directory or a directory: once exit 1 after the whole
+    # computation (all 13 criteria for verify)
+    from thhforge import acceptance
+
+    def computed(*args):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [computed])
+    monkeypatch.setattr(cli.bk, "thh_homology", computed)
+    monkeypatch.setattr(cli.ad, "run_ss", computed)
+    path = str(tmp_path / name)
+    listing = sorted(tmp_path.iterdir())
+    assert cli.main([a.format(path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: {os.strerror(reason)}\n"
+    assert sorted(tmp_path.iterdir()) == listing

@@ -1,5 +1,6 @@
 """Every name a module exports in __all__ exists; the package needs no numpy,
-and importing the CLI loads neither dataclasses nor the acceptance suite."""
+and importing the CLI loads neither dataclasses, argparse nor the acceptance
+suite."""
 
 from __future__ import annotations
 
@@ -32,8 +33,9 @@ def test_src_does_not_import_numpy():
 
 def test_cli_import_stays_cold_start_cheap():
     # every CLI call pays this import: no dataclasses (nor the inspect it
-    # pulls in), and the acceptance suite only under verify
-    heavy = ["dataclasses", "inspect", "thhforge.acceptance"]
+    # pulls in), no argparse (nor its gettext), and the acceptance suite only
+    # under verify
+    heavy = ["dataclasses", "inspect", "argparse", "gettext", "thhforge.acceptance"]
     code = (f"import sys, thhforge.cli; loaded = [m for m in {heavy} if m in sys.modules]; "
             "assert not loaded, loaded")
     src = os.path.dirname(os.path.dirname(thhforge.__file__))

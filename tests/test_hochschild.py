@@ -108,6 +108,18 @@ def test_kunneth_on_two_generators():
     assert raw == closed
 
 
+def test_homology_computes_each_boundary_once(monkeypatch):
+    # each chain's boundary is a kernel column at (q, t) and an image row at
+    # (q - 1, t); it was computed for both (344 calls on 177 chains here)
+    calls = []
+    boundary_chain = HochschildComplex.boundary_chain
+    monkeypatch.setattr(HochschildComplex, "boundary_chain",
+                        lambda cx, c: calls.append(c) or boundary_chain(cx, c))
+    out = hh.hh_homology(AlgebraPresentation(3, [P("x", 2), E("y", 3)], 10), 10)
+    assert len(calls) == len(set(calls)) == 177
+    assert sum(map(len, out.values())) == 37
+
+
 def test_idempotent_homology():
     U = idempotent_algebra()
     dims = hh.hh_dims(U, 0, qmax=6)
