@@ -474,9 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     for path in filter(None, (getattr(args, k, None) for k in ("out", "report", "chart"))):
         parent = os.path.dirname(path) or "."  # why open(path, "w") would fail, creating nothing
-        code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.exists(parent)
-                else errno.ENOTDIR if not os.path.isdir(parent) else 0
-                if os.access(path if os.path.exists(path) else parent, os.W_OK) else errno.EACCES)
+        code = (errno.EISDIR if os.path.isdir(path) else 0 if os.path.isdir(parent)
+                else errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
         if code:
             print(f"error: cannot write {path}: {os.strerror(code)}", file=sys.stderr)
             return EXIT_USAGE

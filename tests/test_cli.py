@@ -810,7 +810,7 @@ def _outcome(parse, argv):
 
 
 _VALUES = ["hf", "A2", "3", "-3", "-0", "x", "", "-", "-x", "json", "svg", "thh-ko-y", "1.5",
-           "-2.5", "a b", "--p", "-h", "--"]
+           "-2.5", "a b", "--p", "-h"]
 
 
 def _slices(flags):
@@ -830,8 +830,7 @@ _SLICES = {key: hst.sampled_from(_slices(flags)) for key, flags in cli.COMMANDS.
 # words before the command: --config, and flags that belong after it
 _HEAD = hst.sampled_from(_slices({"--config": (str, None)})
                          + _slices(cli.COMMANDS[("bokstedt", "run")]))
-_NOISE = hst.sampled_from([["-h"], ["--he"], ["-hx"], ["--bogus"], ["-x"], ["stray"], ["--"],
-                           ["--=x"], ["--config", "c"]])
+_NOISE = hst.sampled_from([["-h"], ["--he"], ["--bogus"], ["-x"], ["stray"], ["--config", "c"]])
 
 
 @hst.composite
@@ -873,10 +872,8 @@ def test_table_parser_agrees_with_argparse(argv):
     "bokstedt run --spectrum=",
     "bokstedt run --spectrum hf --p -3", "bokstedt run --spectrum hf --p -3.5",
     "bokstedt run --spectrum -x", "bokstedt run --spectrum -", "bokstedt run --spectrum hf -",
-    "bokstedt run --spectrum hf --", "bokstedt run --spectrum -- hf", "-- bokstedt run",
-    "bokstedt -- run", "bokstedt run -- --spectrum hf", "bokstedt run --spectrum hf -hh",
-    "bokstedt run --spectrum hf -hx", "bokstedt run --spectrum hf --h", "bokstedt run --help=",
-    "steenrod quotient --subalgebra A1 --ideal Sq1 --total-rank=", "bokstedt run --=x -h",
+    "bokstedt run --spectrum hf --h", "bokstedt run --spectrum hf --total-rank",
+    "steenrod quotient --subalgebra A1 --ideal Sq1 --total-rank=x",
     "bokstedt run --spectrum hf --bogus -h", "bokstedt run --spectrum hf ---", "bokstedt",
     "--format json bokstedt run --spectrum hf", "bokstedt run --spectrum hf --config c",
     "bokstedt --spectrum hf run", "steenrod basis --degree ' 3'", "steenrod basis --degree \u0663",
@@ -884,6 +881,20 @@ def test_table_parser_agrees_with_argparse(argv):
 ])
 def test_table_parser_agrees_with_argparse_on_edge_cases(line):
     _agree(shlex.split(line))
+
+
+@pytest.mark.parametrize("line, code", [
+    ("bokstedt run --spectrum hf --", 2), ("bokstedt run --spectrum hf -- x", 2),
+    ("bokstedt run --spectrum -- hf", 2), ("-- bokstedt run", 2), ("bokstedt -- run", 2),
+    ("bokstedt run -- --spectrum hf", 2), ("bokstedt run --spectrum hf -h -- x", 0),
+    ("bokstedt run --spectrum hf -hh", 0), ("bokstedt run --spectrum hf -hx", 2),
+    ("bokstedt run --help=", 2), ("steenrod quotient --subalgebra A1 --ideal Sq1 --total-rank=", 2),
+    ("bokstedt run --=x -h", 2), ("--=x bokstedt run --spectrum hf", 2),
+])
+def test_table_parser_exit_codes_on_version_dependent_argvs(line, code):
+    # argparse's readings of '--', -hh and an empty explicit value moved
+    # between Python versions; these are the argparse tree's codes on 3.11.7
+    assert _outcome(cli.parse_args, shlex.split(line))[:2] == ("exit", code)
 
 
 @pytest.mark.parametrize("key", list(cli.COMMANDS))
