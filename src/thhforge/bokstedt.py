@@ -560,15 +560,16 @@ class THHResult(NamedTuple):
     nonflat: bool = False
 
     def to_jsonable(self) -> dict:
+        e2 = _dims_jsonable(self.e2_dims)
         out = {
             "spectrum": self.spectrum,
             "p": self.p,
             "max_degree": self.max_degree,
-            "e2": {f"{s},{t}": v for (s, t), v in sorted(self.e2_dims.items())},
+            "e2": e2,
             "pages": self.pages,
-            "einf": None
-            if self.einf_dims is None
-            else {f"{s},{t}": v for (s, t), v in sorted(self.einf_dims.items())},
+            # E∞ is E2's own dict when no differential acts: its table is built once
+            "einf": None if self.einf_dims is None else e2 if self.einf_dims is self.e2_dims
+            else _dims_jsonable(self.einf_dims),
             "collapse": self.collapse,
             "nonflat": self.nonflat,
             "abutment": None
@@ -593,6 +594,10 @@ class THHResult(NamedTuple):
                                           if i not in self.coaction.entries]):
             out["coaction_missing"] = missing
         return out
+
+
+def _dims_jsonable(dims: dict) -> dict:
+    return {f"{s},{t}": v for (s, t), v in sorted(dims.items())}
 
 
 def _coaction_jsonable(coact: CoactionTable) -> dict:

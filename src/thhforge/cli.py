@@ -42,15 +42,19 @@ HARD_DEGREE_CAP = 128
 
 
 def read_config(path: str | None) -> dict:
-    """key = value lines; '#' comments; unknown keys are ignored."""
+    """key = value lines; '#' comments; unknown keys are ignored.  Any other
+    nonblank line (JSON or YAML, say) is refused with a ValueError naming its
+    line number."""
     out: dict = {}
     if not path:
         return out
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if not line or "=" not in line:
+            if not line:
                 continue
+            if "=" not in line:
+                raise ValueError(f"line {n} is not key = value: {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             val = val.strip("\"'")
             out[key] = int(val) if key in ("p", "maxdeg", "qmax") else val
@@ -80,9 +84,46 @@ def envelope(command: str, params: dict, result) -> dict:
             "result": result}
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ENCODERS: dict = {}  # item indent -> the encode of a JSONEncoder separating items by it
+
+
+def dumps(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for a value nested `depth` levels
+    in.  json indents only in its pure-Python encoder, so a dict, list or tuple
+    whose items (and keys) all have an exact scalar type is one call of a
+    JSONEncoder whose item separator carries the newline and indent: json's C
+    encoder.  Above such containers, exact dicts, lists and tuples are walked
+    here; anything else (a subclass, or a value json refuses) is json's own
+    indenting encoder, moved in.  (A list or dict that contains itself recurses
+    until RecursionError, where json raises ValueError.)"""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return json.dumps(obj)
+    if (kind is dict or kind is list or kind is tuple) and _SCALARS.issuperset(
+            map(type, obj if kind is dict else ())):
+        indent = "  " * (depth + 1)
+        sep = ",\n" + indent
+        if _SCALARS.issuperset(map(type, obj.values() if kind is dict else obj)):
+            if (encode := _ENCODERS.get(indent)) is None:
+                encode = _ENCODERS[indent] = json.JSONEncoder(sort_keys=True,
+                                                              separators=(sep, ": ")).encode
+            text = encode(obj)
+        elif kind is dict:  # a key that is not a str is written as the str of its JSON
+            text = "{%s}" % sep.join([f"{json.dumps(k if type(k) is str else json.dumps(k))}: "
+                                      f"{dumps(v, depth + 1)}" for k, v in sorted(obj.items())])
+        else:
+            text = "[%s]" % sep.join([dumps(v, depth + 1) for v in obj])
+        if len(text) == 2:  # empty
+            return text
+        # each item after the first already starts on its own indented line
+        return f"{text[0]}\n{indent}{text[1:-1]}\n{indent[2:]}{text[-1]}"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def emit(payload: dict, args, config) -> None:
     fmt = resolve(args, config, "format")
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -331,10 +372,8 @@ def cmd_verify(args, config) -> int:
         failed |= not rep["passed"]
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(envelope("verify", {},
-                               [{k: r[k] for k in ("id", "passed", "elapsed")}
-                                for r in reports]),
-                      fh, sort_keys=True, indent=2)
+            fh.write(dumps(envelope("verify", {}, [{k: r[k] for k in ("id", "passed", "elapsed")}
+                                                   for r in reports])))
     return EXIT_FAILURE if failed else EXIT_OK
 
 
@@ -485,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config file {args.config}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        print(f"error: bad config value: {exc}", file=sys.stderr)
+        print(f"error: bad config file {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if config.get("format", "table") not in FORMATS:
         print(f"error: format must be one of {', '.join(FORMATS)} "

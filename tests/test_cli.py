@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -11,10 +12,11 @@ import shlex
 import subprocess
 import sys
 import time
+from typing import NamedTuple
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from thhforge import bokstedt as bk
@@ -483,6 +485,7 @@ def test_verify_jobs_and_report(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
     payload = json.loads(report.read_text())
+    assert report.read_text() == json.dumps(payload, sort_keys=True, indent=2)  # no final newline
     assert [r["id"] for r in payload["result"]] == ["1", "3"]
     assert all(r["passed"] for r in payload["result"])
 
@@ -670,7 +673,8 @@ def test_bad_degree_or_prime_exits_two(argv, capsys):
 
 
 @pytest.mark.parametrize("line", ["maxdeg = -2", "maxdeg = 200", "maxdeg = abc", "format = svg",
-                                  "qmax = -1"])
+                                  "qmax = -1", '# as JSON\n{"maxdeg": 10}',
+                                  "# as YAML\nmaxdeg: 10"])
 def test_bad_config_value_exits_two(tmp_path, capsys, line):
     cfg = tmp_path / "cfg"
     cfg.write_text(line + "\n")
@@ -678,8 +682,12 @@ def test_bad_config_value_exits_two(tmp_path, capsys, line):
     argv = (["hh", "compute", "--preset", "squarezero"] if line.startswith("qmax")
             else ["bokstedt", "run", "--spectrum", "hf"])
     assert cli.main(["--config", str(cfg), *argv]) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if line.startswith("#"):  # once skipped: the run took the defaults and exited 0
+        assert str(cfg) in err and "line 2" in err
 
 
 @pytest.mark.parametrize("name", ["missing", "."])
@@ -932,3 +940,111 @@ def test_an_unwritable_output_path_is_refused_before_any_computation(
     assert captured.out == ""
     assert captured.err == f"error: cannot write {path}: {os.strerror(reason)}\n"
     assert sorted(tmp_path.iterdir()) == listing
+
+
+class _Counted(dict):
+    """A dict whose len counts its truthy values, so json's Python encoder
+    writes {} where json's C encoder writes the stored items."""
+
+    def __len__(self):
+        return sum(map(bool, self.values()))
+
+
+class _CountedList(list):
+    def __len__(self):
+        return sum(map(bool, self))
+
+
+class _SelfUnequal(float):
+    """A float unequal to itself: json's Python encoder, which asks the float,
+    writes NaN; json's C encoder, which reads its value, writes the number."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    __hash__ = float.__hash__
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+_JSON_TEXT = hst.text(alphabet=hst.sampled_from('a"\\/\x00\x1f\n\t\x7fé€\u2028\U0001d11e'),
+                      max_size=6)
+_JSON_INTS = hst.integers(min_value=-2**70, max_value=2**70)
+_SELF_UNEQUAL = hst.floats(allow_nan=False).map(_SelfUnequal)
+_JSON_FLOATS = hst.one_of(
+    hst.floats(), hst.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _SELF_UNEQUAL)
+_JSON_SCALARS = hst.one_of(hst.none(), hst.booleans(), _JSON_INTS, _JSON_FLOATS, _JSON_TEXT,
+                           hst.just(b"bytes"))  # json refuses bytes with TypeError
+_JSON_KEYS = hst.sampled_from([
+    _JSON_TEXT, _JSON_INTS, _JSON_FLOATS, _SELF_UNEQUAL, hst.booleans(), hst.none(),
+    hst.one_of(_JSON_TEXT, _JSON_INTS),  # str and int keys cannot be sorted together
+    hst.just((1, 2))])  # json refuses a tuple key
+
+
+def _json_containers(items):
+    lists = hst.lists(items, max_size=4)
+    dicts = _JSON_KEYS.flatmap(lambda keys: hst.dictionaries(keys, items, max_size=4))
+    return hst.one_of(lists, lists.map(tuple), lists.map(_CountedList),
+                      hst.builds(_Pair, items, items), dicts, dicts.map(_Counted),
+                      items.map(lambda x: {"deep": [[(x,)]]}))  # three more levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.recursive(_JSON_SCALARS, _json_containers, max_leaves=24))
+@example([(1, "a")])  # a tuple is a container, not a scalar
+@example([[_SelfUnequal(1.5)], {_SelfUnequal(0.5): 0}, {_SelfUnequal(2.5): [1]}])  # subclasses
+@example([_Counted(a=0), _CountedList([0])])  # container subclasses
+def test_writer_equals_json_dumps(value):
+    # the writer hands a container to json's C encoder only when its items have
+    # exact scalar types, so the subclasses above still read as json reads them
+    try:
+        want = json.dumps(value, sort_keys=True, indent=2)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli.dumps(value)
+        return
+    assert cli.dumps(value) == want
+
+
+# sha256 of `--format json` stdout, pinned from the json.dumps writer
+_PINNED_OUTPUTS = {
+    "bokstedt run --spectrum ju --p 2 --maxdeg 96":
+        "a9f62d712108d0c573354ed27042af469a99d32127e16259d491f34ef30da602",
+    "bokstedt run --spectrum hf --p 5 --maxdeg 96":
+        "cb7d8e3355287dd76892d2c9568ecf0613018ff81f127a5619d87bd34a2ba43a",
+    "bokstedt run --spectrum j --p 2 --maxdeg 44":
+        "89d2b53ccbbe4925cdda611bda9885b9aac0b06bcd07a29848d3b987156b0fb4",
+    "adams run --target thh-ko-y --maxdeg 60":
+        "0f6914be70c42201fddce5e286e0f32c31ad37e003cc8eba9bee7abfa622d520",
+    "steenrod basis --subalgebra A4 --degree 80":
+        "4f993d17b0ad4b69a6ac9cb65106a34acb0a0207ab8da1c680629dbd24319664",
+    "steenrod quotient --subalgebra A3 --ideal Sq1,Sq2":
+        "66ae818a1f10ca39b82231621dd99afd00d953c43fef08681d601266f644044b",
+    "steenrod kernel --subalgebra A2 --ideal Sq1,Sq2Sq3 --target-ideal Sq1,Sq2 --map Sq4":
+        "5b30aa86cea5b8f0f5852521690dec6393298adda178ffa9b7d6c3e84cc7bb6a",
+    "hh compute --preset polynomial --p 3 --maxdeg 10":
+        "60396021344d0d4c3a6e24244dbfe4a2e4d5d777d890f01f58dde8f2fd480573",
+}
+
+
+@pytest.mark.parametrize("line", list(_PINNED_OUTPUTS))
+def test_json_output_bytes_are_pinned(line, capsys):
+    assert cli.main([*line.split(), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_OUTPUTS[line]
+
+
+def test_einf_shares_the_e2_table_only_when_no_differential_acts():
+    flat = bk.thh_homology("hf", 2, 40).to_jsonable()
+    assert flat["einf"] is flat["e2"]
+    hz3 = bk.thh_homology("hz", 3, 40)
+    out = hz3.to_jsonable()
+    assert out["einf"] is not out["e2"] and out["einf"] != out["e2"]
+    assert out["einf"] == {f"{s},{t}": v for (s, t), v in sorted(hz3.einf_dims.items())}
