@@ -100,8 +100,7 @@ def dumps(obj, depth: int = 0) -> str:
     kind = type(obj)
     if kind in _SCALARS:
         return json.dumps(obj)
-    if (kind is dict or kind is list or kind is tuple) and _SCALARS.issuperset(
-            map(type, obj if kind is dict else ())):
+    if kind is list or kind is tuple or kind is dict and _SCALARS.issuperset(map(type, obj)):
         indent = "  " * (depth + 1)
         sep = ",\n" + indent
         if _SCALARS.issuperset(map(type, obj.values() if kind is dict else obj)):
