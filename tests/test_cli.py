@@ -1002,8 +1002,8 @@ def _json_containers(items):
 @example([[_SelfUnequal(1.5)], {_SelfUnequal(0.5): 0}, {_SelfUnequal(2.5): [1]}])  # subclasses
 @example([_Counted(a=0), _CountedList([0])])  # container subclasses
 def test_writer_equals_json_dumps(value):
-    # the writer hands a container to json's C encoder only when its items have
-    # exact scalar types, so the subclasses above still read as json reads them
+    # the writer hands a container to json's C encoder only when its items and
+    # keys have exact scalar types, so the subclasses above read as json reads them
     try:
         want = json.dumps(value, sort_keys=True, indent=2)
     except TypeError:
