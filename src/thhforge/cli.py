@@ -10,6 +10,9 @@ from the one table COMMANDS, without argparse; -h prints usage read off it.
 
 Exit codes: 0 success, 1 computation failure, 2 bad arguments (a usage
 error, an unwritable --out/--report/--chart path, or a refused input).
+A reader that closes stdout early (`| head`) ends the run with exit 0
+and no error line: the computation succeeded, and the rest of the output
+is dropped.
 """
 
 from __future__ import annotations
@@ -122,12 +125,11 @@ def dumps(obj, depth: int = 0) -> str:
 
 def emit(payload: dict, args, config) -> None:
     fmt = resolve(args, config, "format")
-    text = dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(dumps(payload) + "\n")
     elif fmt == "json":
-        print(text)
+        print(dumps(payload))
     else:
         _print_rows(payload["result"], "," if fmt == "csv" else "\t")
 
@@ -532,7 +534,12 @@ def main(argv: list[str] | None = None) -> int:
     run = {"steenrod": cmd_steenrod, "hh": cmd_hh, "bokstedt": cmd_bokstedt, "adams": cmd_adams,
            "verify": cmd_verify}[args.command]
     try:
-        return run(args, config)
+        code = run(args, config)
+        sys.stdout.flush()  # so a closed pipe is met here, not at the exit flush
+        return code
+    except BrokenPipeError:  # the reader stopped early: no failure, nothing more to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, KeyError, AssertionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -334,58 +334,54 @@ class AlgebraPresentation:
         return self._reduced_zero
 
     def poincare_series(self, max_degree: int | None = None) -> list[int]:
-        """dim_d for 0 <= d <= bound ([] for a negative bound).
-
-        Each generator of degree d and exponent cap c multiplies the series
-        by (1 - x^{(c+1)d}) / (1 - x^d), in place; an idempotent doubles it.
-        """
+        """dim_d for 0 <= d <= bound ([] for a negative bound)."""
         n = self.N if max_degree is None else max_degree
-        if n < 0:
-            return []
+        if not self.square_zero or n < 0:
+            return self._rows(n, 0)
         series = [1] + [0] * n
-        if self.square_zero:
-            for g in self.gens:
-                if g.degree <= n:
-                    series[g.degree] += 1
-            return series
         for g in self.gens:
-            if g.idempotent:
-                series = [2 * v for v in series]
-                continue
-            d, cap = g.degree, g.max_exponent()
-            if cap is not None:
-                top = (cap + 1) * d
-                for t in range(n, top - 1, -1):
-                    series[t] -= series[t - top]
-            for t in range(d, n + 1):
-                series[t] += series[t - d]
+            if g.degree <= n:
+                series[g.degree] += 1
         return series
 
     def bigraded_series(self, max_degree: int | None = None) -> dict[tuple[int, int], int]:
-        """dims indexed by (filtration, total degree), zeros left out.
-
-        The recurrence of poincare_series on rows indexed by total degree,
-        each row a {filtration: count} dict; a generator of filtration f
-        shifts the filtration by f wherever it shifts the degree by d.
-        """
+        """dims indexed by (filtration, total degree), zeros left out: the
+        base-2^width digits of _rows, where no dim exceeds its degree's total."""
         if self.square_zero:
             raise ValueError("bigraded series not defined for square-zero presentations")
         n = self.N if max_degree is None else max_degree
-        if n < 0:
-            return {}
-        rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+        width = max(self._rows(n, 0), default=0).bit_length()
+        mask, out = (1 << width) - 1, {}
+        for t, v in enumerate(self._rows(n, width)):
+            s = 0
+            while v:
+                skip = ((v & -v).bit_length() - 1) // width  # zero digits below the next dim
+                s, v = s + skip, v >> skip * width
+                out[s, t] = v & mask
+                s, v = s + 1, v >> width
+        return out
+
+    def _rows(self, n: int, width: int) -> list[int]:
+        """Row t <= n is the sum of dim(s, t) * 2^(s * width) over filtrations s.
+
+        That is the series in x (degree) and y (filtration) at y = 2^width, a
+        ring map, so negative coefficients on the way do no harm.  A generator
+        of degree d, filtration f and exponent cap c multiplies it by
+        (1 - (x^d y^f)^(c+1)) / (1 - x^d y^f), in place; an idempotent by 1 + y^f.
+        """
+        rows = [1] + [0] * n if n >= 0 else []
         for g in self.gens:
             if g.idempotent:
-                rows = [{s: 2 * v for s, v in row.items()} for row in rows]
+                rows = [v + (v << g.filtration * width) for v in rows]
                 continue
-            d, f, cap = g.degree, g.filtration, g.max_exponent()
+            d, shift, cap = g.degree, g.filtration * width, g.max_exponent()
             if cap is not None:
-                top = (cap + 1) * d
+                top, top_shift = (cap + 1) * d, (cap + 1) * shift
                 for t in range(n, top - 1, -1):
-                    _shift_add(rows[t], rows[t - top], (cap + 1) * f, -1)
+                    rows[t] -= rows[t - top] << top_shift
             for t in range(d, n + 1):
-                _shift_add(rows[t], rows[t - d], f, 1)
-        return {(s, t): v for t, row in enumerate(rows) for s, v in row.items()}
+                rows[t] += rows[t - d] << shift
+        return rows
 
     # -- divided powers --------------------------------------------------
     def gamma(self, base_name: str, j: int) -> Element:
@@ -428,16 +424,6 @@ def _is_power(e: int, p: int) -> bool:
     while e > 1 and e % p == 0:
         e //= p
     return e == 1
-
-
-def _shift_add(row: dict[int, int], src: dict[int, int], shift: int, sign: int) -> None:
-    """row += sign * src with filtrations raised by shift; zeros are dropped."""
-    for s, c in src.items():
-        v = row.get(s + shift, 0) + sign * c
-        if v:
-            row[s + shift] = v
-        else:
-            del row[s + shift]
 
 
 # ---------------------------------------------------------------------------

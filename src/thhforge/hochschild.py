@@ -232,13 +232,10 @@ def presentation_dims_internal(
     Presentation generators carry total degrees; Hochschild homology is
     indexed by (homological q, internal t) with total = q + t.
     """
-    out: dict[tuple[int, int], int] = {}
     # a class of internal degree t <= bound can have total degree up to 2t
-    for (s, total), dim in presentation.bigraded_series(2 * max_internal).items():
-        t = total - s
-        if 0 <= t <= max_internal and dim:
-            out[(s, t)] = out.get((s, t), 0) + dim
-    return out
+    return {(s, total - s): dim
+            for (s, total), dim in presentation.bigraded_series(2 * max_internal).items()
+            if 0 <= total - s <= max_internal}
 
 
 # ---------------------------------------------------------------------------

@@ -741,11 +741,8 @@ def milnor_basis(p: int, degree: int, conjugated: bool = True) -> list[MilnorMon
     out: list[MilnorMonomial] = []
 
     def rec_xi(idx: int, remaining: int, exps: list[int], taus: tuple[int, ...]):
-        if remaining == 0:
-            xi = tuple(exps)
-            while xi and xi[-1] == 0:
-                xi = xi[:-1]
-            out.append(MilnorMonomial(xi, taus, conjugated))
+        if remaining == 0:  # the last exponent taken is nonzero, so xi needs no trimming
+            out.append(MilnorMonomial(tuple(exps), taus, conjugated))
             return
         if idx >= len(xi_degs):
             return
@@ -758,9 +755,8 @@ def milnor_basis(p: int, degree: int, conjugated: bool = True) -> list[MilnorMon
             if tau_degs[j] <= remaining:
                 rec_tau(j + 1, remaining - tau_degs[j], taus + [j])
 
-    rec_tau(0, degree, [])
-    out = [m for m in out if m.degree(p) == degree]
-    return sorted(set(out), key=lambda m: (m.tau, m.xi))
+    rec_tau(0, degree, [])  # each leaf is one (taus, xi) of exactly this degree
+    return sorted(out, key=lambda m: (m.tau, m.xi))
 
 
 _TensorElt = dict  # dict[(MilnorMonomial, MilnorMonomial), int]

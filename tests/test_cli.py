@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import fcntl
 import hashlib
 import io
 import json
@@ -711,7 +712,24 @@ def test_format_svg_is_refused():
     assert "invalid choice" in proc.stderr
 
 
-_DEGREES = hst.one_of(hst.integers(min_value=-3, max_value=12).map(str),
+def test_a_reader_that_stops_early_is_no_failure():
+    # `thhforge ... | head -1`: the pipe is shrunk to one page where Linux
+    # allows it, so the 44 kB of JSON outlast the line read before the close
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thhforge.cli", "adams", "run", "--target", "thh-ku-mod2",
+         "--maxdeg", "128", "--format", "json"],
+        stdout=write_end, stderr=subprocess.PIPE, text=True)
+    os.close(write_end)
+    with os.fdopen(read_end) as reader:
+        assert reader.readline() == "{\n"
+    assert proc.communicate(timeout=300) == (None, "")
+    assert proc.returncode == 0
+
+
+_DEGREES =hst.one_of(hst.integers(min_value=-3, max_value=12).map(str),
                       hst.sampled_from(["", "x", "1.5", "-0"]))
 _PRIMES = hst.one_of(hst.integers(min_value=-2, max_value=9).map(str), hst.just("p"))
 

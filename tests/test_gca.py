@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -116,19 +117,17 @@ def test_series_is_convolution_of_factors():
 def _factor_product_series(A, n):
     """dims by (filtration, degree) through n, as the product of the
     generators' factors, each multiplied out in full by quadratic
-    convolution: the oracle for both series of a presentation."""
+    convolution: the oracle for both series of a presentation.  An
+    idempotent u is a generator of degree 0 and cap 1: its factor is 1 + u."""
     series = {(0, 0): 1}
     for g in A.gens:
         factor = {}
-        if g.idempotent:
-            factor[(0, 0)] = 2
-        else:
-            cap = g.max_exponent()
-            e = 0
-            while e * g.degree <= n and (cap is None or e <= cap):
-                key = (e * g.filtration, e * g.degree)
-                factor[key] = factor.get(key, 0) + 1
-                e += 1
+        cap = g.max_exponent()
+        e = 0
+        while e * g.degree <= n and (cap is None or e <= cap):
+            key = (e * g.filtration, e * g.degree)
+            factor[key] = factor.get(key, 0) + 1
+            e += 1
         new = {}
         for (s1, t1), c1 in series.items():
             for (s2, t2), c2 in factor.items():
@@ -153,6 +152,33 @@ def test_series_equal_the_product_of_factors(A, data):
     assert A.poincare_series(n) == [
         sum(c for (_, t), c in oracle.items() if t == d) for d in range(n + 1)
     ]
+
+
+@pytest.mark.parametrize("A", [
+    # totals pass 2^64 (C(70, 35) is about 2^66.6), so digits are 67 bits wide
+    AlgebraPresentation(
+        2, [GeneratorSpec(f"e{i}", 1, "exterior", filtration=i % 4) for i in range(70)], 40),
+    # each degree lies in one filtration, so its whole total is one digit:
+    # the largest total needs every bit of the width
+    AlgebraPresentation(
+        2, [GeneratorSpec(f"e{i}", 1, "exterior", filtration=1) for i in range(20)], 20),
+    # an idempotent u in filtration 1 puts u m one filtration above m
+    AlgebraPresentation(3, [GeneratorSpec("x", 2, "polynomial", filtration=2),
+                            GeneratorSpec("y", 3, "exterior", filtration=1),
+                            GeneratorSpec("z", 4, "truncated", height=3, filtration=1),
+                            GeneratorSpec("u", 0, "truncated", height=2, idempotent=True,
+                                          filtration=1)], 24),
+], ids=["70-exterior", "one-filtration-per-degree", "idempotent-in-filtration-1"])
+def test_series_digits_are_wide_enough(A):
+    oracle = _factor_product_series(A, A.N)
+    assert A.bigraded_series() == oracle
+    assert A.poincare_series() == [sum(c for (_, t), c in oracle.items() if t == d)
+                                   for d in range(A.N + 1)]
+    if A.N == 40:
+        assert max(A.poincare_series()) > 2 ** 64
+    if A.gens[-1].idempotent:  # small enough to count the monomials too
+        assert Counter((A.filtration(m), d) for d in range(A.N + 1)
+                       for m in A.monomial_basis(d)) == oracle
 
 
 def test_series_below_the_smallest_generator_degree():
