@@ -67,6 +67,8 @@ class GeneratorSpec(_GeneratorSpec):
             raise ValueError(f"generator {self.name}: truncated needs a height >= 2")
         if self.degree < 0:
             raise ValueError(f"generator {self.name}: negative degree {self.degree}")
+        if self.filtration < 0:  # the series carry it as a left shift
+            raise ValueError(f"generator {self.name}: negative filtration {self.filtration}")
         return self
 
     def max_exponent(self) -> int | None:

@@ -40,6 +40,13 @@ def test_monomial_basis_examples():
         A.monomial_basis(13)
 
 
+@pytest.mark.parametrize("degree, filtration, what", [(-1, 0, "degree -1"),
+                                                      (2, -1, "filtration -1")])
+def test_negative_degrees_and_filtrations_are_refused(degree, filtration, what):
+    with pytest.raises(ValueError, match=f"generator x: negative {what}$"):
+        GeneratorSpec("x", degree, "polynomial", filtration=filtration)
+
+
 def test_square_zero_refuses_idempotents():
     u = GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)
     with pytest.raises(ValueError, match="square-zero"):
@@ -154,10 +161,13 @@ def test_series_equal_the_product_of_factors(A, data):
     ]
 
 
+# totals pass 2^64 (C(70, 35) is about 2^66.6), so digits are 67 bits wide
+_WIDE = AlgebraPresentation(
+    2, [GeneratorSpec(f"e{i}", 1, "exterior", filtration=i % 4) for i in range(70)], 40)
+
+
 @pytest.mark.parametrize("A", [
-    # totals pass 2^64 (C(70, 35) is about 2^66.6), so digits are 67 bits wide
-    AlgebraPresentation(
-        2, [GeneratorSpec(f"e{i}", 1, "exterior", filtration=i % 4) for i in range(70)], 40),
+    _WIDE,
     # each degree lies in one filtration, so its whole total is one digit:
     # the largest total needs every bit of the width
     AlgebraPresentation(
@@ -174,7 +184,7 @@ def test_series_digits_are_wide_enough(A):
     assert A.bigraded_series() == oracle
     assert A.poincare_series() == [sum(c for (_, t), c in oracle.items() if t == d)
                                    for d in range(A.N + 1)]
-    if A.N == 40:
+    if A is _WIDE:
         assert max(A.poincare_series()) > 2 ** 64
     if A.gens[-1].idempotent:  # small enough to count the monomials too
         assert Counter((A.filtration(m), d) for d in range(A.N + 1)
