@@ -729,7 +729,7 @@ def test_a_reader_that_stops_early_is_no_failure():
     assert proc.returncode == 0
 
 
-_DEGREES =hst.one_of(hst.integers(min_value=-3, max_value=12).map(str),
+_DEGREES = hst.one_of(hst.integers(min_value=-3, max_value=12).map(str),
                       hst.sampled_from(["", "x", "1.5", "-0"]))
 _PRIMES = hst.one_of(hst.integers(min_value=-2, max_value=9).map(str), hst.just("p"))
 
