@@ -539,20 +539,22 @@ def hh_squarezero(
     degs = [d for _, d in vee]
     n = max_degree if max_degree is not None else max(degs, default=0) * (qmax + 1)
 
-    # divisors[g] for every g = gcd(l, s) with l <= qmax + 1
-    divisors = [[k for k in range(1, g + 1) if g % k == 0] for g in range(qmax + 2)]
+    # a word of length l has degree >= l min(degs): none longer than top has degree <= n
+    top = min(qmax + 1, n // min(degs) if degs else 0)
+    # divisors[g] for every g = gcd(l, s) with l <= top
+    divisors = [[k for k in range(1, g + 1) if g % k == 0] for g in range(top + 1)]
     # words[l][s], prim[l][s]: all and primitive words of length l, degree s
     words = [[1] + [0] * n]
     prim = [[0] * (n + 1)]
-    for l in range(1, qmax + 2):
+    for l in range(1, top + 1):
         words.append([sum(words[l - 1][s - d] for d in degs if d <= s) for s in range(n + 1)])
         prim.append([words[l][s] - sum(prim[l // k][s // k] for k in divisors[gcd(l, s)][1:])
                      for s in range(n + 1)])
 
     def inv(q: int, t: int) -> int:
         """Orbits in V^{(x) q} of degree t on which T^d = +1 (the unit at q = 0)."""
-        if q == 0:
-            return int(t == 0)
+        if q == 0 or q > top:
+            return int(q == t == 0)
         return sum(
             prim[q // k][t // k] // (q // k)
             for k in divisors[gcd(q, t)]
@@ -560,7 +562,7 @@ def hh_squarezero(
         )
 
     out: dict[tuple[int, int], int] = {}
-    for q in range(qmax + 1):
+    for q in range(min(qmax, top) + 1):
         for t in range(n + 1):
             if dim := inv(q, t) + inv(q + 1, t):
                 out[(q, t)] = dim

@@ -19,9 +19,11 @@ steenrod_mul works on sets of words in any degree: a joined word keeps
 its longest admissible suffix and takes the letters left of it through
 one memoized kernel, Sq^a w for an admissible w with a < 2 w[0].  Inside
 B a product is an int mask over its degree's admissible words in
-lexicographic order: Sq^a w is converted once from that kernel, and u v
-is Sq^{u[0]} on each word of the memoized u[1:] v.  The memos are keyed
-on integer tuples, so they cannot go stale; they last the process.
+lexicographic order: Sq^a w is the Adem relation on Sq^a Sq^{w[0]}, each
+term t giving t w[1:], u v is Sq^{u[0]} on each word of u[1:] v, and B_d's
+rows and a module's elements are masks multiplied along their set bits.
+The memos are keyed on integer tuples, so they cannot go stale; they last
+the process.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import re
 from functools import cached_property, lru_cache, partial, reduce
 from operator import xor
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import fplin
 
@@ -125,7 +127,7 @@ def _prepend(letters: tuple[int, ...], elt: SteenrodElement) -> SteenrodElement:
 def _sq_times(a: int, w: tuple[int, ...]) -> SteenrodElement:
     """Sq^a w in admissible form, for an admissible word w with a < 2 w[0].
 
-    The one product memo: an Adem relation on Sq^a Sq^{w[0]}, then its
+    The set path's product memo: an Adem relation on Sq^a Sq^{w[0]}, then its
     terms are prepended to the admissible rest of w.
     """
     out: set = set()
@@ -143,14 +145,18 @@ def _index(d: int) -> dict[tuple[int, ...], int]:
 @lru_cache(maxsize=None)
 def _word_mask(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     """u v as a mask over the admissible words of its degree, for admissible u, v:
-    one bit if u v is admissible, Sq^a v (u = (a,)) converted once from
-    _sq_times, and for a longer u, Sq^{u[0]} on each word of u[1:] v."""
+    one bit if u v is admissible; for u = (a,), the Adem relation on
+    Sq^a Sq^{v[0]}, each admissible term t giving t v[1:]; and for a longer
+    u, Sq^{u[0]} on each word of u[1:] v."""
     d = sum(u) + sum(v)
     if not u or not v or u[-1] >= 2 * v[0]:
         return 1 << _index(d)[u + v]
+    out = 0
     if len(u) == 1:
-        return sum(1 << _index(d)[t] for t in _sq_times(u[0], v))
-    rest, letter, out = _word_mask(u[1:], v), u[:1], 0
+        for t in _adem_pair(u[0], v[0]):
+            out ^= _word_mask(t, v[1:])
+        return out
+    rest, letter = _word_mask(u[1:], v), u[:1]
     words = _admissible_bounded(d - u[0], d - u[0])
     while rest:
         low = rest & -rest
@@ -159,8 +165,18 @@ def _word_mask(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return out
 
 
-def _mask_mul(x: SteenrodElement, y: SteenrodElement) -> int:
-    """x y as a mask over the admissible words of degree |x| + |y|."""
+def _words_at(mask: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The admissible words of degree d at the set bits of mask."""
+    words = _admissible_bounded(d, d)
+    while mask:
+        low = mask & -mask
+        yield words[low.bit_length() - 1]
+        mask ^= low
+
+
+def _mask_mul(x: Iterable[tuple[int, ...]], y: Collection[tuple[int, ...]]) -> int:
+    """x y as a mask over the admissible words of degree |x| + |y|, for sums
+    of admissible words (y is read once for each word of x)."""
     return reduce(xor, (_word_mask(u, v) for u in x for v in y), 0)
 
 
@@ -352,7 +368,7 @@ class SubalgebraSpec(_SubalgebraSpec):
 class _Degree(NamedTuple):
     """A finite subalgebra B in one degree d, in admissible coordinates."""
 
-    basis: dict[int, SteenrodElement]  # pivot column -> RREF row of B_d, in increasing order
+    basis: dict[int, int]  # pivot column -> RREF row of B_d as a mask, in increasing order
     span: fplin.Span  # B_d, over the admissible words of degree d
     pivot_mask: int  # one bit per pivot column
 
@@ -366,8 +382,8 @@ def _degree(spec: SubalgebraSpec, degree: int) -> _Degree:
     key = (spec.id, degree)
     if key in _basis_memo:
         return _basis_memo[key]
-    words, index = _admissible_bounded(degree, degree), _index(degree)
-    span = fplin.Span(len(words), 2)
+    index = _index(degree)
+    span = fplin.Span(len(index), 2)
     if spec.kind == "E":
         for mask in range(1 << len(spec.qs)):
             picked = [spec.qs[i] for i in range(len(spec.qs)) if (mask >> i) & 1]
@@ -384,17 +400,21 @@ def _degree(spec: SubalgebraSpec, degree: int) -> _Degree:
         for i in reversed(spec.generator_exponents()):
             if span.rank == target:
                 break
-            sq = frozenset({(i,)})
-            for b in steenrod_basis(spec, degree - i):
+            for b in _rows(spec, degree - i):
                 if span.rank == target:
                     break
-                span.add(_mask_mul(b, sq))
+                span.add(_mask_mul(_words_at(b, degree - i), ((i,),)))
         if span.rank != target:
             raise RuntimeError(f"A_{spec.n} closure in degree {degree} reached rank "
                                f"{span.rank}, but dim A({spec.n})_{degree} is {target}")
-    basis = {piv: frozenset(words[i] for i in row) for piv, row in zip(span.pivots, span.basis())}
+    basis = {piv: sum(1 << i for i in row) for piv, row in zip(span.pivots, span.basis())}
     out = _basis_memo[key] = _Degree(basis, span, sum(1 << piv for piv in basis))
     return out
+
+
+def _rows(spec: SubalgebraSpec, degree: int) -> Collection[int]:
+    """B_d's RREF rows as masks, none outside degrees 0 .. top_degree."""
+    return _degree(spec, degree).basis.values() if 0 <= degree <= spec.top_degree else ()
 
 
 def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
@@ -411,13 +431,9 @@ def steenrod_basis(spec: SubalgebraSpec, degree: int) -> list[SteenrodElement]:
     so some are genuine sums (A_1 in degree 5 is spanned by
     Sq^5 + Sq^4 Sq^1).
     """
-    if degree < 0:
-        return []
     if spec.kind == "A":
         return [frozenset({w}) for w in admissible_monomials(degree)]
-    if degree > spec.top_degree:
-        return []
-    return list(_degree(spec, degree).basis.values())
+    return [frozenset(_words_at(row, degree)) for row in _rows(spec, degree)]
 
 
 def _coordinates(spec: SubalgebraSpec, elt: SteenrodElement | int, d: int) -> int | None:
@@ -452,7 +468,7 @@ def total_rank(spec: SubalgebraSpec) -> int:
     """F_2 dimension of a finite subalgebra (A_n or exterior)."""
     if not spec.finite:
         raise ValueError("total rank of the full Steenrod algebra is infinite")
-    return sum(len(steenrod_basis(spec, d)) for d in range(spec.top_degree + 1))
+    return sum(len(_rows(spec, d)) for d in range(spec.top_degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +492,9 @@ class GradedModulePresentation:
     set of coordinates holding its lead while the others in degree d do not.
     A quotient B/I has the unit vectors off I_d's pivots; a kernel of
     right multiplication has the standard kernel combinations of its
-    source's vectors, over the same I.  elements[d] holds the ambient
-    representatives of vectors[d], in order.
+    source's vectors, over the same I.  masks[d] holds the ambient
+    representatives of vectors[d], in order, as masks over the admissible
+    words of degree d; elements[d] holds them as sets of words.
     """
 
     def __init__(
@@ -491,24 +508,28 @@ class GradedModulePresentation:
         self.ideal = tuple(ideal)
         self.relations = relations
         self.vectors = {d: v for d, v in vectors.items() if v}
-        self.elements = {d: [_sum(_degree(spec, d).basis[j] for j in vec) for vec in v.values()]
-                         for d, v in self.vectors.items()}
+        self.masks = {d: [reduce(xor, map(_degree(spec, d).basis.get, vec), 0)
+                          for vec in v.values()] for d, v in self.vectors.items()}
+
+    @cached_property
+    def elements(self) -> dict[int, list[SteenrodElement]]:
+        return {d: [frozenset(_words_at(m, d)) for m in ms] for d, ms in self.masks.items()}
 
     # -- structure ---------------------------------------------------
     def degrees(self) -> list[int]:
-        return sorted(self.elements)
+        return sorted(self.masks)
 
     def dim(self, d: int) -> int:
-        return len(self.elements.get(d, []))
+        return len(self.masks.get(d, []))
 
     def labels(self, d: int) -> list[str]:
         return [element_str(e) for e in self.elements.get(d, [])]
 
     def poincare(self) -> dict[int, int]:
-        return {d: len(v) for d, v in sorted(self.elements.items())}
+        return {d: len(v) for d, v in sorted(self.masks.items())}
 
     def total_rank(self) -> int:
-        return sum(len(v) for v in self.elements.values())
+        return sum(len(v) for v in self.masks.values())
 
     def reduce_ambient(self, elt: SteenrodElement | int, d: int) -> dict[int, int] | None:
         """Coordinates of an ambient element (a set of words or a mask) in this module, or None.
@@ -528,8 +549,9 @@ class GradedModulePresentation:
 
     def act(self, gen_exp: int, d: int, coords: Mapping[int, int]) -> dict[int, int]:
         """Coordinates of Sq^{gen_exp} applied to the element with these coordinates."""
-        elt = _sum(self.elements[d][j] for j, c in coords.items() if c % 2)
-        return self.reduce_ambient(_mask_mul(frozenset({(gen_exp,)}), elt), d + gen_exp) or {}
+        elt = reduce(xor, (self.masks[d][j] for j, c in coords.items() if c % 2), 0)
+        return self.reduce_ambient(_mask_mul([(gen_exp,)], tuple(_words_at(elt, d))),
+                                   d + gen_exp) or {}
 
 
 def _ideal_span(spec: SubalgebraSpec, gens: Iterable[SteenrodElement], d: int) -> fplin.Span:
@@ -539,8 +561,9 @@ def _ideal_span(spec: SubalgebraSpec, gens: Iterable[SteenrodElement], d: int) -
     deg = _degree(spec, d)
     span = fplin.Span(deg.span.ncols, 2)
     for g in gens:
-        for b in steenrod_basis(spec, d - element_degree(g)):
-            span.add(_mask_mul(b, g) & deg.pivot_mask)
+        db = d - element_degree(g)
+        for b in _rows(spec, db):
+            span.add(_mask_mul(_words_at(b, db), g) & deg.pivot_mask)
     return span
 
 
@@ -555,7 +578,7 @@ def quotient_module(
     for g in gens:
         _require_in(spec, g)
     relations = {d: _ideal_span(spec, gens, d) for d in range(spec.top_degree + 1)
-                 if steenrod_basis(spec, d)}
+                 if _rows(spec, d)}
     vectors = {d: {j: frozenset({j})
                    for j in sorted(_degree(spec, d).basis.keys() - set(span.pivots))}
                for d, span in relations.items()}
@@ -587,8 +610,8 @@ def module_map_kernel(
     kernel_vectors: dict[int, dict[int, frozenset[int]]] = {}
     for d in source.degrees():
         cols = []
-        for e in source.elements[d]:
-            red = target.reduce_ambient(_mask_mul(e, f), d + df)
+        for e in source.masks[d]:
+            red = target.reduce_ambient(_mask_mul(_words_at(e, d), f), d + df)
             if red is None:
                 raise ValueError(f"map image leaves target span in degree {d + df}")
             cols.append(red)

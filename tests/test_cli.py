@@ -1047,6 +1047,8 @@ _PINNED_OUTPUTS = {
         "66ae818a1f10ca39b82231621dd99afd00d953c43fef08681d601266f644044b",
     "steenrod kernel --subalgebra A2 --ideal Sq1,Sq2Sq3 --target-ideal Sq1,Sq2 --map Sq4":
         "5b30aa86cea5b8f0f5852521690dec6393298adda178ffa9b7d6c3e84cc7bb6a",
+    "steenrod kernel --subalgebra A3 --ideal Sq1,Sq2Sq3 --target-ideal Sq1,Sq2 --map Sq4":
+        "0d1066e6e89f1b2680937ba34dc8370cbfd101db2b97c06da75d42b622b01f19",
     "hh compute --preset polynomial --p 3 --maxdeg 10":
         "60396021344d0d4c3a6e24244dbfe4a2e4d5d777d890f01f58dde8f2fd480573",
 }

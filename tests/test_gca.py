@@ -70,7 +70,8 @@ def presentations(draw, square_zero=hst.booleans(), max_gen_degree=8):
                                   filtration=draw(hst.integers(0, 3))))
     square_zero = draw(square_zero)
     for k in range(0 if square_zero else draw(hst.integers(0, 2))):
-        gens.append(GeneratorSpec(f"u{k}", 0, "truncated", height=2, idempotent=True))
+        gens.append(GeneratorSpec(f"u{k}", 0, "truncated", height=2, idempotent=True,
+                                  filtration=draw(hst.integers(0, 3))))
     return AlgebraPresentation(p, gens, draw(hst.integers(0, 24)), square_zero=square_zero)
 
 
@@ -90,7 +91,8 @@ def test_basis_index_against_series(A):
         if bigraded is None:
             continue
         buckets = []
-        for s in range(3 * d + 1):
+        # a generator of positive degree adds at most 3 per degree, an idempotent its filtration
+        for s in range(3 * d + sum(g.filtration for g in A.gens if g.idempotent) + 1):
             bucket = A.bigraded_basis(s, d)
             assert len(bucket) == bigraded.get((s, d), 0)
             assert bucket == sorted(set(bucket))

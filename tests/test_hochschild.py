@@ -457,6 +457,10 @@ def test_co_leibniz():
 @example(p=3, degs=[1, 1], qmax=5, tmax=9)
 @example(p=2, degs=[2, 3, 4], qmax=5, tmax=9)
 @example(p=3, degs=[2, 3, 4], qmax=5, tmax=9)
+# letters of degree >= 3 with qmax above tmax // 3: no word longer than tmax // 3 has degree <= tmax
+@example(p=2, degs=[3, 4], qmax=5, tmax=12)
+@example(p=3, degs=[3], qmax=5, tmax=12)
+@example(p=5, degs=[4, 3], qmax=4, tmax=11)
 def test_square_zero_vs_presented(p, degs, qmax, tmax):
     # the necklace count against the honest normalized complex of k + V
     vee = [(f"x{i}", d) for i, d in enumerate(degs)]

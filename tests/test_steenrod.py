@@ -499,6 +499,33 @@ def test_products_by_one_element_match_the_letter_reference(g, xs, left):
         assert got == (_product_reference(g, x) if left else _product_reference(x, g))
 
 
+def _admissible_words(max_degree):
+    return hst.integers(0, max_degree).flatmap(
+        lambda d: hst.sampled_from(st.admissible_monomials(d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_admissible_words(40), _admissible_words(40))
+def test_word_mask_matches_the_letter_reference(u, v):
+    # bit i of a mask is the i-th admissible word of its degree, in
+    # lexicographic order
+    words = st.admissible_monomials(sum(u) + sum(v))
+    mask = st._word_mask(u, v)
+    assert mask >> len(words) == 0
+    got = frozenset(w for i, w in enumerate(words) if mask >> i & 1)
+    assert got == _product_reference({u}, {v})
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in range(1, 4) for m in range(n)])
+def test_an_is_free_over_am(m, n):
+    # Milnor-Moore: A(n) is free over its sub-Hopf algebra A(m), so
+    # A(n) / A(n){Sq^1, ..., Sq^{2^m}} = A(n) (x)_{A(m)} F_2 has rank
+    # 2^{(n+1)(n+2)/2} / 2^{(m+1)(m+2)/2}
+    gens = [frozenset({(2 ** i,)}) for i in range(m + 1)]
+    quotient = st.quotient_module(SubalgebraSpec.A(n), gens)
+    assert quotient.total_rank() == 2 ** ((n + 1) * (n + 2) // 2 - (m + 1) * (m + 2) // 2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(hst.lists(hst.integers(1, 64), max_size=6))
 def test_adem_reduce_matches_the_letter_reference(word):
@@ -648,7 +675,7 @@ def test_module_output_does_not_depend_on_what_the_memos_hold(monkeypatch, capsy
         return capsys.readouterr().out
 
     def clear():
-        for memo in (st._index, st._word_mask, st._sq_times):
+        for memo in (st._admissible_bounded, st._index, st._adem_pair, st._word_mask):
             memo.cache_clear()
 
     clear()
