@@ -22,8 +22,8 @@ from typing import Mapping, NamedTuple
 
 from . import fplin
 from .catalog import SpectrumData, spectrum
-from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData, convolve, sigma_name
-from .hochschild import closed_form_hh, hh_squarezero, presentation_dims_internal
+from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec, HopfData, sigma_name
+from .hochschild import closed_form_hh, hh_squarezero
 from .steenrod import milnor_one
 
 __all__ = [
@@ -49,7 +49,7 @@ class SSPage:
     The algebra presentation carries per-generator filtrations; the
     differential is stored on generators and extended as a derivation.
     A non-flat initial term, or a page whose check failed, has no algebra
-    and carries its (filtration, degree) dims in raw_dims.  The fiberwise
+    and carries (filtration, total degree) dims in raw_dims.  The fiberwise
     Hopf data and the coaction are computed from the algebra on first use.
     """
 
@@ -181,15 +181,15 @@ VERIFY_BUDGET = 200000  # monomials of a page check's support, or of a steenrod 
 def build_e2(data: SpectrumData, max_degree: int) -> SSPage:
     """Initial term of the spectral sequence from the homology presentation.
 
-    Flat entries get the closed-form Hochschild presentation with
-    filtrations; the non-flat square-zero case returns bigraded (q, t)
-    dims only, the Kunneth product of its two factors.
+    Flat entries get the closed-form presentation with filtrations; the
+    non-flat case keeps raw_dims only, by (q, total degree): the closed
+    form's series times the square-zero factor's table (Kunneth).
     """
     alg, _ = closed_form_hh(data.homology, max_degree)
     if not data.flat:
         sq_dims = hh_squarezero(list(data.squarezero_factor or ()), max_degree, p=data.p,
                                 max_degree=max_degree)
-        dims = convolve(presentation_dims_internal(alg, max_degree), sq_dims, max_degree)
+        dims = alg.bigraded_series(max_degree, {(q, q + t): v for (q, t), v in sq_dims.items()})
         return SSPage(data, 2, None, raw_dims=dims, max_degree=max_degree)
     return SSPage(data, 2, alg, max_degree=max_degree)
 
@@ -331,7 +331,7 @@ def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: in
     and degree by -1, and A is materialized through bound + 1.  It kills
     every generator outside its support F (the sources and the generators
     of its targets) and maps F into F, so the homology is (B, 0) (x)
-    (F, d_F): rank d on F's bases only, then tensor H(F) with the series
+    (F, d_F): rank d on F's bases only, then multiply H(F) into the series
     of B.  PageCheckBudgetError refuses a support that holds over
     VERIFY_BUDGET monomials through bound.
     """
@@ -362,7 +362,7 @@ def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: in
 
     h_f = {(s, d): h for (s, d), n in F.bigraded_series(bound).items()
            if (h := n - rank_of(s, d) - rank_of(s - shift, d + 1))}
-    return convolve(B.bigraded_series(bound), h_f, bound)
+    return B.bigraded_series(bound, h_f)
 
 
 class PageCheckBudgetError(ValueError):
@@ -620,7 +620,7 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
     data = spectrum(name, p, max_degree + 1)
     e2 = build_e2(data, max_degree + 1)
     if e2.algebra is None:
-        dims = {k: v for k, v in e2.raw_dims.items() if k[0] + k[1] <= max_degree}
+        dims = {(q, d - q): v for (q, d), v in e2.raw_dims.items() if d <= max_degree}
         series = [0] * (max_degree + 1)
         for (q, t), v in dims.items():
             series[q + t] += v

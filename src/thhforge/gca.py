@@ -25,7 +25,6 @@ __all__ = [
     "AlgebraPresentation",
     "CoactionTable",
     "HopfData",
-    "convolve",
     "expand_divided",
     "gamma_coefficient",
     "sigma_name",
@@ -346,15 +345,17 @@ class AlgebraPresentation:
                 series[g.degree] += 1
         return series
 
-    def bigraded_series(self, max_degree: int | None = None) -> dict[tuple[int, int], int]:
-        """dims indexed by (filtration, total degree), zeros left out: the
-        base-2^width digits of _rows, where no dim exceeds its degree's total."""
+    def bigraded_series(self, max_degree: int | None = None,
+                        times: Mapping | None = None) -> dict[tuple[int, int], int]:
+        """dims by (filtration, total degree) of the algebra times the table
+        times (Kunneth; the unit by default), zeros left out: the base-2^width
+        digits of _rows, where no dim exceeds its degree's total."""
         if self.square_zero:
             raise ValueError("bigraded series not defined for square-zero presentations")
         n = self.N if max_degree is None else max_degree
-        width = max(self._rows(n, 0), default=0).bit_length()
+        width = max(self._rows(n, 0, times), default=0).bit_length()
         mask, out = (1 << width) - 1, {}
-        for t, v in enumerate(self._rows(n, width)):
+        for t, v in enumerate(self._rows(n, width, times)):
             s = 0
             while v:
                 skip = ((v & -v).bit_length() - 1) // width  # zero digits below the next dim
@@ -363,15 +364,19 @@ class AlgebraPresentation:
                 s, v = s + 1, v >> width
         return out
 
-    def _rows(self, n: int, width: int) -> list[int]:
+    def _rows(self, n: int, width: int, times: Mapping | None = None) -> list[int]:
         """Row t <= n is the sum of dim(s, t) * 2^(s * width) over filtrations s.
 
         That is the series in x (degree) and y (filtration) at y = 2^width, a
-        ring map, so negative coefficients on the way do no harm.  A generator
-        of degree d, filtration f and exponent cap c multiplies it by
-        (1 - (x^d y^f)^(c+1)) / (1 - x^d y^f), in place; an idempotent by 1 + y^f.
+        ring map, so negative coefficients on the way do no harm.  It starts
+        from times (the unit by default); a generator of degree d, filtration
+        f and exponent cap c multiplies it by (1 - (x^d y^f)^(c+1)) / (1 - x^d y^f),
+        in place; an idempotent by 1 + y^f.
         """
-        rows = [1] + [0] * n if n >= 0 else []
+        rows = [0] * (n + 1)
+        for (s, t), dim in ({(0, 0): 1} if times is None else times).items():
+            if t <= n:
+                rows[t] += dim << s * width
         for g in self.gens:
             if g.idempotent:
                 rows = [v + (v << g.filtration * width) for v in rows]
@@ -407,18 +412,6 @@ class AlgebraPresentation:
             i += 1
         c = gamma_coefficient(j, self.p)
         return {tuple(sorted(exps.items())): fplin.PrimeField(self.p).inv(c)}
-
-
-def convolve(x: Mapping[tuple[int, int], int], y: Mapping[tuple[int, int], int],
-             bound: int) -> dict[tuple[int, int], int]:
-    """The Kunneth product of two {(filtration, degree): dim} tables through
-    degree bound: dims of a tensor product add filtrations and degrees."""
-    out: dict[tuple[int, int], int] = {}
-    for (s1, d1), n1 in x.items():
-        for (s2, d2), n2 in y.items():
-            if d1 + d2 <= bound:
-                out[s1 + s2, d1 + d2] = out.get((s1 + s2, d1 + d2), 0) + n1 * n2
-    return out
 
 
 def _is_power(e: int, p: int) -> bool:

@@ -17,12 +17,11 @@ from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
 from . import fplin
-from .gca import AlgebraPresentation, GeneratorSpec, HopfData, convolve, expand_divided, sigma_name
+from .gca import AlgebraPresentation, GeneratorSpec, HopfData, expand_divided, sigma_name
 
 __all__ = [
     "HochschildComplex",
     "HHClass",
-    "boundary",
     "hh_homology",
     "hh_dims",
     "shuffle_product",
@@ -167,10 +166,6 @@ class HochschildComplex:
         ]
 
 
-def boundary(algebra: AlgebraPresentation, elt: ChainElt) -> ChainElt:
-    return HochschildComplex(algebra).boundary(elt)
-
-
 def _bidegrees(algebra: AlgebraPresentation, max_degree: int, qmax: int | None) -> list[tuple[int, int]]:
     """The bidegrees (q, t), t <= max_degree, at which homology is read.
 
@@ -219,9 +214,19 @@ def hh_dims(
     dims = {(0, 0): 1}
     for f in _factors(algebra):
         cx = HochschildComplex(f)
-        dims = convolve({(q, t): d for q, t in _bidegrees(f, max_degree, qmax)
-                         if (d := cx.dim(q, t))}, dims, max_degree)
+        dims = _convolve({(q, t): d for q, t in _bidegrees(f, max_degree, qmax)
+                          if (d := cx.dim(q, t))}, dims, max_degree)
     return {(q, t): d for q, t in _bidegrees(algebra, max_degree, qmax) if (d := dims.get((q, t)))}
+
+
+def _convolve(x: Mapping, y: Mapping, bound: int) -> dict[tuple[int, int], int]:
+    """The Kunneth product of two {(q, t): dim} tables through t <= bound."""
+    out: dict[tuple[int, int], int] = {}
+    for (q1, t1), n1 in x.items():
+        for (q2, t2), n2 in y.items():
+            if t1 + t2 <= bound:
+                out[q1 + q2, t1 + t2] = out.get((q1 + q2, t1 + t2), 0) + n1 * n2
+    return out
 
 
 def presentation_dims_internal(

@@ -14,7 +14,7 @@ from thhforge import bokstedt as bk
 from thhforge import fplin
 from thhforge.catalog import SPECTRUM_NAMES, UnsupportedSpectrumError, j_module_degrees, spectrum
 from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec, expand_divided
-from thhforge.hochschild import presentation_dims_internal
+from thhforge.hochschild import _convolve, closed_form_hh, hh_squarezero, presentation_dims_internal
 from thhforge.steenrod import milnor_one
 
 
@@ -122,7 +122,19 @@ def test_build_e2_nonflat_j():
     assert page.algebra is None and page.raw_dims is not None
     # degrees of the square-zero factor come from the Steenrod machinery
     assert j_module_degrees()[:3] == (7, 9, 10)
-    assert page.raw_dims.get((1, 7), 0) >= 1
+    assert page.raw_dims.get((1, 8), 0) >= 1  # k0 in (q, total degree)
+
+
+@pytest.mark.parametrize("n", [44, 96, 128])
+def test_nonflat_e2_is_the_kunneth_product_by_total_degree(n):
+    # the oracle: both factors indexed by (q, internal), the presentation's
+    # at twice the bound, multiplied by the dict double loop
+    data = spectrum("j", 2, n)
+    alg, _ = closed_form_hh(data.homology, n)
+    sq = hh_squarezero(list(data.squarezero_factor), n, p=2, max_degree=n)
+    oracle = _convolve(presentation_dims_internal(alg, n), sq, n)
+    assert bk.build_e2(data, n).raw_dims == {(q, q + t): v for (q, t), v in oracle.items()
+                                             if q + t <= n}
 
 
 def test_collapse_checks():

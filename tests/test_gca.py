@@ -123,12 +123,13 @@ def test_series_is_convolution_of_factors():
     assert [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(13)] == both
 
 
-def _factor_product_series(A, n):
-    """dims by (filtration, degree) through n, as the product of the
-    generators' factors, each multiplied out in full by quadratic
-    convolution: the oracle for both series of a presentation.  An
-    idempotent u is a generator of degree 0 and cap 1: its factor is 1 + u."""
-    series = {(0, 0): 1}
+def _factor_product_series(A, n, times=None):
+    """dims by (filtration, degree) through n, as the product of times (the
+    unit by default) and the generators' factors, each multiplied out in
+    full by quadratic convolution: the oracle for both series of a
+    presentation.  An idempotent u is a generator of degree 0 and cap 1:
+    its factor is 1 + u."""
+    series = {k: v for k, v in ({(0, 0): 1} if times is None else times).items() if k[1] <= n}
     for g in A.gens:
         factor = {}
         cap = g.max_exponent()
@@ -150,17 +151,21 @@ def _factor_product_series(A, n):
 @given(presentations(square_zero=hst.just(False), max_gen_degree=12), hst.data())
 def test_series_equal_the_product_of_factors(A, data):
     # the bound runs from negative through N, and often sits below the
-    # smallest generator degree
+    # smallest generator degree; the times table has dims past 2^64 and
+    # degrees above the bound, which the product leaves out
     n = data.draw(hst.integers(-3, A.N), label="bound")
+    times = data.draw(hst.dictionaries(hst.tuples(hst.integers(0, 3), hst.integers(0, A.N + 4)),
+                                       hst.integers(1, 2 ** 70), max_size=6), label="times")
     if n < 0:
         assert A.poincare_series(n) == []
-        assert A.bigraded_series(n) == {}
+        assert A.bigraded_series(n) == {} and A.bigraded_series(n, times) == {}
         return
     oracle = _factor_product_series(A, n)
     assert A.bigraded_series(n) == oracle
     assert A.poincare_series(n) == [
         sum(c for (_, t), c in oracle.items() if t == d) for d in range(n + 1)
     ]
+    assert A.bigraded_series(n, times) == _factor_product_series(A, n, times)
 
 
 # totals pass 2^64 (C(70, 35) is about 2^66.6), so digits are 67 bits wide
@@ -168,24 +173,46 @@ _WIDE = AlgebraPresentation(
     2, [GeneratorSpec(f"e{i}", 1, "exterior", filtration=i % 4) for i in range(70)], 40)
 
 
-@pytest.mark.parametrize("A", [
-    _WIDE,
+def _digits(rows, width):
+    """{(s, t): dim} read off base-2^width rows one digit at a time."""
+    out = {}
+    for t, v in enumerate(rows):
+        for s in range(v.bit_length() // width + 1):
+            if digit := v >> s * width & (1 << width) - 1:
+                out[s, t] = digit
+    return out
+
+
+@pytest.mark.parametrize("A, times", [
+    (_WIDE, None),
     # each degree lies in one filtration, so its whole total is one digit:
     # the largest total needs every bit of the width
-    AlgebraPresentation(
-        2, [GeneratorSpec(f"e{i}", 1, "exterior", filtration=1) for i in range(20)], 20),
+    (AlgebraPresentation(
+        2, [GeneratorSpec(f"e{i}", 1, "exterior", filtration=1) for i in range(20)], 20), None),
     # an idempotent u in filtration 1 puts u m one filtration above m
-    AlgebraPresentation(3, [GeneratorSpec("x", 2, "polynomial", filtration=2),
-                            GeneratorSpec("y", 3, "exterior", filtration=1),
-                            GeneratorSpec("z", 4, "truncated", height=3, filtration=1),
-                            GeneratorSpec("u", 0, "truncated", height=2, idempotent=True,
-                                          filtration=1)], 24),
-], ids=["70-exterior", "one-filtration-per-degree", "idempotent-in-filtration-1"])
-def test_series_digits_are_wide_enough(A):
-    oracle = _factor_product_series(A, A.N)
-    assert A.bigraded_series() == oracle
-    assert A.poincare_series() == [sum(c for (_, t), c in oracle.items() if t == d)
-                                   for d in range(A.N + 1)]
+    (AlgebraPresentation(3, [GeneratorSpec("x", 2, "polynomial", filtration=2),
+                             GeneratorSpec("y", 3, "exterior", filtration=1),
+                             GeneratorSpec("z", 4, "truncated", height=3, filtration=1),
+                             GeneratorSpec("u", 0, "truncated", height=2, idempotent=True,
+                                           filtration=1)], 24), None),
+    # even degrees hold 2^70 - 1 alone, one digit of all 70 bits of the
+    # width; (1, 20) lies above the bound
+    (AlgebraPresentation(2, [GeneratorSpec("x", 2, "polynomial", filtration=1)], 12),
+     {(0, 0): 2 ** 70 - 1, (2, 3): 5, (1, 20): 3}),
+], ids=["70-exterior", "one-filtration-per-degree", "idempotent-in-filtration-1",
+        "times-one-digit-per-degree"])
+def test_series_digits_are_wide_enough(A, times):
+    oracle = _factor_product_series(A, A.N, times)
+    assert A.bigraded_series(times=times) == oracle
+    if times is None:
+        assert A.poincare_series() == [sum(c for (_, t), c in oracle.items() if t == d)
+                                       for d in range(A.N + 1)]
+    width = max(A._rows(A.N, 0, times)).bit_length()
+    assert _digits(A._rows(A.N, width, times), width) == oracle
+    one_digit = max(oracle.values()).bit_length() == width
+    assert one_digit == (A is not _WIDE and not A.gens[-1].idempotent)
+    if one_digit:  # one bit short must fail
+        assert _digits(A._rows(A.N, width - 1, times), width - 1) != oracle
     if A is _WIDE:
         assert max(A.poincare_series()) > 2 ** 64
     if A.gens[-1].idempotent:  # small enough to count the monomials too
