@@ -87,19 +87,20 @@ def _derivation(A: AlgebraPresentation, image: Mapping[str, dict], m: tuple) -> 
 
     D(m) sums (-1)^{|x|} x (e g^{e-1} D(g)) y over the factors g^e of
     m = x g^e y; a factor whose exponent p divides contributes nothing.
+    A term c t of D(g) is (-1)^{|x| + |t||y|} e c (x g^{e-1} y) t, one product.
     """
-    p = A.p
+    p, prefix_deg, suffix_deg = A.p, 0, A.degree(m)
     out: dict = {}
-    prefix_deg = 0
     for pos, (i, e) in enumerate(m):
         g = A.gens[i]
-        dval = image.get(g.name)
-        if dval and e % p:
-            mid = A.el_mul({((i, e - 1),) if e > 1 else (): e % p}, dval)
-            term = A.el_mul(A.el_mul({m[:pos]: 1}, mid), {m[pos + 1:]: 1})
-            sign = -1 if (p != 2 and prefix_deg % 2) else 1
-            for mm, c in term.items():
-                fplin.add_term(out, mm, sign * c, p)
+        suffix_deg -= g.degree * e
+        if (dval := image.get(g.name)) and e % p:
+            rest = m[:pos] + (((i, e - 1),) if e > 1 else ()) + m[pos + 1:]
+            for t, c in dval.items():
+                prod, s = A.mul_monomials(rest, t)
+                if prod is not None and s:
+                    sign = (-1) ** (prefix_deg + A.degree(t) * suffix_deg)
+                    fplin.add_term(out, prod, sign * e * c * s, p)
         prefix_deg += g.degree * e
     return out
 

@@ -15,7 +15,7 @@ from itertools import count, takewhile
 
 from . import steenrod as st
 from .gca import AlgebraPresentation, CoactionTable, GeneratorSpec
-from .steenrod import MilnorMonomial, conjugate, milnor_coproduct, milnor_one
+from .steenrod import MilnorMonomial, _tau, _xi, conjugate, milnor_coproduct, milnor_one
 
 __all__ = [
     "DyerLashofTable", "SpectrumData", "spectrum", "SPECTRUM_NAMES", "j_module_degrees",
@@ -79,16 +79,6 @@ def _xibname(k: int, e: int) -> str:
     return f"xibar{k}" if e == 1 else f"xibar{k}^{e}"
 
 
-def _xib(k: int, e: int = 1) -> MilnorMonomial:
-    xi = [0] * k
-    xi[k - 1] = e
-    return MilnorMonomial(tuple(xi), (), True)
-
-
-def _taub(k: int) -> MilnorMonomial:
-    return MilnorMonomial((), (k,), True)
-
-
 def _recognizer(gen_values: dict[str, MilnorMonomial], presentation: AlgebraPresentation, p: int):
     """Express a conjugated Milnor monomial as a monomial in the generators."""
     xi_gens: dict[int, tuple[str, int]] = {}
@@ -133,7 +123,7 @@ def _psi_coaction(value: MilnorMonomial, recognize, p: int) -> list[tuple[dict, 
 
 def _tau_plain(k: int, p: int) -> dict[MilnorMonomial, int]:
     """The unconjugated tau_k expanded in the conjugated alphabet."""
-    return conjugate(MilnorMonomial((), (k,), False), p)
+    return conjugate(_tau(k, conjugated=False), p)
 
 
 def _neg(a: dict, p: int) -> dict:
@@ -144,12 +134,12 @@ def _xi_power_family(p: int, head: list[int], max_degree: int):
     """Generators xibar_k^{head[k-1]} then xibar_k for k > len(head)."""
     gens: list[tuple[str, MilnorMonomial, str]] = []
     for k, e in enumerate(head, start=1):
-        m = _xib(k, e)
+        m = _xi(k, e)
         if m.degree(p) <= max_degree:
             gens.append((_xibname(k, e), m, "polynomial"))
     k = len(head) + 1
-    while _xib(k).degree(p) <= max_degree:
-        gens.append((_xibname(k, 1), _xib(k), "polynomial"))
+    while _xi(k).degree(p) <= max_degree:
+        gens.append((_xibname(k, 1), _xi(k), "polynomial"))
         k += 1
     return gens
 
@@ -217,9 +207,9 @@ _ODD_FIRST_TAU = {"hf": 0, "hz": 1, "ell": 2, "bp2": 3, "bp3": 4, "bp": None}
 def _odd_spectrum(name: str, p: int, max_degree: int) -> SpectrumData:
     first = _ODD_FIRST_TAU[name]
     taus = [] if first is None else list(
-        takewhile(lambda k: _taub(k).degree(p) <= max_degree, count(first)))
+        takewhile(lambda k: _tau(k).degree(p) <= max_degree, count(first)))
     gen_list = _xi_power_family(p, [], max_degree)
-    gen_list += [(f"taubar{k}", _taub(k), "exterior") for k in taus]
+    gen_list += [(f"taubar{k}", _tau(k), "exterior") for k in taus]
     data = _build_subalgebra_spectrum(name, p, max_degree, gen_list)
     H, dl = data.homology, data.dl
     for k in taus:
@@ -257,7 +247,7 @@ def _ju_odd(p: int, max_degree: int) -> SpectrumData:
         [
             (one, mono(f"xitilde1^{p}")),
             (_neg(tau0, p), mono("b")),
-            ({_xib(1, p): 1}, ()),
+            ({_xi(1, p): 1}, ()),
         ],
     )
     if "xitilde2" in H.index:
@@ -265,9 +255,9 @@ def _ju_odd(p: int, max_degree: int) -> SpectrumData:
             "xitilde2",
             [
                 (one, mono("xitilde2")),
-                ({_xib(1): 1}, mono(f"xitilde1^{p}")),
+                ({_xi(1): 1}, mono(f"xitilde1^{p}")),
                 (tau1, mono("b")),
-                ({_xib(2): 1}, ()),
+                ({_xi(2): 1}, ()),
             ],
         )
     if "tautilde2" in H.index:
@@ -275,10 +265,10 @@ def _ju_odd(p: int, max_degree: int) -> SpectrumData:
             "tautilde2",
             [
                 (one, mono("tautilde2")),
-                ({_taub(0): 1}, mono("xitilde2")),
-                ({_taub(1): 1}, mono(f"xitilde1^{p}")),
+                ({_tau(0): 1}, mono("xitilde2")),
+                ({_tau(1): 1}, mono(f"xitilde1^{p}")),
                 (_neg(st.dual_mul(tau0, tau1, p), p), mono("b")),
-                ({_taub(2): 1}, ()),
+                ({_tau(2): 1}, ()),
             ],
         )
     dl = DyerLashofTable()

@@ -188,14 +188,6 @@ class AlgebraPresentation:
             parts.append(self.gens[i].name if e == 1 else f"{self.gens[i].name}^{e}")
         return " ".join(parts)
 
-    def _sign(self, m1: Monomial, m2: Monomial) -> int:
-        if self.p == 2:
-            return 1
-        odd1 = [i for i, e in m1 if self.gens[i].degree % 2 for _ in range(e)]
-        odd2 = [i for i, e in m2 if self.gens[i].degree % 2 for _ in range(e)]
-        inv = sum(1 for a in odd1 for b in odd2 if a > b)
-        return -1 if inv % 2 else 1
-
     def mul_monomials(self, m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
         """Product with kind relations and Koszul sign; (None, 0) if zero.
 
@@ -215,21 +207,30 @@ class AlgebraPresentation:
         return out
 
     def _product(self, m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
+        """One merge of the sorted monomials.  Each odd letter of m2 passes the
+        odd letters of m1 not yet emitted (exterior at odd p, so exponent 1)."""
         if self.square_zero and self.degree(m1) > 0 and self.degree(m2) > 0:
             return None, 0
-        sign = self._sign(m1, m2)
-        exps = dict(m1)
+        gens = self.gens
+        ahead = sum(gens[i].degree % 2 for i, _ in m1)  # odd letters of m1 not yet emitted
+        out, sign, j = [], 1, 0
         for i, e in m2:
-            exps[i] = exps.get(i, 0) + e
-        out = []
-        for i in sorted(exps):
-            e = exps[i]
-            if e > self._caps[i]:
-                if not self.gens[i].idempotent:
-                    return None, 0
-                e = 1  # idempotents: u^2 = u
+            while j < len(m1) and m1[j][0] < i:
+                ahead -= gens[m1[j][0]].degree % 2
+                out.append(m1[j])
+                j += 1
+            if j < len(m1) and m1[j][0] == i:
+                e += m1[j][1]
+                j += 1
+                if e > self._caps[i]:
+                    if not gens[i].idempotent:
+                        return None, 0
+                    e = 1  # idempotents: u^2 = u
+            if gens[i].degree % 2 and ahead % 2:
+                sign = -sign
             out.append((i, e))
-        return tuple(out), sign % self.p
+        out.extend(m1[j:])
+        return tuple(out), sign % self.p  # -1 is 1 at p = 2
 
     # -- elements ------------------------------------------------------
     def el_add(self, a: Element, b: Element, coeff: int = 1) -> Element:
@@ -260,23 +261,16 @@ class AlgebraPresentation:
         else:
             self._reach = self._reach or self._reachable()
             out = self._tails(0, degree)
-            idem = [i for i, g in enumerate(self.gens) if g.idempotent]
-            if idem:
-                with_idem = []
-                for m in out:
-                    for mask in range(1 << len(idem)):
-                        extra = [(idem[k], 1) for k in range(len(idem)) if (mask >> k) & 1]
-                        with_idem.append(tuple(sorted(list(m) + extra)))
-                out = sorted(set(with_idem))
         self._basis_cache[degree] = out
         return out
 
     def _tails(self, idx: int, remaining: int) -> list[Monomial]:
-        """Monomials in the positive-degree generators idx.. of one degree.
+        """Monomials in the generators idx.. of one degree.
 
         Memoized on (idx, remaining), so every degree reuses the tails of
         the others.  Taking g^1, g^2, ... before skipping g emits the list
-        in lexicographic order, skipping the degrees _reachable rules out.
+        in lexicographic order (an idempotent is a degree-0 generator of
+        cap 1; the unit leads), skipping the degrees _reachable rules out.
         """
         cache = self._tail_cache
         out = cache.get((idx, remaining))
@@ -284,21 +278,21 @@ class AlgebraPresentation:
             return out
         if not self._reach[idx] >> remaining & 1:
             return []
-        if remaining == 0:
+        if idx == len(self.gens):
             out = [()]
         else:
             out = []
             g, reach = self.gens[idx], self._reach[idx + 1]
-            if g.degree > 0:
-                e = 1
-                while e * g.degree <= remaining and e <= self._caps[idx]:
-                    rest = remaining - e * g.degree
-                    if reach >> rest & 1:  # skip degrees the later generators miss
-                        tails = cache.get((idx + 1, rest)) or self._tails(idx + 1, rest)
-                        head = ((idx, e),)
-                        out.extend(head + t for t in tails)
-                    e += 1
-            out.extend(self._tails(idx + 1, remaining))
+            e = 1
+            while e * g.degree <= remaining and e <= self._caps[idx]:
+                rest = remaining - e * g.degree
+                if reach >> rest & 1:  # skip degrees the later generators miss
+                    tails = cache.get((idx + 1, rest)) or self._tails(idx + 1, rest)
+                    head = ((idx, e),)
+                    out.extend(head + t for t in tails)
+                e += 1
+            skip = self._tails(idx + 1, remaining)
+            out = skip[:1] + out + skip[1:] if remaining == 0 else out + skip
         cache[(idx, remaining)] = out
         return out
 

@@ -109,8 +109,7 @@ class HochschildComplex:
             prod, s = A.mul_monomials(c[i], c[i + 1])
             if prod is None or s == 0:
                 continue
-            if i > 0 and not prod:
-                continue  # normalized: unit in a reduced slot
+            # a reduced slot times any monomial is not the unit: the face stays normalized
             fplin.add_term(out, c[:i] + (prod,) + c[i + 2 :], (-1) ** i * s, p)
         # cyclic last face, with the Koszul sign for moving the last slot
         # front (a sign is 1 at p = 2, and eps is even when c[q] is)

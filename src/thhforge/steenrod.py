@@ -732,9 +732,8 @@ def milnor_mul(a: MilnorMonomial, b: MilnorMonomial, p: int) -> tuple[MilnorMono
         inv = sum(1 for i in a.tau for j in b.tau if i > j)
         sign = -1 if inv % 2 else 1
     n = max(len(a.xi), len(b.xi))
+    # neither factor ends in a zero exponent (MilnorMonomial refuses one), so their sum does not
     xi = tuple((a.xi[i] if i < len(a.xi) else 0) + (b.xi[i] if i < len(b.xi) else 0) for i in range(n))
-    while xi and xi[-1] == 0:
-        xi = xi[:-1]
     return MilnorMonomial(xi, tuple(sorted(a.tau + b.tau)), a.conjugated), sign % p
 
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from test_gca import presentations
 from test_hochschild import whole_complex_dims
 from thhforge import adams as ad
 from thhforge import bokstedt as bk
@@ -498,6 +499,52 @@ def _reference_sigma(H, target, substitutions, m):
         for mm, c in target.el_mul(sge, {rest: 1}).items():
             fplin.add_term(out, mm, sign * c, p)
     return out
+
+
+def _derivation_reference(A, image, m):
+    """D(m) as the sum of (-1)^{|x|} x (e g^{e-1} D(g)) y, each term three
+    element products, so the sign of moving D(g) past y is the product's."""
+    p = A.p
+    out: dict = {}
+    prefix_deg = 0
+    for pos, (i, e) in enumerate(m):
+        dval = image.get(A.gens[i].name)
+        if dval and e % p:
+            mid = A.el_mul({((i, e - 1),) if e > 1 else (): e % p}, dval)
+            term = A.el_mul(A.el_mul({m[:pos]: 1}, mid), {m[pos + 1:]: 1})
+            for mm, c in term.items():
+                fplin.add_term(out, mm, (-1) ** prefix_deg * c, p)
+        prefix_deg += A.gens[i].degree * e
+    return out
+
+
+@hst.composite
+def derivation_cases(draw):
+    """A presentation at p = 3 or 5 and images D(g) of up to three terms
+    among its 40 lowest monomials; at least three generators, so a term of
+    D(g) and a letter after g in m can both be odd."""
+    A = draw(presentations(square_zero=hst.just(False))
+             .filter(lambda A: A.p != 2 and len(A.gens) >= 3), label="A")
+    monos = [m for d in range(A.N + 1) for m in A.monomial_basis(d)][:40]
+    image = {g.name: draw(hst.dictionaries(hst.sampled_from(monos), hst.integers(1, A.p - 1),
+                                           max_size=3), label=f"D({g.name})") for g in A.gens}
+    return A, image, monos
+
+
+_ODD_PAST_Y = AlgebraPresentation(5, [GeneratorSpec("x", 2, "polynomial"), GeneratorSpec("y", 1, "exterior"),
+                                     GeneratorSpec("z", 3, "exterior")], 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(derivation_cases())
+@example((_ODD_PAST_Y, {"x": {((1, 1),): 1}, "z": {((0, 1), (1, 1)): 2}},
+          [((0, 1), (2, 1)), ((0, 2), (2, 1)), ((0, 1), (1, 1), (2, 1))]))
+def test_derivation_matches_the_three_product_reference(case):
+    # x z at p = 5 with D(x) = y: the one product z y carries the sign
+    # (-1)^{|y||z|} = -1, giving y z; the reference multiplies y into place
+    A, image, monos = case
+    for m in monos:
+        assert bk._derivation(A, image, m) == _derivation_reference(A, image, m), A.monomial_str(m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -308,7 +308,22 @@ def reference_product(A, m1, m2):
                             GeneratorSpec("u", 0, "truncated", height=2, idempotent=True)], 9),
 ], ids=["p2", "p3"])
 def test_memoized_product_matches_the_letter_reference(A):
-    monos = [m for d in range(A.N + 1) for m in A.monomial_basis(d)]
+    _check_products_against_the_letter_reference(A, [m for d in range(A.N + 1)
+                                                     for m in A.monomial_basis(d)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(square_zero=hst.just(False)))
+def test_memoized_product_matches_the_letter_reference_on_drawn_presentations(A):
+    # up to five generators, so an odd letter can pass two odd letters of
+    # the other factor (the fixed presentations have two odd generators);
+    # the 60 lowest-degree monomials (generators and short products come
+    # first) keep each example quick
+    _check_products_against_the_letter_reference(
+        A, [m for d in range(A.N + 1) for m in A.monomial_basis(d)][:60])
+
+
+def _check_products_against_the_letter_reference(A, monos):
     for repeat in range(2):  # the first call fills the memo, the second reads it
         for m1 in monos:
             for m2 in monos:
