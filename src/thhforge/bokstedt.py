@@ -49,8 +49,10 @@ class SSPage:
     The algebra presentation carries per-generator filtrations; the
     differential is stored on generators and extended as a derivation.
     A non-flat initial term, or a page whose check failed, has no algebra
-    and carries (filtration, total degree) dims in raw_dims.  The fiberwise
-    Hopf data and the coaction are computed from the algebra on first use.
+    and carries (filtration, total degree) dims in raw_dims; a page whose
+    check passed carries there the algebra's dims it verified, through
+    max_degree - 1.  The fiberwise Hopf data and the coaction are computed
+    from the algebra on first use.
     """
 
     def __init__(self, spectrum: SpectrumData | None, r: int, algebra: AlgebraPresentation | None,
@@ -288,7 +290,8 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
     suspension class, that class and the tower members above gamma_1.
     honest_dims of d^r (filtration shift -(p - 1)) confirms the candidate
     bigraded dims through degree max_degree - 1; on mismatch the raw dims
-    are returned.  The info dict holds verified_to and match.
+    are returned, and on a match the candidate's verified dims ride along
+    as raw_dims.  The info dict holds verified_to and match.
     """
     if not page.differential:
         return page, {"verified_to": page.max_degree, "trivial": True}
@@ -321,7 +324,7 @@ def page_homology(page: SSPage) -> tuple[SSPage, dict]:
     info = {"verified_to": bound, "match": ok}
     if not ok:
         return SSPage(page.spectrum, p, None, raw_dims=honest, max_degree=bound), info
-    return SSPage(page.spectrum, p, candidate, max_degree=page.max_degree), info
+    return SSPage(page.spectrum, p, candidate, raw_dims=cand_dims, max_degree=page.max_degree), info
 
 
 def honest_dims(A: AlgebraPresentation, differential: dict[str, dict], shift: int,
@@ -598,12 +601,13 @@ class THHResult(NamedTuple):
 
 
 def _dims_jsonable(dims: dict) -> dict:
-    return {f"{s},{t}": v for (s, t), v in sorted(dims.items())}
+    # unsorted: every writer orders the "s,t" keys itself
+    return {f"{s},{t}": v for (s, t), v in dims.items()}
 
 
 def _coaction_jsonable(coact: CoactionTable) -> dict:
     out = {}
-    for idx, terms in sorted(coact.entries.items()):
+    for idx, terms in coact.entries.items():
         name = coact.A.gens[idx].name
         out[name] = [
             [" + ".join(f"{c if c != 1 else ''}{m}" for m, c in a.items()), coact.A.monomial_str(mono)]
@@ -667,7 +671,10 @@ def thh_homology(name: str, p: int, max_degree: int) -> THHResult:
 
 
 def _page_dims(page: SSPage, max_degree: int) -> dict[tuple[int, int], int]:
-    return {(s, d - s): v for (s, d), v in page.algebra.bigraded_series(max_degree).items()}
+    # a checked page's raw_dims is its algebra's series through max_degree - 1
+    dims = (page.raw_dims if page.raw_dims is not None and page.max_degree == max_degree + 1
+            else page.algebra.bigraded_series(max_degree))
+    return {(s, d - s): v for (s, d), v in dims.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,10 @@ def _print_rows(result, sep: str) -> None:
     """One line per key or row; a csv row that is a dict prints its values."""
     if isinstance(result, dict):
         for k in sorted(result, key=str):
-            print(f"{k}{sep}{result[k]}")
+            v = result[k]
+            if k in ("e2", "einf") and v:  # a flat "s,t" table, listed by (s, t)
+                v = {st: v[st] for st in sorted(v, key=lambda st: tuple(map(int, st.split(","))))}
+            print(f"{k}{sep}{v}")
     elif isinstance(result, list):
         for row in result:
             print(",".join(map(str, row.values())) if sep == "," and isinstance(row, dict) else row)
@@ -315,7 +318,7 @@ def cmd_hh(args, config) -> int:
               f"t = {cut} (--maxdeg {cut})", file=sys.stderr)
         return EXIT_USAGE
     dims = hh_dims(pres, top, qmax=qmax)
-    result = {f"{q},{t}": v for (q, t), v in sorted(dims.items())}
+    result = {f"{q},{t}": v for (q, t), v in dims.items()}
     emit(envelope("hh compute",
                   {"p": p, "maxdeg": n, "preset": args.preset, "qmax": qmax}, result),
          args, config)
@@ -346,7 +349,7 @@ def cmd_adams(args, config) -> int:
         return EXIT_USAGE
     einf, module, log = ad.run_ss(args.target, n)
     result = {"target": args.target, "stages": log, "homotopy": module.table(n),
-              "einf": {f"{s},{t}": v for (s, t), v in sorted(einf.dims.items()) if v}}
+              "einf": {f"{s},{t}": v for (s, t), v in einf.dims.items() if v}}
     smax = max((s for s, _ in einf.dims), default=10)
     if args.chart:
         with open(args.chart, "w") as fh:

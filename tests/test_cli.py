@@ -1031,6 +1031,25 @@ def test_writer_equals_json_dumps(value):
     assert cli.dumps(value) == want
 
 
+_FLAT_TABLES = hst.dictionaries(hst.tuples(hst.integers(0, 40), hst.integers(-3, 300)),
+                                hst.integers(0, 10 ** 6), max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FLAT_TABLES.flatmap(lambda t: hst.permutations(sorted(t.items()))), hst.integers(0, 3))
+def test_a_flat_table_is_written_alike_in_every_insertion_order(items, depth):
+    # bokstedt and adams hand their "s,t" tables to the writers unsorted: json
+    # sorts the keys, and the text rows list them by (s, t)
+    by_st = {f"{s},{t}": v for (s, t), v in sorted(items)}
+    table = {f"{s},{t}": v for (s, t), v in items}
+    assert cli.dumps(table, depth) == cli.dumps(by_st, depth)
+    for sep in ("\t", ","):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._print_rows({"einf": table}, sep)
+        assert out.getvalue() == f"einf{sep}{by_st}\n"
+
+
 # sha256 of `--format json` stdout, pinned from the json.dumps writer
 _PINNED_OUTPUTS = {
     "bokstedt run --spectrum ju --p 2 --maxdeg 96":
