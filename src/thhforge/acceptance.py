@@ -354,7 +354,7 @@ def _rank_count_ext(m: ad.ExteriorComodule, smax: int, tmax: int) -> dict[tuple[
     cols = [m.q.get(j, {}) for j in range(len(degs))]
     dims = {}
     for t in set(degs):
-        rk_out, rk_in = (fplin.rank(fplin.SparseMat.from_columns(part, 2)) for part in (
+        rk_out, rk_in = (fplin.rank(fplin.SparseMat(part, 2)) for part in (
             [c for c, d in zip(cols, degs) if d == t],
             [{i: v for i, v in c.items() if degs[i] == t} for c in cols]))
         for s in range(smax + 1):

@@ -114,7 +114,7 @@ def ext_over_exterior(m: ExteriorComodule, smax: int, tmax: int) -> ExtPage:
         raise ValueError("the coaction operator must square to zero")
     n = len(m.basis)
     cols = [m.q.get(j, {}) for j in range(n)]
-    kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, 2))
+    kernel = fplin.kernel_basis(fplin.SparseMat(cols, 2))
     img = fplin.Span(n, 2)
     for col in cols:
         img.add(col)

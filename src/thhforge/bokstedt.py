@@ -394,10 +394,9 @@ def _primitive_monomials(page: SSPage, filtration: int, total_degree: int) -> li
     out = []
     for i, g in enumerate(page.algebra.gens):
         e, rest = divmod(filtration, g.filtration) if g.filtration > 0 else (0, 1)
-        if not rest and 0 < e <= (g.max_exponent() or e):
+        if not rest and 0 < e <= (g.max_exponent() or e) and page.hopf.is_primitive(((i, e),)):
             out += [tuple(sorted([(index[j], x) for j, x in b] + [(i, e)]))
-                    for b in base.monomial_basis(total_degree - e * g.degree)
-                    if page.hopf.is_primitive(((i, e),))]
+                    for b in base.monomial_basis(total_degree - e * g.degree)]
     return out
 
 

@@ -135,16 +135,23 @@ def emit(payload: dict, args, config) -> None:
 
 
 def _print_rows(result, sep: str) -> None:
-    """One line per key or row; a csv row that is a dict prints its values."""
+    """One line per key or row.  In csv a value that nests (a dict, list or
+    tuple) is one field, its compact JSON text quoted by CSV rules: in double
+    quotes, each inner quote doubled.  A table row prints its repr, an "s,t"
+    table listed by (s, t)."""
+    def field(v, key=None):
+        if sep == "," and isinstance(v, (dict, list, tuple)):
+            return '"%s"' % json.dumps(v, sort_keys=True, separators=(",", ":")).replace('"', '""')
+        if key in ("e2", "einf") and v:
+            return {st: v[st] for st in sorted(v, key=lambda st: tuple(map(int, st.split(","))))}
+        return v
+
     if isinstance(result, dict):
         for k in sorted(result, key=str):
-            v = result[k]
-            if k in ("e2", "einf") and v:  # a flat "s,t" table, listed by (s, t)
-                v = {st: v[st] for st in sorted(v, key=lambda st: tuple(map(int, st.split(","))))}
-            print(f"{k}{sep}{v}")
+            print(f"{k}{sep}{field(result[k], k)}")
     elif isinstance(result, list):
         for row in result:
-            print(",".join(map(str, row.values())) if sep == "," and isinstance(row, dict) else row)
+            print(field(row))
     else:
         print(result)
 

@@ -3,9 +3,12 @@
 Every homology, rank, kernel and solve in this package reduces to row
 reduction over F_p, and all of it goes through one incremental RREF,
 Span, in plain Python: its rows are bit masks at p = 2 and sparse dicts
-at odd p.  PrimeField and SparseMat are immutable.  A Span grows as
-vectors are added to it; the functions below build their own spans and
-never modify their arguments.
+at odd p.  A matrix, SparseMat, is the list of sparse columns its caller
+built, keyed by any hashable row tags, with its prime; check_prime
+refuses a p that is not prime where a field is first asked for (a Span,
+a presentation, a Milnor basis).  A Span grows as vectors are added to
+it; the functions below build their own spans and never modify their
+arguments.
 
 The sparse-algebra kernel shared by the algebra layers lives here too:
 elements are dicts {monomial: nonzero scalar mod p}, accumulated with
@@ -22,8 +25,8 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
-    "PrimeField",
     "is_prime",
+    "check_prime",
     "SparseMat",
     "Span",
     "rank",
@@ -57,81 +60,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _PrimeField(NamedTuple):
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime (the field F_p exists)."""
+    if not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
+
+
+class SparseMat(NamedTuple):
+    """Matrix over F_p whose column j is columns[j], a map {row tag: scalar}.
+
+    Row tags are any hashable keys; each distinct tag is one row.  Row
+    order does not change the rank or the (RREF) kernel basis.
+    """
+
+    columns: Sequence[Mapping[Hashable, int]]
     p: int
 
-
-class PrimeField(_PrimeField):
-    """Arithmetic mod a prime p; every nonzero element is invertible."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int) -> PrimeField:
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
-        return super().__new__(cls, p)
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return pow(a, self.p - 2, self.p)
-
-
-class _SparseMat(NamedTuple):
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[int, int, int], ...]
-    p: int = 2
-
-
-class SparseMat(_SparseMat):
-    """Sparse matrix over F_p; (row, col) pairs distinct, scalars nonzero."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> SparseMat:
-        self = super().__new__(cls, *args, **kwargs)
-        PrimeField(self.p)
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            if v % self.p == 0:
-                raise ValueError("stored zero scalar")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
-        return self
-
-    @staticmethod
-    def from_rows(rows: Sequence[Mapping[int, int]], ncols: int, p: int = 2) -> "SparseMat":
-        ents = []
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if v % p:
-                    ents.append((r, c, v % p))
-        return SparseMat(len(rows), ncols, tuple(ents), p)
-
-    @staticmethod
-    def from_columns(columns: Sequence[Mapping[Hashable, int]], p: int = 2) -> "SparseMat":
-        """Matrix whose column j is columns[j], a map {row key: scalar}.
-
-        Row keys are any hashable tags; each distinct key is one row.  Row
-        order does not change the rank or the (RREF) kernel basis.
-        """
+    def rows(self) -> list[dict[int, int]]:
+        """The nonzero rows {col: scalar mod p}, in the order their tags first appear."""
+        p = self.p
         rows: dict = {}
-        for j, col in enumerate(columns):
+        for j, col in enumerate(self.columns):
             for key, v in col.items():
                 if v % p:
                     rows.setdefault(key, {})[j] = v % p
-        return SparseMat.from_rows(list(rows.values()), len(columns), p)
-
-    def row_dicts(self) -> list[dict[int, int]]:
-        rows: list[dict[int, int]] = [dict() for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
+        return list(rows.values())
 
     def rank(self) -> int:
         return rank(self)
@@ -164,7 +117,7 @@ class Span:
     """
 
     def __init__(self, ncols: int, p: int) -> None:
-        PrimeField(p)
+        check_prime(p)
         self.ncols = ncols
         self.p = p
         self._rows: dict[int, int | dict[int, int]] = {}
@@ -257,24 +210,25 @@ def _span_of(vectors: Iterable[Mapping[int, int]], ncols: int, p: int) -> Span:
 
 
 def rank(m: SparseMat) -> int:
-    """Rank of m over F_p; always <= min(nrows, ncols)."""
-    return _span_of(m.row_dicts(), m.ncols, m.p).rank
+    """Rank of m over F_p; always <= min(rows, columns)."""
+    return _span_of(m.rows(), len(m.columns), m.p).rank
 
 
 def kernel_basis(m: SparseMat) -> list[dict[int, int]]:
-    """Basis of the null space {v : m v = 0}; size = ncols - rank(m).
+    """Basis of the null space {v : m v = 0}; size = len(m.columns) - rank(m).
 
     Representatives are the standard ones read off the RREF: one vector
     per free column j, in increasing column order, equal to 1 at j, 0 at
     the other free columns and minus column j of the RREF at the pivots
     (all left of j, so every dict is sorted by index).
     """
-    sp = _span_of(m.row_dicts(), m.ncols, m.p)
+    ncols = len(m.columns)
+    sp = _span_of(m.rows(), ncols, m.p)
     pivots = sp.pivots
     rows = sp.basis()
     pivot_set = set(pivots)
     out = []
-    for j in range(m.ncols):
+    for j in range(ncols):
         if j in pivot_set:
             continue
         vec = {piv: (-row[j]) % m.p for piv, row in zip(pivots, rows) if j in row}
@@ -309,7 +263,7 @@ def solve_in_span(
     the rows were eliminated.
     """
     k = len(vectors)
-    kernel = kernel_basis(SparseMat.from_columns([*vectors, target], p))
+    kernel = kernel_basis(SparseMat([*vectors, target], p))
     if not kernel or k not in kernel[-1]:
         return None
     return [(-kernel[-1].get(i, 0)) % p for i in range(k)]
@@ -437,8 +391,5 @@ def constraint_matrix(basis: Sequence, constraints: Sequence[Callable], p: int) 
     row (k, key) holds coordinate key of constraint k.  The kernel is the
     common null space of all constraints.
     """
-    return SparseMat.from_columns(
-        [{(k, key): v for k, f in enumerate(constraints) for key, v in f(b).items()}
-         for b in basis],
-        p,
-    )
+    return SparseMat([{(k, key): v for k, f in enumerate(constraints) for key, v in f(b).items()}
+                      for b in basis], p)

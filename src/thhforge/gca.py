@@ -142,7 +142,7 @@ class AlgebraPresentation:
         max_degree: int,
         square_zero: bool = False,
     ):
-        fplin.PrimeField(p)
+        fplin.check_prime(p)
         self.p = p
         self.N = max_degree
         self.square_zero = square_zero
@@ -160,11 +160,9 @@ class AlgebraPresentation:
                 raise ValueError(f"idempotent generator {g.name} in a square-zero presentation")
         self._caps = [math.inf if g.max_exponent() is None else g.max_exponent()
                       for g in self.gens]
-        self._basis_cache: dict[int, list[Monomial]] = {}
         self._tail_cache: dict[tuple[int, int], list[Monomial]] = {}
         self._reach: list[int] = []
         self._filtration_cache: dict[int, dict[int, list[Monomial]]] = {}
-        self._reduced_zero: list[Monomial] | None = None
         self._products: dict[tuple[Monomial, Monomial], tuple[Monomial | None, int]] = {}
 
     # -- monomials -----------------------------------------------------
@@ -243,26 +241,20 @@ class AlgebraPresentation:
         return fplin.mul(a, b, self.mul_monomials, self.p)
 
     # -- bases ----------------------------------------------------------
-    # One lazily built index serves all three basis views: degree ->
-    # sorted monomials, degree -> filtration -> monomials, and the reduced
-    # degree-0 list.  Returned lists are shared; callers must not mutate.
+    # The memoized tails serve all three basis views: degree -> sorted
+    # monomials, degree -> filtration -> monomials, and the reduced list.
+    # Returned lists may be shared; callers must not mutate.
     def monomial_basis(self, degree: int) -> list[Monomial]:
         """All kind-respecting monomials of one internal degree, sorted."""
         if degree > self.N:
             raise ValueError(f"degree {degree} above presentation bound {self.N}")
         if degree < 0:
             return []
-        if degree in self._basis_cache:
-            return self._basis_cache[degree]
         if self.square_zero:
             out = [((i, 1),) for i, g in enumerate(self.gens) if g.degree == degree]
-            if degree == 0:
-                out.insert(0, ())
-        else:
-            self._reach = self._reach or self._reachable()
-            out = self._tails(0, degree)
-        self._basis_cache[degree] = out
-        return out
+            return [()] + out if degree == 0 else out
+        self._reach = self._reach or self._reachable()
+        return self._tails(0, degree)
 
     def _tails(self, idx: int, remaining: int) -> list[Monomial]:
         """Monomials in the generators idx.. of one degree.
@@ -324,9 +316,7 @@ class AlgebraPresentation:
         """
         if degree != 0:
             return self.monomial_basis(degree)
-        if self._reduced_zero is None:
-            self._reduced_zero = self.monomial_basis(0)[1:]  # the unit sorts first
-        return self._reduced_zero
+        return self.monomial_basis(0)[1:]  # the unit sorts first
 
     def poincare_series(self, max_degree: int | None = None) -> list[int]:
         """dim_d for 0 <= d <= bound ([] for a negative bound)."""
@@ -405,7 +395,7 @@ class AlgebraPresentation:
             jj //= self.p
             i += 1
         c = gamma_coefficient(j, self.p)
-        return {tuple(sorted(exps.items())): fplin.PrimeField(self.p).inv(c)}
+        return {tuple(sorted(exps.items())): pow(c, -1, self.p)}
 
 
 def _is_power(e: int, p: int) -> bool:

@@ -151,7 +151,7 @@ class HochschildComplex:
         columns at (q + 1, t), so a sweep up q computes each one once."""
         src = self.basis(q, t)
         cols = self._boundaries.pop((q, t), None) or [self.boundary_chain(c) for c in src]
-        kernel = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, self.A.p))
+        kernel = fplin.kernel_basis(fplin.SparseMat(cols, self.A.p))
         # a cycle is a new class when it enlarges the image of the next boundary
         idx = {c: i for i, c in enumerate(src)}
         span = fplin.Span(len(src), self.A.p)

@@ -615,7 +615,7 @@ def module_map_kernel(
             if red is None:
                 raise ValueError(f"map image leaves target span in degree {d + df}")
             cols.append(red)
-        kvecs = fplin.kernel_basis(fplin.SparseMat.from_columns(cols, 2))
+        kvecs = fplin.kernel_basis(fplin.SparseMat(cols, 2))
         image_rank += len(cols) - len(kvecs)
         # a standard kernel vector is 1 at its free column max(kv) and 0 at
         # the other free columns, so it holds that column's lead alone
@@ -744,7 +744,7 @@ def dual_mul(a: Mapping[MilnorMonomial, int], b: Mapping[MilnorMonomial, int], p
 
 def milnor_basis(p: int, degree: int, conjugated: bool = True) -> list[MilnorMonomial]:
     """All dual-algebra monomials of the given degree, graded-lex ordered."""
-    fplin.PrimeField(p)
+    fplin.check_prime(p)
     xi_degs = []
     k = 1
     while True:

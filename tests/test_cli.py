@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import errno
 import fcntl
 import hashlib
@@ -526,6 +527,14 @@ def test_hh_spectrum_reports_the_file_prime(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["params"]["p"] == 3
 
 
+def test_hh_spectrum_refuses_a_presentation_file_whose_p_is_not_prime(tmp_path, capsys):
+    path = _write_presentation(tmp_path, p=4)
+    assert cli.main(["hh", "compute", "--spectrum", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad presentation file {path}: not a prime: 4\n"
+
+
 @pytest.mark.parametrize("via_config", [False, True])
 def test_hh_spectrum_refuses_a_disagreeing_prime(tmp_path, capsys, via_config):
     path = _write_presentation(tmp_path, p=3)
@@ -1044,10 +1053,35 @@ def test_a_flat_table_is_written_alike_in_every_insertion_order(items, depth):
     table = {f"{s},{t}": v for (s, t), v in items}
     assert cli.dumps(table, depth) == cli.dumps(by_st, depth)
     for sep in ("\t", ","):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli._print_rows({"einf": table}, sep)
-        assert out.getvalue() == f"einf{sep}{by_st}\n"
+        lines = []
+        for t in (table, by_st):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli._print_rows({"einf": t}, sep)
+            lines.append(out.getvalue())
+        assert lines[0] == lines[1]
+        if sep == "\t":
+            assert lines[0] == f"einf\t{by_st}\n"
+        else:  # one csv field holding the table's JSON
+            (key, text), = csv.reader(lines[0].splitlines())
+            assert key == "einf" and json.loads(text) == by_st
+
+
+@pytest.mark.parametrize("line", [
+    "adams run --target thh-ku-mod2 --maxdeg 20",
+    "bokstedt run --spectrum ju --p 2 --maxdeg 40",
+])
+def test_csv_rows_split_into_a_key_and_a_value(line, capsys):
+    # a nested value is one quoted field holding its JSON, not a Python repr
+    # whose inner commas split the row
+    assert cli.main([*line.split(), "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert cli.main([*line.split(), "--format", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert all(len(row) == 2 for row in rows) and [k for k, _ in rows] == sorted(result)
+    nested = [(k, text) for k, text in rows if isinstance(result[k], (dict, list))]
+    assert nested and all(json.loads(text) == result[k] for k, text in nested)
+    assert all(text == str(result[k]) for k, text in rows if (k, text) not in nested)
 
 
 # sha256 of `--format json` stdout, pinned from the json.dumps writer

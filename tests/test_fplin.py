@@ -44,13 +44,15 @@ def dense_rank_oracle(rows: list[list[int]], p: int) -> int:
 
 
 def from_dense(rows: list[list[int]], p: int) -> fplin.SparseMat:
-    return fplin.SparseMat.from_rows([dict(enumerate(r)) for r in rows], len(rows[0]) if rows else 0, p)
+    """The matrix of the dense rows, its row tags the row indices."""
+    ncols = len(rows[0]) if rows else 0
+    return fplin.SparseMat([{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)], p)
 
 
 def test_identity_and_zero():
     eye = from_dense([[1, 0], [0, 1]], p=2)
     assert fplin.rank(eye) == 2
-    zero = fplin.SparseMat(3, 4, (), p=2)
+    zero = from_dense([[0] * 4] * 3, p=2)
     assert fplin.rank(zero) == 0
     assert len(fplin.kernel_basis(zero)) == 4
     assert fplin.kernel_basis(eye) == []
@@ -242,20 +244,40 @@ def test_span_membership():
     assert not sp.contains({3: 1})
 
 
-def test_primefield_validates():
-    with pytest.raises(ValueError):
-        fplin.PrimeField(4)
-    f = fplin.PrimeField(7)
-    assert f.inv(3) * 3 % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+def test_check_prime_refuses_what_is_not_prime():
+    for p in (2, 3, 5, 7, 97):
+        fplin.check_prime(p)
+    for n in (-3, 0, 1, 4, 9, 91):
+        with pytest.raises(ValueError, match=f"^not a prime: {n}$"):
+            fplin.check_prime(n)
+    with pytest.raises(ValueError, match="^not a prime: 4$"):
+        fplin.rank(fplin.SparseMat([{0: 1}], 4))  # the Span it builds checks p
 
 
-def test_sparse_mat_invariants():
-    with pytest.raises(ValueError):
-        fplin.SparseMat(1, 1, ((0, 0, 2),), p=2)  # stored zero
-    with pytest.raises(ValueError):
-        fplin.SparseMat(1, 1, ((0, 0, 1), (0, 0, 1)), p=2)  # duplicate
+@settings(max_examples=80, deadline=None)
+@given(
+    hst.integers(min_value=0, max_value=7),
+    hst.integers(min_value=0, max_value=8),
+    hst.sampled_from([2, 3, 5]),
+    hst.randoms(use_true_random=False),
+)
+def test_hashable_row_tags_in_any_order_give_the_dense_rank_and_kernel(nr, nc, p, rng):
+    # row i is tagged by a tuple or a string and the tags first turn up in a
+    # shuffled order; scalars come unreduced.  The oracle is the same matrix
+    # with its rows numbered 0, 1, ... in order.
+    rows = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(nc)] for _ in range(nr)]
+    tags = [rng.choice([(i, "r"), f"r{i}"]) for i in range(nr)]
+    order = list(range(nr))
+    rng.shuffle(order)
+    columns = [{tags[i]: rows[i][j] + p * rng.randrange(3) for i in order} for j in range(nc)]
+    m = fplin.SparseMat(columns, p)
+    rref = dense_rref(rows, p) if nc else []
+    pivots = [r.index(1) for r in rref]
+    # one standard vector per free column j: 1 at j, minus column j of the RREF at the pivots
+    standard = [{**{piv: (-r[j]) % p for piv, r in zip(pivots, rref) if r[j]}, j: 1}
+                for j in range(nc) if j not in pivots]
+    assert fplin.rank(m) == len(rref)
+    assert fplin.kernel_basis(m) == standard
 
 
 def test_budget_cut_stops_drawing_counts_past_the_budget():

@@ -312,11 +312,9 @@ def test_pairing_matrix_invertible():
         adm = st.admissible_monomials(d)
         mon = st.milnor_basis(2, d, conjugated=False)
         assert len(adm) == len(mon)
-        rows = []
-        for w in adm:
-            rows.append({j: st.pairing(frozenset({w}), m) for j, m in enumerate(mon)})
-        mat = fplin.SparseMat.from_rows(rows, len(mon), 2)
-        assert mat.rank() == len(mon)
+        # column j pairs every admissible monomial with the Milnor monomial j
+        cols = [{i: st.pairing(frozenset({w}), m) for i, w in enumerate(adm)} for m in mon]
+        assert fplin.SparseMat(cols, 2).rank() == len(mon)
 
 
 def test_dual_quotient_bases():
