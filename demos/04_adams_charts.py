@@ -42,6 +42,6 @@ print("\n" + ad.text_chart(einf, 16, 8))
 # the four-cell target behaves the same way with its own schedule,
 # whose first torsion tower dies immediately (r(1) = 1)
 einf_ko, module_ko, _ = ad.run_ss("thh-ko-y", 40)
+torsion_ko = [g for g in module_ko.in_degree(5) if g["torsion"] is not None]
 print("\nTHH(ko) smash Y, degree 5 generators:",
-      [g["label"] for g in module_ko.in_degree(5, include_free=False)],
-      "torsion", [g["torsion"] for g in module_ko.in_degree(5, include_free=False)])
+      [g["label"] for g in torsion_ko], "torsion", [g["torsion"] for g in torsion_ko])

@@ -76,17 +76,25 @@ def build_comodule(target: str, tmax: int) -> ExteriorComodule:
                                   tmax)
 
 
+def _xibar2_powers(a: MilnorMonomial) -> bool:
+    """Whether a is 1 or a power of xibar_2, the cut q is read from."""
+    return not a.tau and (not a.xi or len(a.xi) == 2 and not a.xi[0])
+
+
 def comodule_from_coaction(coact: CoactionTable, tmax: int) -> ExteriorComodule:
     """The monomials through tmax in the positive-filtration (sigma)
-    generators of coact's algebra, with q the xibar_2-component of their
-    coaction; ValueError if a xibar_2-term leaves the sigma-monomials."""
+    generators of coact's algebra, enumerated on those generators alone,
+    with q the xibar_2-component of their coaction, read off its cut to
+    F_2[xibar_2]; ValueError if a xibar_2-term leaves the sigma-monomials."""
     A = coact.A
-    monos = [m for d in range(tmax + 1) for m in A.monomial_basis(d)
-             if all(A.gens[i].filtration for i, _ in m)]
+    sigma = [i for i, g in enumerate(A.gens) if g.filtration]
+    S = AlgebraPresentation(A.p, [A.gens[i] for i in sigma], A.N, A.square_zero)
+    monos = [tuple((sigma[i], e) for i, e in m)
+             for d in range(tmax + 1) for m in S.monomial_basis(d)]
     index = {m: j for j, m in enumerate(monos)}
     q: dict[int, dict[int, int]] = {}
     for j, m in enumerate(monos):
-        for (a, tgt), c in coact.nu_monomial(m).items():
+        for (a, tgt), c in coact.nu_monomial(m, _xibar2_powers).items():
             if a == _XIBAR2:
                 if tgt not in index:
                     raise ValueError(f"the xibar2-term of {A.monomial_str(m)} lands on "
@@ -172,9 +180,9 @@ class PModulePresentation(NamedTuple):
     target: str
     generators: list[dict]  # {label, degree, torsion}
 
-    def in_degree(self, d: int, include_free: bool = True) -> list[dict]:
+    def in_degree(self, d: int) -> list[dict]:
         out = []
-        if include_free and d % 2 == 0 and d >= 0:
+        if d % 2 == 0 and d >= 0:
             out.append({"label": "1", "degree": 0, "torsion": None, "v1_power": d // 2})
         for g in self.generators:
             j = (d - g["degree"]) // 2

@@ -137,18 +137,23 @@ def emit(payload: dict, args, config) -> None:
 def _print_rows(result, sep: str) -> None:
     """One line per key or row.  In csv a value that nests (a dict, list or
     tuple) is one field, its compact JSON text quoted by CSV rules: in double
-    quotes, each inner quote doubled.  A table row prints its repr, an "s,t"
-    table listed by (s, t)."""
+    quotes, each inner quote doubled; so is a key holding a comma or a quote
+    (hh compute's "q,t").  A table row prints its repr, an "s,t" table listed
+    by (s, t)."""
+    def quoted(text):
+        return '"%s"' % text.replace('"', '""')
+
     def field(v, key=None):
         if sep == "," and isinstance(v, (dict, list, tuple)):
-            return '"%s"' % json.dumps(v, sort_keys=True, separators=(",", ":")).replace('"', '""')
+            return quoted(json.dumps(v, sort_keys=True, separators=(",", ":")))
         if key in ("e2", "einf") and v:
             return {st: v[st] for st in sorted(v, key=lambda st: tuple(map(int, st.split(","))))}
         return v
 
     if isinstance(result, dict):
         for k in sorted(result, key=str):
-            print(f"{k}{sep}{field(result[k], k)}")
+            name = quoted(k) if sep == "," and any(ch in str(k) for ch in ',"') else k
+            print(f"{name}{sep}{field(result[k], k)}")
     elif isinstance(result, list):
         for row in result:
             print(field(row))

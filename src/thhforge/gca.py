@@ -18,7 +18,7 @@ from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import fplin
-from .steenrod import MilnorMonomial, milnor_mul, milnor_one
+from .steenrod import MilnorMonomial, dual_action, milnor_mul, milnor_one
 
 __all__ = [
     "GeneratorSpec",
@@ -429,24 +429,13 @@ class CoactionTable:
             p,
         )
         self._tensor = partial(fplin.mul, monomial_mul=self.mul_monomials, p=p)
-        # the same product on the quotient F_p[xibar1] (x) E(taubar0) (x) H,
-        # with xibar1^a taubar0^eps held as the pair (a, eps)
-        xi1 = 1 if p == 2 else 2 * (p - 1)
-        self._quotient_tensor = partial(fplin.mul, monomial_mul=fplin.tensor_monomial_mul(
-            [(lambda a, b: (None, 0) if a[1] and b[1] else ((a[0] + b[0], a[1] + b[1]), 1),
-              lambda a: xi1 * a[0] + a[1]),
-             (lambda a, b: self.A.mul_monomials(a, b), presentation.degree)],
-            p,
-        ), p=p)
         self.entries: dict[int, list[tuple[dict, Monomial]]] = {}
-        self._memo: dict[Monomial, dict] = {}
-        self._quotient_memo: dict[Monomial, dict] = {}
+        self._memos: dict = {}  # keep -> {monomial: nu}
 
     def set_gen(self, name: str, terms: Iterable[tuple[Mapping[MilnorMonomial, int], Monomial]]) -> None:
         idx = self.A.index[name]
         self.entries[idx] = [(dict(a), m) for a, m in terms]
-        self._memo = {}
-        self._quotient_memo = {}
+        self._memos = {}
 
     def set_primitive(self, name: str) -> None:
         self.set_gen(name, [({milnor_one(): 1}, self.A.gen_monomial(name))])
@@ -454,34 +443,45 @@ class CoactionTable:
     def has_gen(self, name: str) -> bool:
         return self.A.index[name] in self.entries
 
-    def _generator_nu(self, i: int, project=lambda a: a) -> dict:
-        """nu(g_i) as dict[(dual monomial, Monomial)] -> coeff, the dual
-        monomials mapped through project (None drops the term)."""
-        if i not in self.entries:
-            raise KeyError(f"coaction not available for generator {self.A.gens[i].name}")
-        out: dict = {}
-        for a_elt, mono in self.entries[i]:
-            for mm, cc in a_elt.items():
-                if (q := project(mm)) is not None:
-                    fplin.add_term(out, (q, mono), cc, self.A.p)
+    def nu_monomial(self, m: Monomial, keep=None) -> dict:
+        """Coaction on a basis monomial: dict[(MilnorMonomial, Monomial)] -> coeff,
+        memoized per cut by prefixes: nu(m g^e) = nu(m) nu(g^e).
+
+        With keep, each generator's coaction keeps only the dual monomials
+        keep accepts before the product is taken.  That is exact when the
+        accepted monomials span a quotient algebra of A_* (those rejected
+        span an ideal, those accepted are closed under products), since
+        the projection onto it is then an algebra map.
+        """
+        memo = self._memos.setdefault(keep, {})
+        out = memo.get(m)
+        if out is not None:
+            return out
+        if len(m) > 1:
+            out = self._tensor(self.nu_monomial(m[:-1], keep), self.nu_monomial(m[-1:], keep))
+        elif m:
+            ((i, e),) = m
+            if i not in self.entries:
+                raise KeyError(f"coaction not available for generator {self.A.gens[i].name}")
+            gen: dict = {}
+            for a_elt, mono in self.entries[i]:
+                for a, c in a_elt.items():
+                    if keep is None or keep(a):
+                        fplin.add_term(gen, (a, mono), c, self.A.p)
+            out = fplin.power(gen, e, self._tensor)
+        else:
+            out = {(milnor_one(), ()): 1}
+        memo[m] = out
         return out
 
-    def nu_monomial(self, m: Monomial) -> dict:
-        """Coaction on a basis monomial: dict[(MilnorMonomial, Monomial)] -> coeff."""
-        if m in self._memo:
-            return self._memo[m]
-        acc = fplin.product(((self._generator_nu(i), e) for i, e in m), self._tensor,
-                            {(milnor_one(), ()): 1})
-        self._memo[m] = acc
-        return acc
-
     def generator_components(self, m: Monomial) -> dict:
-        """The xibar1^{p^i} and, at odd p, taubar0 components of nu(m).
+        """The xibar1^{p^i} and, at odd p, taubar0 components of nu(m), keyed
+        by ((i, eps), monomial) for xibar1^i taubar0^eps.
 
         They give the action on m of chi Sq^{2^i} (at odd p chi P^{p^i} and
         chi beta), which generate the Steenrod algebra, so an element is a
         comodule primitive iff its components vanish.  They are read off
-        the image of nu(m) in the quotient algebra F_p[xibar1] (x) E(taubar0)
+        the cut of nu(m) to the quotient algebra F_p[xibar1] (x) E(taubar0)
         of A_* by (xibar_k, k >= 2; taubar_k, k >= 1).  Under a change of
         rings m (outside B+) stands for its class in M / B+M: terms with a
         factor in B are dropped and only the xibar1^{2^i} below the cap are
@@ -489,37 +489,21 @@ class CoactionTable:
         product equals dropping them from each generator's coaction.
         """
         p = self.A.p
-        return {(q, mono): c for (q, mono), c in self._quotient_nu(m).items()
+        cut = {((sum(a.xi), len(a.tau)), mono): c
+               for (a, mono), c in self.nu_monomial(m, _xibar1_taubar0).items()}
+        return {(q, mono): c for (q, mono), c in cut.items()
                 if (q[0] == 0 if q[1] else _is_power(q[0], p) and q[0] < self.xi1_cap)
                 and self.ideal.isdisjoint(dict(mono))}
 
-    def _quotient_nu(self, m: Monomial) -> dict:
-        """nu(m) in F_p[xibar1] (x) E(taubar0) (x) H, memoized by prefixes:
-        nu(m g^e) = nu(m) nu(g^e)."""
-        if m in self._quotient_memo:
-            return self._quotient_memo[m]
-        if len(m) > 1:
-            out = self._quotient_tensor(self._quotient_nu(m[:-1]), self._quotient_nu(m[-1:]))
-        elif m:
-            ((i, e),) = m
-            gen = self._generator_nu(
-                i, lambda a: None if len(a.xi) > 1 or a.tau not in ((), (0,))
-                else (sum(a.xi), len(a.tau)))
-            out = fplin.power(gen, e, self._quotient_tensor)
-        else:
-            out = {((0, 0), ()): 1}
-        self._quotient_memo[m] = out
-        return out
-
-    def nu(self, elt: Element) -> dict:
-        return fplin.linear(elt, self.nu_monomial, self.A.p)
-
     def steenrod_action(self, r: int, elt: Element) -> Element:
-        """Dual Steenrod operation Sq^r_* (p = 2) from the coaction."""
-        from .steenrod import dual_action
+        """Dual Steenrod operation Sq^r_* (p = 2) from the coaction of elt."""
+        nu = fplin.linear(elt, self.nu_monomial, self.A.p)
+        return dual_action([({a: c}, m) for (a, m), c in nu.items()], r, self.A.p)
 
-        terms = [({a: c}, m) for (a, m), c in self.nu(elt).items()]
-        return dual_action(terms, r, self.A.p)
+
+def _xibar1_taubar0(a: MilnorMonomial) -> bool:
+    """Whether a lies in F_p[xibar1] (x) E(taubar0), the cut generator_components reads."""
+    return len(a.xi) <= 1 and a.tau in ((), (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -725,6 +725,8 @@ def milnor_mul(a: MilnorMonomial, b: MilnorMonomial, p: int) -> tuple[MilnorMono
     """Product of two monomials in the same alphabet: (monomial, sign) or (None, 0)."""
     if a.conjugated != b.conjugated:
         raise ValueError("mixed alphabets")
+    if a.is_one() or b.is_one():
+        return (b if a.is_one() else a), 1
     if set(a.tau) & set(b.tau):
         return None, 0
     sign = 1

@@ -10,6 +10,7 @@ import pytest
 from test_fplin import dense_rref
 
 from thhforge import adams as ad
+from thhforge import bokstedt as bk
 from thhforge import cli
 from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec
 from thhforge.steenrod import MilnorMonomial
@@ -47,6 +48,24 @@ def test_comodule_ko_derivation():
     assert labels["s(xibar3)^2"] not in m.q
     assert labels["s(xibar1^4) s(xibar3)"] not in m.q
     assert m.q[labels["s(xibar3)^3"]] == {labels["s(xibar1^4) s(xibar3)^2"]: 1}
+
+
+@pytest.mark.parametrize("target", ad.TARGETS)
+def test_the_xibar2_cut_reads_the_full_coaction(target):
+    # the oracle: q from the uncut coaction of every sigma-monomial, kept at xibar2
+    got = ad.build_comodule(target, 128)
+    coact = bk.thh_homology({"thh-ku-mod2": "ku", "thh-ko-y": "ko"}[target], 2, 128).coaction
+    A = coact.A
+    index = {A.monomial_str(m): m for d in range(129) for m in A.monomial_basis(d)}
+    monos = [index[label] for label, _ in got.basis]
+    col = {m: j for j, m in enumerate(monos)}
+    q: dict = {}
+    for j, m in enumerate(monos):
+        for (a, tgt), c in coact.nu_monomial(m).items():
+            if a == MilnorMonomial((0, 1)):
+                q.setdefault(j, {})[col[tgt]] = c
+    assert got.q == q
+    assert bool(q) == (target == "thh-ko-y")  # ku's comodule is trivial, ko's is not
 
 
 def test_comodule_refuses_a_xibar2_term_outside_the_sigma_part():

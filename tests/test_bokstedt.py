@@ -14,7 +14,13 @@ from thhforge import adams as ad
 from thhforge import bokstedt as bk
 from thhforge import fplin
 from thhforge.catalog import SPECTRUM_NAMES, UnsupportedSpectrumError, j_module_degrees, spectrum
-from thhforge.gca import AlgebraPresentation, CoactionTable, GeneratorSpec, expand_divided
+from thhforge.gca import (
+    AlgebraPresentation,
+    CoactionTable,
+    GeneratorSpec,
+    _xibar1_taubar0,
+    expand_divided,
+)
 from thhforge.hochschild import _convolve, closed_form_hh, hh_squarezero, presentation_dims_internal
 from thhforge.steenrod import milnor_one
 
@@ -197,9 +203,9 @@ def test_change_of_rings_count_equals_the_full_count():
     # the coaction on P / B+P carries xibar1^a for a < 4 only (from the terms
     # xibar1 (x) s xibar2^2 and xibar1^2 (x) s xibar1^4), so a cap of 8 would
     # count the same here
-    exponents = {key[0][0] for s in range(1, 5) for d in range(73)
+    exponents = {sum(a.xi) for s in range(1, 5) for d in range(73)
                  for m in bk._primitive_monomials(ring, s, d)
-                 for key in ring.coaction._quotient_nu(m)}
+                 for a, _ in ring.coaction.nu_monomial(m, _xibar1_taubar0)}
     assert exponents == {0, 1, 2}
 
 
@@ -433,13 +439,21 @@ def test_simultaneous_primitives_match_the_kernel_oracle(name, p, n):
 
 
 def test_obstruction_scan_never_takes_the_full_coaction(monkeypatch):
-    page = bk.build_e2(spectrum("ju", 2, 97), 97)
+    # on ju@2's own page P / B+P is empty at every scan target, so the
+    # count is taken on the whole of P (no coideal, no cap), where it reads
+    # coactions at most targets; every read must be a cut
+    page = _ju2_page(73, frozenset(), math.inf)
+    nu_monomial, cuts = CoactionTable.nu_monomial, []
 
-    def refuse(self, m):
-        raise AssertionError("the scan computed a full coaction")
+    def record(self, m, keep=None):
+        cuts.append(keep)
+        return nu_monomial(self, m, keep)
 
-    monkeypatch.setattr(CoactionTable, "nu_monomial", refuse)
-    assert bk.obstruction_scan(page, 96) == []
+    monkeypatch.setattr(CoactionTable, "nu_monomial", record)
+    targets = {(g.filtration - r, g.degree - 1) for g in page.generators()
+               if g.filtration >= 2 and g.degree <= 72 for r in range(2, g.filtration + 1)}
+    assert not any(bk.simultaneous_primitives(page, s, d) for s, d in sorted(targets))
+    assert cuts and None not in cuts
 
 
 def test_scan_refuses_above_the_materialised_coactions():

@@ -1084,6 +1084,17 @@ def test_csv_rows_split_into_a_key_and_a_value(line, capsys):
     assert all(text == str(result[k]) for k, text in rows if (k, text) not in nested)
 
 
+def test_csv_rows_of_a_scalar_table_split_into_a_key_and_an_int(capsys):
+    # hh compute keys its result by "q,t": the key is one quoted field
+    line = "hh compute --preset polynomial --p 3 --maxdeg 6".split()
+    assert cli.main([*line, "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert cli.main([*line, "--format", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert all(len(row) == 2 for row in rows)
+    assert {k: int(v) for k, v in rows} == result and len(rows) == len(result)
+
+
 # sha256 of `--format json` stdout, pinned from the json.dumps writer
 _PINNED_OUTPUTS = {
     "bokstedt run --spectrum ju --p 2 --maxdeg 96":

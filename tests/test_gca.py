@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from thhforge import fplin
+from thhforge.adams import _xibar2_powers
 from thhforge.bokstedt import build_e2
 from thhforge.catalog import spectrum
 from thhforge.gca import (
@@ -368,6 +369,33 @@ def test_coaction_is_algebra_map():
     assert nu_x2 == manual
 
 
+def test_set_gen_refreshes_every_cut():
+    # nu(x) = 1 (x) x + xibar1 (x) z + xibar2 (x) y changes the full
+    # coaction, the generator components and the xibar2 cut of x and y x
+    A = AlgebraPresentation(2, [P("y", 1), P("z", 3), P("x", 4)], 12)
+
+    def table(x_terms):
+        c = CoactionTable(A)
+        for name in ("y", "z"):
+            c.set_primitive(name)
+        c.set_gen("x", x_terms)
+        return c
+
+    def reads(c):
+        return [(c.nu_monomial(m), c.generator_components(m), c.nu_monomial(m, _xibar2_powers))
+                for m in (A.gen_monomial("x"), ((0, 1), (2, 1)))]
+
+    x, y, z = (A.gen_monomial(name) for name in "xyz")
+    before = [({milnor_one(): 1}, x)]
+    after = before + [({MilnorMonomial((1,)): 1}, z), ({MilnorMonomial((0, 1)): 1}, y)]
+    c = table(before)
+    assert reads(c) == reads(table(before))
+    c.set_gen("x", after)
+    fresh, stale = reads(table(after)), reads(table(before))
+    assert reads(c) == fresh and fresh[0][1] == {((1, 0), z): 1}
+    assert all(u != v for new, old in zip(fresh, stale) for u, v in zip(new, old))  # every read moves
+
+
 _PAGES: dict = {}
 
 
@@ -493,10 +521,10 @@ def test_monomial_str():
 @given(hst.sampled_from([("ju", 2), ("ku", 2), ("hz", 3), ("ell", 3), ("ju", 3)]), hst.data())
 def test_generator_components_project_the_coaction(case, data):
     """generator_components(m) is nu(m) cut down to the xibar1^{p^i} and
-    taubar0 terms, though it is computed in the quotient F_p[xibar1] (x)
-    E(taubar0) of A_*.  Under ju@2's change of rings to A(1)_*, m is drawn
-    outside the ideal B+, terms with a factor in B are dropped and only
-    xibar1 and xibar1^2 are read."""
+    taubar0 terms, though it is computed from each generator's coaction
+    cut to the quotient F_p[xibar1] (x) E(taubar0) of A_*.  Under ju@2's
+    change of rings to A(1)_*, m is drawn outside the ideal B+, terms with
+    a factor in B are dropped and only xibar1 and xibar1^2 are read."""
     page = _e2_page(*case)
     A, c = page.algebra, page.coaction
     p = A.p
