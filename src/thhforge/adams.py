@@ -296,26 +296,15 @@ def run_ss(
 
     gens: list[dict] = []
     for n in range(1, nmax + 1):
-        if sdeg[n] > tmax_stem:
-            continue
-        m = 0
-        while sdeg[n] + 2 ** (n + 3) * m <= tmax_stem:
-            gens.append(
-                {
-                    "label": f"x({n},{m})",
-                    "degree": sdeg[n] + 2 ** (n + 3) * m,
-                    "torsion": sched.r[n],
-                }
-            )
-            if sdeg[n] + sdeg[n + 1] + 2 ** (n + 3) * m <= tmax_stem:
-                gens.append(
-                    {
-                        "label": f"x'({n},{m})",
-                        "degree": sdeg[n] + sdeg[n + 1] + 2 ** (n + 3) * m,
-                        "torsion": sched.r[n],
-                    }
-                )
-            m += 1
+        # the s = 0 line of torsion summand n: x'(n, m) is l_n l_{n+1} mu^{2^n m}
+        bound = tmax_stem - sdeg[n]
+        line = AlgebraPresentation(2, [_l(sched, n + 1), _y(n + 1)], bound)
+        for d in range(bound + 1):
+            for mono in line.monomial_basis(d):
+                e = dict(mono)
+                head = "x'" if 0 in e else "x"
+                gens.append({"label": f"{head}({n},{e.get(1, 0)})", "degree": sdeg[n] + d,
+                             "torsion": sched.r[n]})
     gens.sort(key=lambda g: (g["degree"], g["label"]))
     return einf, PModulePresentation(target, gens), log
 

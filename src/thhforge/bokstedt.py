@@ -472,7 +472,9 @@ def obstruction_scan(page: SSPage, max_degree: int) -> list[dict]:
 
 def resolve_extensions(einf: SSPage, max_degree: int):
     """Abutment presentation from the final page via sigma-compatible
-    Dyer-Lashof operations, with its coaction table and a relation log."""
+    Dyer-Lashof operations, with its coaction table and a relation log.
+    The page check runs one degree past max_degree and settles nothing
+    above it, so the abutment keeps the generators of degree <= max_degree."""
     data = einf.spectrum
     A = einf.algebra
     if A is None:
@@ -542,7 +544,16 @@ def resolve_extensions(einf: SSPage, max_degree: int):
                 break
             name, e = nxt, e * step
     coact = _page_coaction(data, abutment, substitutions)
-    return abutment, coact, relations
+    keep = {i: g for i, g in enumerate(abutment.gens) if g.degree <= max_degree}
+    if len(keep) == len(abutment.gens):
+        return abutment, coact, relations
+    # a kept generator's coaction terms are monomials in generators of lower degree
+    new = dict(zip(keep, range(len(keep))))
+    cut = CoactionTable(AlgebraPresentation(p, list(keep.values()), A.N),
+                        [new[i] for i in coact.ideal if i in new], coact.xi1_cap)
+    cut.entries = {new[i]: [(a, tuple((new[j], e) for j, e in m)) for a, m in terms]
+                   for i, terms in coact.entries.items() if i in new}
+    return cut.A, cut, relations
 
 
 # ---------------------------------------------------------------------------

@@ -497,8 +497,7 @@ class CoactionTable:
 
     def steenrod_action(self, r: int, elt: Element) -> Element:
         """Dual Steenrod operation Sq^r_* (p = 2) from the coaction of elt."""
-        nu = fplin.linear(elt, self.nu_monomial, self.A.p)
-        return dual_action([({a: c}, m) for (a, m), c in nu.items()], r, self.A.p)
+        return dual_action(fplin.linear(elt, self.nu_monomial, self.A.p), r, self.A.p)
 
 
 def _xibar1_taubar0(a: MilnorMonomial) -> bool:

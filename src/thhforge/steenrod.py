@@ -1,19 +1,16 @@
 """The mod-2 Steenrod algebra and its dual at all primes.
 
-Admissible-form elements with Adem reduction live at p = 2 only; the
-dual side (Milnor monomials, coproduct, conjugation) is implemented at
-every prime; the coproduct of a generator is stated once, for xibar_k and
-taubar_k, and in the unconjugated alphabet it is the mirror image, its
-tensor factors swapped.  Finite subalgebras A_n are closed up degreewise from the
-lower degrees a request reaches, stopping once the span reaches the
-Milnor-basis dimension of A(n) in that degree; exterior subalgebras on
-the Milnor primitives Q_i are spanned by square-free products.  Such a
-subalgebra B is built once per degree d into one memo, the RREF basis
-and span of B_d over the admissible words of degree d; an element's bits
-at the pivot columns are its coordinates in every module over B, a
-subquotient U/I held as data.  Right multiplication by f is well defined
-when g f lies in the target's ideal for each generator g of the source
-ideal, since (a g) f = a (g f); the kernel checks exactly that.
+Admissible-form elements with Adem reduction live at p = 2 only.  Finite
+subalgebras A_n are closed up degreewise from the lower degrees a
+request reaches, stopping once the span reaches the Milnor-basis
+dimension of A(n) in that degree; exterior subalgebras on the Milnor
+primitives Q_i are spanned by square-free products.  Such a subalgebra B
+is built once per degree d into one memo, the RREF basis and span of B_d
+over the admissible words of degree d; an element's bits at the pivot
+columns are its coordinates in every module over B, a subquotient U/I
+held as data.  Right multiplication by f is well defined when g f lies
+in the target's ideal for each generator g of the source ideal, since
+(a g) f = a (g f); the kernel checks exactly that.
 
 steenrod_mul works on sets of words in any degree: a joined word keeps
 its longest admissible suffix and takes the letters left of it through
@@ -24,6 +21,14 @@ term t giving t w[1:], u v is Sq^{u[0]} on each word of u[1:] v, and B_d's
 rows and a module's elements are masks multiplied along their set bits.
 The memos are keyed on integer tuples, so they cannot go stale; they last
 the process.
+
+The dual side's Hopf structure, at every prime, is psi stated once on
+xibar_k and taubar_k; in the unconjugated alphabet psi is its mirror
+image, the tensor factors swapped.  The antipode is read off psi by sum
+chi(a) b = 0, and the pairing with Sq words (p = 2) by iterated psi down
+to <Sq^i, -> in degree i, where chi(Sq^i) = sum_{|R|=i} Sq(R) pairs to 1
+with each xibar^R (J. Milnor, "The Steenrod algebra and its dual", Ann.
+of Math. 67, 1958); Sq^r_* x pairs Sq^r with the coaction of x.
 """
 
 from __future__ import annotations
@@ -827,70 +832,39 @@ def milnor_coproduct(m: MilnorMonomial, p: int) -> dict[tuple[MilnorMonomial, Mi
 
 
 @lru_cache(maxsize=None)
-def _chi_xi(k: int, p: int) -> tuple:
-    """chi(xi_k) as a polynomial in the unconjugated xi alphabet."""
-    if k == 0:
-        return ((milnor_one(False), 1),)
-    # sum_{i+j=k} xi_i * chi(xi_j)^{p^i} = 0, so
-    # chi(xi_k) = -sum_{i>=1} xi_i * chi(xi_{k-i})^{p^i}
-    out: dict[MilnorMonomial, int] = {}
-    for i in range(1, k + 1):
-        term = fplin.power(dict(_chi_xi(k - i, p)), p ** i, partial(dual_mul, p=p))
-        for m, c in dual_mul({_xi(i, 1, False): 1}, term, p).items():
-            fplin.add_term(out, m, -c, p)
-    return tuple(sorted(out.items(), key=lambda kv: str(kv[0])))
+def _chi(g: MilnorMonomial, p: int) -> tuple:
+    """chi(g) for a generator xi_k / tau_k, as a polynomial in g's own alphabet.
 
-
-@lru_cache(maxsize=None)
-def _chi_tau(k: int, p: int) -> tuple:
-    """chi(tau_k) as a polynomial in the unconjugated alphabet."""
-    # 0 = tau_k + sum_{i+j=k} xi_i^{p^j} * chi(tau_j), i >= 0 including i=0
-    out: dict[MilnorMonomial, int] = {_tau(k, False): -1 % p}
-    for i in range(1, k + 1):
-        j = k - i
-        for m, c in dual_mul({_xi(i, p ** j, False): 1}, dict(_chi_tau(j, p)), p).items():
-            fplin.add_term(out, m, -c, p)
+    The antipode identity sum chi(a) b = 0 over psi(g) = sum a (x) b has
+    the term chi(g) 1, and every other term has a of lower degree.
+    """
+    terms = {ab: -c for ab, c in _gen_coproduct(g, p).items() if not ab[1].is_one()}
+    out = fplin.linear(terms, lambda ab: dual_mul(antipode({ab[0]: 1}, p), {ab[1]: 1}, p), p)
     return tuple(sorted(out.items(), key=lambda kv: str(kv[0])))
 
 
 def conjugate(m: MilnorMonomial, p: int) -> dict[MilnorMonomial, int]:
-    """Expand a monomial in the opposite alphabet via the antipode recursion.
-
-    A conjugated monomial comes back as a polynomial in plain xi/tau and
-    vice versa; the same recursion works both ways since chi is an
-    involution here.
-    """
-    target_conj = not m.conjugated
-
-    def chi(g: MilnorMonomial) -> dict[MilnorMonomial, int]:
-        """chi of a generator, as a polynomial in the target alphabet."""
-        elt = _chi_tau(g.tau[0], p) if g.tau else _chi_xi(len(g.xi), p)
-        return {MilnorMonomial(mm.xi, mm.tau, target_conj): c for mm, c in elt}
-
-    return fplin.product(((chi(g), e) for g, e in m.factors()), partial(dual_mul, p=p),
-                         {milnor_one(target_conj): 1})
+    """Expand a monomial in the opposite alphabet: xibar_k = chi(xi_k) and
+    taubar_k = chi(tau_k), so m is chi of its copy there, and vice versa."""
+    return antipode({MilnorMonomial(m.xi, m.tau, not m.conjugated): 1}, p)
 
 
 def antipode(elt: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMonomial, int]:
-    """Antipode chi on a polynomial, staying in its own alphabet."""
-    return fplin.linear(elt, lambda m: {MilnorMonomial(mm.xi, mm.tau, m.conjugated): c
-                                        for mm, c in conjugate(m, p).items()}, p)
-
-
-def _to_unconjugated(elt: Mapping[MilnorMonomial, int], p: int) -> dict[MilnorMonomial, int]:
-    return fplin.linear(elt, lambda m: conjugate(m, p) if m.conjugated else {m: 1}, p)
+    """Antipode chi on a polynomial, staying in its own alphabet; chi is an
+    algebra map, A_* being graded commutative."""
+    return fplin.linear(elt, lambda m: fplin.product(
+        ((dict(_chi(g, p)), e) for g, e in m.factors()), partial(dual_mul, p=p),
+        {milnor_one(m.conjugated): 1}), p)
 
 
 def pairing(a: SteenrodElement, m: MilnorMonomial | Mapping[MilnorMonomial, int], p: int = 2) -> int:
-    """<Sq^{i1}...Sq^{ik}, m> via iterated coproduct; p = 2 only.
+    """<Sq^{i1}...Sq^{ik}, m> via iterated coproduct in m's own alphabet; p = 2 only.
 
-    The base case is <Sq^i, xi_1^i> = 1 with every other degree-i
-    monomial pairing to zero.
-    """
+    The base case: <Sq^i, xi_1^i> = 1 and every other plain monomial of
+    degree i pairs to zero, while every xibar^R of degree i pairs to 1."""
     if p != 2:
         raise ValueError("the admissible-side pairing is implemented at p = 2 only")
-    elt = {m: 1} if isinstance(m, MilnorMonomial) else dict(m)
-    elt = _to_unconjugated(elt, 2)
+    elt = {m: 1} if isinstance(m, MilnorMonomial) else m
     total = 0
     for word in a:
         for mono, c in elt.items():
@@ -901,14 +875,12 @@ def pairing(a: SteenrodElement, m: MilnorMonomial | Mapping[MilnorMonomial, int]
 
 
 def _pair_word(word: tuple[int, ...], m: MilnorMonomial) -> int:
-    if not word:
-        return 1 if m.is_one() else 0
-    if len(word) == 1:
-        return 1 if m.xi == (word[0],) or (word[0] == 0 and m.is_one()) else 0
-    i = word[0]
+    """<Sq^{word[0]} ... Sq^{word[-1]}, m> for a monomial m of degree sum(word)."""
+    if len(word) < 2:
+        return 1 if m.conjugated or m.xi == word else 0
     total = 0
     for (l, r), c in milnor_coproduct(m, 2).items():
-        if l.degree(2) == i and _pair_word((i,), l):
+        if l.degree(2) == word[0] and _pair_word(word[:1], l):
             total ^= _pair_word(word[1:], r) & c
     return total
 
@@ -955,17 +927,12 @@ def parse_milnor(text: str, p: int = 2) -> dict[MilnorMonomial, int]:
     return {m: coeff % p}
 
 
-def dual_action(
-    coaction_terms: Iterable[tuple[Mapping[MilnorMonomial, int], object]],
-    r: int,
-    p: int = 2,
-) -> dict[object, int]:
-    """Sq^r_* x = sum <Sq^r, a_i> x_i from a coaction nu(x) = sum a_i (x) x_i."""
+def dual_action(coaction: Mapping[tuple[MilnorMonomial, object], int], r: int,
+                p: int = 2) -> dict[object, int]:
+    """Sq^r_* x = sum c <Sq^r, a> y from a coaction nu(x) = sum c a (x) y, keyed {(a, y): c}."""
     sq = frozenset({(r,)}) if r else steenrod_one()
     out: dict[object, int] = {}
-    for a, x in coaction_terms:
-        part = {mm: c for mm, c in a.items() if mm.degree(p) == r}
-        if not part:
-            continue
-        fplin.add_term(out, x, pairing(sq, part, p), p)
+    for (a, y), c in coaction.items():
+        if a.degree(p) == r:
+            fplin.add_term(out, y, c * pairing(sq, a, p), p)
     return out

@@ -194,6 +194,29 @@ def test_degree_identity_guards_schedule_data():
             assert not broken.degree_identity_holds(8), (target, n)
 
 
+def _homotopy_generators_reference(target, tmax):
+    """x(n, m) in degree s(n) + 2^{n+3} m and x'(n, m) = l_{n+1} x(n, m), counted by hand."""
+    sched = ad.schedule(target, tmax.bit_length() + 6)
+    gens = []
+    for n in range(1, tmax.bit_length() + 6):
+        m = 0
+        while sched.s[n] + 2 ** (n + 3) * m <= tmax:
+            gens.append({"label": f"x({n},{m})", "degree": sched.s[n] + 2 ** (n + 3) * m,
+                         "torsion": sched.r[n]})
+            if sched.s[n] + sched.s[n + 1] + 2 ** (n + 3) * m <= tmax:
+                gens.append({"label": f"x'({n},{m})",
+                             "degree": sched.s[n] + sched.s[n + 1] + 2 ** (n + 3) * m,
+                             "torsion": sched.r[n]})
+            m += 1
+    return sorted(gens, key=lambda g: (g["degree"], g["label"]))
+
+
+@pytest.mark.parametrize("target", ad.TARGETS)
+def test_homotopy_generators_are_the_s0_line_of_each_torsion_summand(target):
+    for tmax in (0, 1, 3, 5, 7, 8, 20, 40, 60, 96, 128, 256):
+        assert ad.run_ss(target, tmax)[1].generators == _homotopy_generators_reference(target, tmax)
+
+
 def test_one_free_tower():
     # exactly one v1-tower survives in each final term (the unit), so in
     # large even stems far from torsion generators the column has dim 1

@@ -736,3 +736,23 @@ def test_thh_homology_builds_each_page_series_once(name, p, n, monkeypatch):
     monkeypatch.setattr(AlgebraPresentation, "bigraded_series", counted)
     res = bk.thh_homology(name, p, n)
     assert res.pages[-1]["match"] and max(calls.values()) == 1, calls
+
+
+def test_the_abutment_lists_no_generator_above_the_bound():
+    # the page check runs one degree past the bound and settles nothing
+    # above it: s(xibar2) in degree 49 is the target of d^4(gamma_5 s(taubar1)),
+    # whose source in degree 50 lies past the page checked for hf@5/48
+    for n in (48, 49, 60):
+        assert "s(xibar2)" not in bk.thh_homology("hf", 5, n).abutment.index, n
+    for name in SPECTRUM_NAMES:
+        for p in (2, 3, 5):
+            for n in range(41):
+                try:
+                    payload = bk.thh_homology(name, p, n).to_jsonable()
+                except UnsupportedSpectrumError:
+                    continue
+                if payload["abutment"] is None:
+                    continue
+                degree = {g["name"]: g["degree"] for g in payload["abutment"]["generators"]}
+                assert max(degree.values(), default=0) <= n, (name, p, n, degree)
+                assert set(payload["abutment"]["coaction"]) <= set(degree), (name, p, n)

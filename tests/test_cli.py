@@ -78,6 +78,15 @@ def test_steenrod_pair(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("element, monomial, value", [
+    ("Sq3", "xibar2", "1"), ("Sq2Sq1", "xibar2", "0"), ("Sq2Sq1", "xibar1^3", "1")])
+def test_steenrod_pair_with_a_conjugated_monomial(capsys, element, monomial, value):
+    # chi(Sq^3) = Sq(3) + Sq(0, 1) pairs to 1 with xibar2, and Sq2Sq1 = Sq(3) + Sq(0, 1)
+    # pairs to 1 with xi1^3 = xibar1^3, to 0 with xibar2 = xi2 + xi1^3
+    assert cli.main(["steenrod", "pair", "--element", element, "--monomial", monomial]) == 0
+    assert capsys.readouterr().out.strip() == value
+
+
 def test_hh_idempotent_preset(capsys, schema):
     code = cli.main(["hh", "compute", "--preset", "idempotent", "--format", "json"])
     assert code == 0
@@ -252,14 +261,16 @@ def test_bokstedt_names_the_generators_without_a_coaction(capsys):
     # coactions the catalog does not give; the result lists them by name
     argv = ["bokstedt", "run", "--spectrum", "ju", "--p", "3", "--format", "json", "--maxdeg"]
     missing = {}
-    for n in ("50", "51", "96"):
+    for n in ("50", "51", "52", "96"):
         assert cli.main([*argv, n]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         missing[n] = result.get("coaction_missing")
         assert "coaction_missing" not in result["abutment"]
         names = [g["name"] for g in result["abutment"]["generators"]]
         assert sorted(result["abutment"]["coaction"]) == sorted(set(names) - set(missing[n] or []))
-    assert missing == {"50": None, "51": ["xitilde3"], "96": ["xitilde3", "tautilde3"]}
+    # xitilde3 lies in degree 52, so the abutment at 51 stops below it
+    assert missing == {"50": None, "51": None, "52": ["xitilde3"],
+                       "96": ["xitilde3", "tautilde3"]}
 
 
 def test_bokstedt_refuses_an_over_budget_page_check(capsys, monkeypatch):

@@ -297,12 +297,92 @@ def test_conjugation():
                 assert st.antipode(st.antipode({m: 1}, p), p) == {m: 1}
 
 
+@functools.lru_cache(maxsize=None)
+def _chi_xi_reference(k: int, p: int) -> tuple:
+    """chi(xi_k) in the plain alphabet, by hand from sum_{i+j=k} xi_i chi(xi_j)^{p^i} = 0:
+    chi(xi_k) = -sum_{i>=1} xi_i chi(xi_{k-i})^{p^i}."""
+    if k == 0:
+        return ((st.milnor_one(False), 1),)
+    out: dict = {}
+    for i in range(1, k + 1):
+        term = fplin.power(dict(_chi_xi_reference(k - i, p)), p ** i,
+                           functools.partial(st.dual_mul, p=p))
+        for m, c in st.dual_mul({st._xi(i, 1, False): 1}, term, p).items():
+            fplin.add_term(out, m, -c, p)
+    return tuple(sorted(out.items(), key=lambda kv: str(kv[0])))
+
+
+@functools.lru_cache(maxsize=None)
+def _chi_tau_reference(k: int, p: int) -> tuple:
+    """chi(tau_k) in the plain alphabet, by hand from 0 = tau_k + sum_{i+j=k} xi_i^{p^j} chi(tau_j)."""
+    out: dict = {st._tau(k, False): -1 % p}
+    for i in range(1, k + 1):
+        j = k - i
+        for m, c in st.dual_mul({st._xi(i, p ** j, False): 1}, dict(_chi_tau_reference(j, p)),
+                                p).items():
+            fplin.add_term(out, m, -c, p)
+    return tuple(sorted(out.items(), key=lambda kv: str(kv[0])))
+
+
+def _conjugate_reference(m: MilnorMonomial, p: int) -> dict:
+    """m in the opposite alphabet, from the hand recursions; they serve both
+    ways, chi being an involution whose formulas are the same in either alphabet."""
+    target = not m.conjugated
+
+    def chi(g):
+        elt = _chi_tau_reference(g.tau[0], p) if g.tau else _chi_xi_reference(len(g.xi), p)
+        return {MilnorMonomial(mm.xi, mm.tau, target): c for mm, c in elt}
+
+    return fplin.product(((chi(g), e) for g, e in m.factors()),
+                         functools.partial(st.dual_mul, p=p), {st.milnor_one(target): 1})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_conjugate_read_off_psi_equals_the_hand_recursions(p):
+    # chi read off psi on the generators against the two recursions derived by
+    # hand from the other antipode identity, item order included
+    for conj in (True, False):
+        for d in range(41):
+            for m in st.milnor_basis(p, d, conjugated=conj):
+                got = st.conjugate(m, p)
+                assert list(got.items()) == list(_conjugate_reference(m, p).items()), (p, str(m))
+
+
+def _pair_word_reference(word, m) -> int:
+    """<word, m> for a plain monomial m: iterated psi down to <Sq^i, xi_1^i> = 1."""
+    if not word:
+        return int(m.is_one())
+    if len(word) == 1:
+        return int(m.xi == word)
+    total = 0
+    for (left, right), c in st.milnor_coproduct(m, 2).items():
+        if left.degree(2) == word[0] and _pair_word_reference(word[:1], left):
+            total ^= _pair_word_reference(word[1:], right) & c
+    return total
+
+
+def test_pairing_in_either_alphabet_equals_the_plain_expansion():
+    # a conjugated monomial expanded into the plain alphabet by the hand
+    # recursions, then paired with the xi_1^i base case
+    for d in range(21):
+        for conj in (True, False):
+            for m in st.milnor_basis(2, d, conjugated=conj):
+                plain = _conjugate_reference(m, 2) if conj else {m: 1}
+                for w in st.admissible_monomials(d):
+                    expect = sum(_pair_word_reference(w, mm) * c for mm, c in plain.items()) % 2
+                    assert st.pairing(frozenset({w}), m) == expect, (w, str(m))
+
+
 def test_pairing():
     assert st.pairing(st.parse_element("Sq2"), MilnorMonomial((2,), (), False)) == 1
     assert st.pairing(st.parse_element("Sq2Sq1"), MilnorMonomial((0, 1), (), False)) == 1
     assert st.pairing(st.parse_element("Sq3"), MilnorMonomial((0, 1), (), False)) == 0
     with pytest.raises(ValueError):
         st.pairing(st.parse_element("Sq2"), MilnorMonomial((1,), (), False))
+    # chi(Sq^3) = Sq(3) + Sq(0, 1) pairs to 1 with each conjugated monomial of degree 3
+    assert st.pairing(st.parse_element("Sq3"), MilnorMonomial((0, 1))) == 1
+    assert st.pairing(st.parse_element("Sq3"), MilnorMonomial((3,))) == 1
+    assert st.pairing(st.parse_element("1"), st.milnor_one()) == 1
 
 
 def test_pairing_matrix_invertible():
@@ -329,10 +409,15 @@ def test_dual_quotient_bases():
 
 def test_dual_action():
     # a primitive pairs away every positive operation
-    terms = [({MilnorMonomial(): 1}, "x")]
-    assert st.dual_action(terms, 1) == {}
-    terms = [({MilnorMonomial(): 1}, "x"), ({MilnorMonomial((1,)): 1}, "y")]
-    assert st.dual_action(terms, 1) == {"y": 1}
+    assert st.dual_action({(MilnorMonomial(), "x"): 1}, 1) == {}
+    coaction = {(MilnorMonomial(), "x"): 1, (MilnorMonomial((1,)), "y"): 1}
+    assert st.dual_action(coaction, 1) == {"y": 1}
+    assert st.dual_action(coaction, 0) == {"x": 1}
+    # Sq^3_* reads <Sq^3, xibar2> = 1 and <Sq^3, xibar1^3> = 1, which cancel on one y
+    coaction = {(MilnorMonomial((0, 1)), "y"): 1, (MilnorMonomial((3,)), "y"): 1,
+                (MilnorMonomial((1,)), "z"): 1}
+    assert st.dual_action(coaction, 3) == {}
+    assert st.dual_action(coaction, 1) == {"z": 1}
 
 
 def test_parse_and_render_roundtrip():
